@@ -12,23 +12,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .experiments import SweepSpec, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep
+# optimal_distance is re-exported: perfbench/tracer.py hooks it under this module
+from .experiments import (  # noqa: F401
+    SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep,
+)
 from .rng import GENERATOR_ID
 from .scenario import MonteCarloConfig, ScenarioConfig, floor_sqrt_factors
 from .svgplot import render_line_plot
 
-_FLOAT_KEYS = (
-    "f_ghz", "p_t_dbm", "theta_etilt_deg", "pl_irs_db", "pl_wall_db",
-    "h_bs_m", "h_uav_m", "h_irs_m", "l_m",
+# (flag, config key, type) of every per-parameter override.  The config file
+# accepts the same keys, and the flag's value lands under the key.
+_KEYS = (
+    ("--f-ghz", "f_ghz", float), ("--p-t-dbm", "p_t_dbm", float),
+    ("--theta-etilt-deg", "theta_etilt_deg", float), ("--pl-irs-db", "pl_irs_db", float),
+    ("--pl-wall-db", "pl_wall_db", float), ("--h-bs", "h_bs_m", float),
+    ("--h-uav", "h_uav_m", float), ("--h-irs", "h_irs_m", float), ("--l", "l_m", float),
+    ("--irs-rows", "irs_rows", int), ("--irs-cols", "irs_cols", int),
+    ("--n-rays", "n_rays", int), ("--n-runs", "n_runs", int),
+    ("--seed", "master_seed", int), ("--k", "k", int),
 )
-_INT_KEYS = ("irs_rows", "irs_cols", "n_rays", "n_runs", "master_seed", "k")
-CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
+CONFIG_KEYS = tuple(key for _, key, _ in _KEYS)
+_KEY_TYPES = {key: typ for _, key, typ in _KEYS}
 
 _SWEEP_NAMES = {"k": "k", "h-uav": "h_uav", "l": "l", "h-irs": "h_irs", "f": "f"}
 _SWEEP_LABELS = {"k": "elements", "h_uav": "UAV height [m]", "l": "BS-wall distance [m]",
@@ -52,7 +63,7 @@ def parse_config_text(text: str) -> dict:
         if key not in CONFIG_KEYS:
             raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = _KEY_TYPES[key](val)
         except ValueError:
             raise InvalidParameterError(f"config line {lineno}: bad value for {key}: {val!r}") from None
     return values
@@ -94,16 +105,9 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
-    flag_map = {
-        "f_ghz": args.f_ghz, "p_t_dbm": args.p_t_dbm, "theta_etilt_deg": args.theta_etilt_deg,
-        "pl_irs_db": args.pl_irs_db, "pl_wall_db": args.pl_wall_db, "h_bs_m": args.h_bs,
-        "h_uav_m": args.h_uav, "h_irs_m": args.h_irs, "irs_rows": args.irs_rows,
-        "irs_cols": args.irs_cols, "l_m": args.l, "n_rays": args.n_rays,
-        "n_runs": args.n_runs, "master_seed": args.seed, "k": args.k,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
 
     k = values.pop("k", None)
     rows, cols = values.get("irs_rows"), values.get("irs_cols")
@@ -165,10 +169,14 @@ _HEADER_BASE = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp
 
 
 def _result_cells(res) -> str:
-    return ",".join(_fmt(v) for v in (
+    cells = (
         res.gain_db, res.std_error_db, res.gamma_irs, res.los_amplitude,
         res.irs_sum_amplitude, res.mean_wall_reflection_amplitude, res.mean_wall_power_mw,
-    ))
+    )
+    text = ",".join(_fmt(v) for v in cells)
+    if not all(math.isfinite(v) for v in cells):  # exit 3 before anything is written
+        raise FloatingPointError(f"non-finite result: {_HEADER_BASE} = {text}")
+    return text
 
 
 def cmd_gain(args) -> int:
@@ -239,10 +247,7 @@ def cmd_optimize(args) -> int:
     result = run_sweep(spec, threads=args.threads)
     csv_text = _sweep_csv(result, with_overlay=False)
     gains = [row.result.gain_db for row in result.rows]
-    best = max(range(len(gains)), key=lambda i: (gains[i], -i))  # ties -> smaller L
-    l_star, gain_star = grid[best], gains[best]
-    if args.refine:
-        l_star, gain_star = optimal_distance(cfg, grid, mc, refine=True)
+    l_star, gain_star = _best_distance(cfg, mc, grid, gains, args.refine)
     _emit(args, csv_text, _manifest(args, cfg, mc, {"l_grid": list(grid), "refined": bool(args.refine)}))
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)
@@ -257,20 +262,13 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     p.add_argument("--out", help="write CSV here (manifest goes to OUT.manifest.json)")
     if svg:
         p.add_argument("--svg", help="also write an SVG line plot")
-    p.add_argument("--seed", type=int, help="master seed for the Monte Carlo baseline")
+    for flag, key, typ in _KEYS:  # only --seed is listed in --help
+        shown = key == "master_seed"
+        p.add_argument(flag, dest=key, type=typ, metavar=flag[2:].upper(),
+                       help="master seed for the Monte Carlo baseline" if shown else argparse.SUPPRESS)
     p.add_argument("--threads", type=int, default=1, help="parallel sweep-point evaluation")
     p.add_argument("--ray-phases", choices=("geometric", "uniform"),
                    help="wall-ray phase model (default: geometric)")
-    for flag, key, typ in (
-        ("--f-ghz", "f_ghz", float), ("--p-t-dbm", "p_t_dbm", float),
-        ("--theta-etilt-deg", "theta_etilt_deg", float), ("--pl-irs-db", "pl_irs_db", float),
-        ("--pl-wall-db", "pl_wall_db", float), ("--h-bs", "h_bs", float),
-        ("--h-uav", "h_uav", float), ("--h-irs", "h_irs", float),
-        ("--irs-rows", "irs_rows", int), ("--irs-cols", "irs_cols", int),
-        ("--l", "l", float), ("--k", "k", int),
-        ("--n-rays", "n_rays", int), ("--n-runs", "n_runs", int),
-    ):
-        p.add_argument(flag, dest=key, type=typ, help=argparse.SUPPRESS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

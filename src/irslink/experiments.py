@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import __version__
 from .errors import InvalidParameterError
@@ -69,6 +68,9 @@ class SweepSpec:
                 raise InvalidParameterError("overlay values must be non-empty when an overlay parameter is set")
             if len(set(self.overlay_values)) != len(self.overlay_values):
                 raise InvalidParameterError("overlay values must be distinct")
+            if self.overlay_parameter == self.parameter:
+                # apply_parameter would overwrite every overlay value with the swept one
+                raise InvalidParameterError(f"overlay parameter {self.overlay_parameter!r} is the swept parameter")
         return self
 
 
@@ -141,33 +143,72 @@ def optimal_distance(
 ) -> tuple[float, float]:
     """Gain-maximising BS-wall distance over an ascending grid of L values.
 
-    Ties break toward the smaller L.  With refine=True a golden-section search
-    runs between the grid neighbours of the argmax (the objective is a pure
-    function of L because the Monte Carlo seed is fixed).
+    Ties break toward the smaller L.  With refine=True the in-tree
+    golden-section search (a port of scipy.optimize.golden) runs between the
+    grid neighbours of the argmax; the objective is a pure function of L
+    because the Monte Carlo seed is fixed.
     """
     l_grid = list(l_grid)
     if not l_grid:
         raise InvalidParameterError("l_grid must be non-empty")
     if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
         raise InvalidParameterError("l_grid must be strictly increasing")
+    gains = [_gain_at(base, mc, l) for l in l_grid]
+    return _best_distance(base, mc, l_grid, gains, refine)
 
-    def gain_at(l: float) -> float:
-        return irs_gain(apply_parameter(base, "l", l), mc).gain_db
 
-    gains = [gain_at(l) for l in l_grid]
+def _gain_at(base: ScenarioConfig, mc: MonteCarloConfig, l: float) -> float:
+    return irs_gain(apply_parameter(base, "l", l), mc).gain_db
+
+
+def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, refine: bool) -> tuple[float, float]:
+    """The placement search on already evaluated grid gains (see optimal_distance)."""
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties
     l_star, g_star = float(l_grid[best]), gains[best]
-
-    if refine and 0 < best < len(l_grid) - 1:
-        bracket = (l_grid[best - 1], l_star, l_grid[best + 1])
-        try:
-            l_ref = float(optimize.golden(lambda l: -gain_at(l), brack=bracket))
-        except ValueError:
-            return l_star, g_star  # no valid bracket (flat neighbourhood)
-        g_ref = gain_at(l_ref)
-        if g_ref > g_star:
-            return l_ref, g_ref
+    # The left neighbour is strictly lower because the first maximum wins, so
+    # only a tie on the right leaves no valid bracket (flat neighbourhood).
+    if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
+        l_ref, f_ref = _golden_min(lambda l: -_gain_at(base, mc, l),
+                                   l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
+        if -f_ref > g_star:
+            return l_ref, -f_ref
     return l_star, g_star
+
+
+_GOLDEN_R = 0.61803399  # golden ratio conjugate, rounded as scipy rounds it
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_XTOL = float(np.sqrt(np.finfo(float).eps))
+_MAXITER = 5000
+
+
+def _golden_min(f, xa: float, xb: float, xc: float, fb: float) -> tuple[float, float]:
+    """(x, f(x)) minimising f inside the bracket xa < xb < xc, f(xb) = fb.
+
+    The recurrence, constants, tolerance, iteration cap and final pick of
+    scipy.optimize.golden(f, brack=(xa, xb, xc)), so the same points are
+    visited in the same order; fb is reused instead of evaluating f(xb).
+    """
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, f1 = xb, fb
+        x2 = xb + _GOLDEN_C * (xc - xb)
+        f2 = f(x2)
+    else:
+        x2, f2 = xb, fb
+        x1 = xb - _GOLDEN_C * (xb - xa)
+        f1 = f(x1)
+    for _ in range(_MAXITER):
+        if abs(x3 - x0) <= _XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def default_h_uav_grid() -> list[float]:

@@ -82,6 +82,14 @@ class TestExitCodes:
         cfgfile_code, _, err = run_cli(["optimize", "--l-grid", "10:5:1"] + FAST, capsys)
         assert cfgfile_code == 2  # empty/invalid range
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_exit_3(self, capsys):
+        # a vanishing carrier overflows the amplitudes: gain_db is nan
+        code, out, err = run_cli(["gain", "--f-ghz", "1e-300", "--n-runs", "100"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     def test_success_is_exit_0(self, capsys):
         code, _, _ = run_cli(["gain"] + FAST, capsys)
         assert code == 0

@@ -1,10 +1,20 @@
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from scipy import optimize
 
-from irslink.errors import InvalidParameterError
+import irslink
+from irslink import experiments
+from irslink.cli import main
+from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.experiments import (
     SweepSpec,
+    _golden_min,
     apply_parameter,
     component_amplitudes,
     default_h_uav_grid,
@@ -84,6 +94,8 @@ class TestRunSweep:
             SweepSpec("h_uav", (20.0,), CFG, MC, "l", (35.0, 35.0)).validate()
         with pytest.raises(InvalidParameterError):
             SweepSpec("bogus", (1.0,), CFG, MC).validate()
+        with pytest.raises(InvalidParameterError):
+            SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0)).validate()
 
 
 class TestComponentAmplitudes:
@@ -112,9 +124,10 @@ class TestOptimalDistance:
         # no reflector elements, no rays, UAV pinned: the gain is flat in L
         base = replace(CFG, irs_rows=0, irs_cols=0, uav_x_m=25.0)
         flat_mc = MonteCarloConfig(n_runs=1, n_rays=0)
-        l_star, gain = optimal_distance(base, [40.0, 50.0, 60.0], flat_mc)
-        assert l_star == 40.0
-        assert gain == 0.0
+        for refine in (False, True):
+            l_star, gain = optimal_distance(base, [40.0, 50.0, 60.0], flat_mc, refine=refine)
+            assert l_star == 40.0
+            assert gain == 0.0
 
     def test_default_grid_argmax_near_55_boresight(self):
         # boresight from the BS (25 m) meets a 10 m wall centre near L = 56;
@@ -129,6 +142,28 @@ class TestOptimalDistance:
         assert grid[0] <= l_fine <= grid[-1]
         assert g_fine >= g_coarse
 
+    def test_right_neighbour_tie_skips_refinement(self, monkeypatch):
+        # gain rises up to L = 50 and is flat beyond: no bracket, no golden step
+        calls = []
+
+        def plateau(cfg, mc):
+            calls.append(cfg.l_m)
+            return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
+
+        monkeypatch.setattr(experiments, "irs_gain", plateau)
+        assert optimal_distance(CFG, [40.0, 50.0, 60.0], MC, refine=True) == (50.0, 50.0)
+        assert calls == [40.0, 50.0, 60.0]
+
+    def test_refinement_errors_propagate(self, monkeypatch):
+        def on_grid_only(cfg, mc):
+            if cfg.l_m % 5:
+                raise DegenerateGeometryError("off-grid L")
+            return SimpleNamespace(gain_db=-abs(cfg.l_m - 52.0))
+
+        monkeypatch.setattr(experiments, "irs_gain", on_grid_only)
+        with pytest.raises(DegenerateGeometryError):
+            optimal_distance(CFG, [45.0, 50.0, 55.0], MC, refine=True)
+
     def test_empty_and_unsorted_grids_rejected(self):
         with pytest.raises(InvalidParameterError):
             optimal_distance(CFG, [], MC)
@@ -141,3 +176,63 @@ def test_default_grids():
     assert h[0] == 20.0 and h[-1] == 150.0
     assert 21.0 in h and 29.0 in h and 140.0 in h
     assert default_l_grid() == [float(l) for l in range(10, 101, 5)]
+
+
+def _count_gain_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(cfg, mc):
+        calls.append(cfg.l_m)
+        return irs_gain(cfg, mc)
+
+    monkeypatch.setattr(experiments, "irs_gain", counted)
+    return calls
+
+
+class TestGoldenSection:
+    @pytest.mark.parametrize("f, bracket", [
+        (lambda x: (x - 2.3) ** 2, (0.0, 1.0, 5.0)),
+        (lambda x: -math.sin(x), (0.0, 1.5, 2.0)),
+    ])
+    def test_analytic_matches_scipy(self, f, bracket):
+        x, fx = _golden_min(f, *bracket, f(bracket[1]))
+        assert x == optimize.golden(f, brack=bracket)
+        assert fx == f(x)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_default_grid_bracket_matches_scipy(self, seed):
+        mc = replace(MC, master_seed=seed)
+        grid = default_l_grid()
+
+        def neg_gain(l):
+            return -irs_gain(apply_parameter(CFG, "l", l), mc).gain_db
+
+        fs = [neg_gain(l) for l in grid]
+        best = fs.index(min(fs))
+        bracket = (grid[best - 1], grid[best], grid[best + 1])
+        assert fs[best] < fs[best - 1] and fs[best] < fs[best + 1]
+        x, fx = _golden_min(neg_gain, *bracket, fs[best])
+        assert x == optimize.golden(neg_gain, brack=bracket)
+        assert fx == neg_gain(x)
+
+    def test_optimal_distance_evaluates_each_l_once(self, monkeypatch):
+        calls = _count_gain_calls(monkeypatch)
+        l_star, gain = optimal_distance(CFG, default_l_grid(), MC, refine=True)
+        assert len(calls) == len(set(calls)) > len(default_l_grid())
+        assert l_star in calls and l_star not in default_l_grid()
+
+    def test_cli_optimize_evaluates_each_l_once(self, monkeypatch, tmp_path, capsys):
+        calls = _count_gain_calls(monkeypatch)
+        code = main(["optimize", "--refine", "--n-runs", "200", "--out", str(tmp_path / "o.csv")])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == len(set(calls)) > len(default_l_grid())
+        assert calls[:len(default_l_grid())] == default_l_grid()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(irslink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", "import sys, irslink.cli; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
