@@ -7,17 +7,15 @@ for the gain-maximising reflector placement.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelCoefficient, ReflectionParams, combine, dbm_to_amplitude
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import Position3D, ScenarioGeometry, build_geometry, depression_angle, distance, element_positions
 from .propagation import AntennaParams, PathlossParams, pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
-from .simulator import GainResult, irs_amplitude, irs_gain, wall_power_estimate
+from .simulator import GainResult, dbm_to_amplitude, irs_amplitude, irs_gain, wall_power_estimate
 from .experiments import SweepSpec, SweepResult, component_amplitudes, optimal_distance, run_sweep
 
 __all__ = [
     "AntennaParams",
-    "ChannelCoefficient",
     "DEFAULT_MASTER_SEED",
     "DegenerateGeometryError",
     "GainResult",
@@ -25,13 +23,11 @@ __all__ = [
     "MonteCarloConfig",
     "PathlossParams",
     "Position3D",
-    "ReflectionParams",
     "ScenarioConfig",
     "ScenarioGeometry",
     "SweepResult",
     "SweepSpec",
     "build_geometry",
-    "combine",
     "component_amplitudes",
     "dbm_to_amplitude",
     "depression_angle",

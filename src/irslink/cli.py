@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
 # optimal_distance is re-exported: perfbench/tracer.py hooks it under this module
@@ -302,12 +304,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
+        # every result cell is checked before output (exit 3), so numpy's
+        # overflow/invalid warnings would only repeat that report
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except InvalidParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # e.g. an --n-runs too large to allocate
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
     except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

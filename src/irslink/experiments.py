@@ -12,6 +12,7 @@ Monte Carlo noise.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -122,8 +123,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         return SweepRow(v, ov, irs_gain(cfg, spec.mc))
 
     if threads > 1:
+        # each point runs in a copy of the caller's context (numpy error state)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(evaluate, grid))
+            futures = [pool.submit(contextvars.copy_context().run, evaluate, item) for item in grid]
+            rows = tuple(f.result() for f in futures)
     else:
         rows = tuple(evaluate(item) for item in grid)
     return SweepResult(rows, _sweep_metadata(spec))

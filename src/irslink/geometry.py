@@ -1,4 +1,4 @@
-"""Scene geometry: positions, the reflector element lattice, and wall scatter points.
+"""Scene geometry: positions and the reflector element lattice.
 
 Axes: x runs horizontally from the base station toward the reflector wall,
 y runs along the wall, z is height above ground (all metres).  The wall is
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .rng import CounterStream
 
 
 @dataclass(frozen=True)
@@ -26,51 +25,39 @@ class Position3D:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no scalar equality
 class ScenarioGeometry:
-    """Resolved 3D scene: BS, UAV, reflector patch centre and element lattice."""
+    """Resolved 3D scene: BS, UAV, reflector patch centre and element lattice.
+
+    ``elements`` is a read-only (K, 3) array of element positions in lattice
+    order; K = 0 when there is no reflector.
+    """
 
     bs: Position3D
     uav: Position3D
     irs_center: Position3D
-    elements: tuple[Position3D, ...]
+    elements: np.ndarray
     patch_half_width_y: float
     patch_half_height_z: float
 
-    def element_matrix(self) -> np.ndarray:
-        """Element positions as a (K, 3) array in lattice order."""
-        if not self.elements:
-            return np.empty((0, 3), dtype=float)
-        return np.array([[e.x, e.y, e.z] for e in self.elements], dtype=float)
 
-    def on_patch(self, p: Position3D, tol: float = 1e-9) -> bool:
-        """True if p lies on the wall patch rectangle (within tol)."""
-        return (
-            abs(p.x - self.irs_center.x) <= tol
-            and abs(p.y - self.irs_center.y) <= self.patch_half_width_y + tol
-            and abs(p.z - self.irs_center.z) <= self.patch_half_height_z + tol
-        )
-
-
-def element_positions(rows: int, cols: int, pitch_m: float, center: Position3D) -> list[Position3D]:
+def element_positions(rows: int, cols: int, pitch_m: float, center: Position3D) -> np.ndarray:
     """Regular rows x cols lattice on the plane x = center.x, centred on ``center``.
 
     Row n, column m (1-based) sits at
         y = center.y + (m - (cols + 1) / 2) * pitch
         z = center.z + (n - (rows + 1) / 2) * pitch
-    so the lattice centroid is exactly the patch centre.
+    so the lattice centroid is exactly the patch centre.  Returns a
+    (rows * cols, 3) array, row by row.
     """
     if rows < 1 or cols < 1:
         raise InvalidParameterError(f"element lattice needs rows >= 1 and cols >= 1, got {rows}x{cols}")
     if pitch_m <= 0:
         raise InvalidParameterError(f"element pitch must be positive, got {pitch_m}")
-    out = []
-    for n in range(1, rows + 1):
-        z = center.z + (n - (rows + 1) / 2.0) * pitch_m
-        for m in range(1, cols + 1):
-            y = center.y + (m - (cols + 1) / 2.0) * pitch_m
-            out.append(Position3D(center.x, y, z))
-    return out
+    z = center.z + (np.arange(1, rows + 1) - (rows + 1) / 2.0) * pitch_m
+    y = center.y + (np.arange(1, cols + 1) - (cols + 1) / 2.0) * pitch_m
+    zz, yy = np.meshgrid(z, y, indexing="ij")
+    return np.column_stack((np.full(rows * cols, center.x), yy.ravel(), zz.ravel()))
 
 
 def distance(a: Position3D, b: Position3D) -> float:
@@ -89,22 +76,6 @@ def depression_angle(frm: Position3D, to: Position3D) -> float:
         raise DegenerateGeometryError("depression angle undefined for coincident points")
     horiz = math.hypot(to.x - frm.x, to.y - frm.y)
     return math.degrees(math.atan2(frm.z - to.z, horiz))
-
-
-def sample_scatter_points(geom: ScenarioGeometry, count: int, rng: CounterStream) -> list[Position3D]:
-    """``count`` points drawn uniformly over the wall patch rectangle.
-
-    Consumes exactly 2 draws per point, y then z.  A zero-extent patch
-    yields copies of the patch centre (draws are still consumed, so the
-    stream position does not depend on the patch shape).
-    """
-    if count < 1:
-        raise InvalidParameterError(f"scatter point count must be >= 1, got {count}")
-    u = rng.uniforms(2 * count).reshape(count, 2)
-    c = geom.irs_center
-    ys = c.y + (2.0 * u[:, 0] - 1.0) * geom.patch_half_width_y
-    zs = c.z + (2.0 * u[:, 1] - 1.0) * geom.patch_half_height_z
-    return [Position3D(c.x, float(y), float(z)) for y, z in zip(ys, zs)]
 
 
 def build_geometry(
@@ -134,10 +105,11 @@ def build_geometry(
     center = Position3D(l_m, 0.0, h_irs_m)
     uav = Position3D(l_m / 2.0 if uav_x_m is None else uav_x_m, uav_y_m, h_uav_m)
     if rows == 0 or cols == 0:
-        elements: tuple[Position3D, ...] = ()
+        elements = np.empty((0, 3), dtype=float)
         half_w = half_h = 0.0
     else:
-        elements = tuple(element_positions(rows, cols, pitch_m, center))
+        elements = element_positions(rows, cols, pitch_m, center)
         half_w = (cols - 1) * pitch_m / 2.0
         half_h = (rows - 1) * pitch_m / 2.0
+    elements.flags.writeable = False
     return ScenarioGeometry(bs, uav, center, elements, half_w, half_h)

@@ -47,11 +47,6 @@ def vertical_gain(theta_deg, params: AntennaParams):
     return float(g) if np.isscalar(theta_deg) else g
 
 
-def effective_tx_power(p_t_dbm: float, theta_deg, params: AntennaParams):
-    """Transmit power seen at vertical angle theta: P_T plus the pattern gain (dBm)."""
-    return p_t_dbm + vertical_gain(theta_deg, params)
-
-
 def _check_positive(value, name: str):
     arr = np.asarray(value, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
@@ -95,14 +90,3 @@ def pl_nlos(d_m, receiver_height_m: float, params: PathlossParams):
         pl = _pl_nlos_low(d, receiver_height_m, params.f_ghz)
     return float(pl) if np.isscalar(d_m) else pl
 
-
-def pl_bs_to_element(d1_m, receiver_height_m: float, params: PathlossParams):
-    """First segment of a reflected path (BS to reflector element)."""
-    return pl_nlos(d1_m, receiver_height_m, params)
-
-
-def pl_element_to_uav(d1_m, d2_m, receiver_height_m: float, params: PathlossParams):
-    """Second segment: distance-related loss only, so the two segments add up
-    to the end-to-end PL_NLoS(d1 + d2) exactly."""
-    _check_positive(d2_m, "d2_m")
-    return pl_nlos(d1_m + d2_m, receiver_height_m, params) - pl_nlos(d1_m, receiver_height_m, params)

@@ -69,15 +69,3 @@ def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0) -> np.nd
     bits = _finalize_u64(z)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
-
-class CounterStream:
-    """Sequential view over the counter scheme: each call consumes draw indices."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self.position = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        out = uniform_block(np.array([self.seed], dtype=np.uint64), n, self.position)[0]
-        self.position += n
-        return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .channel import ReflectionParams
 from .errors import InvalidParameterError
 from .geometry import ScenarioGeometry, build_geometry
 from .propagation import AntennaParams, PathlossParams
@@ -67,9 +66,6 @@ class ScenarioConfig:
 
     def pathloss(self) -> PathlossParams:
         return PathlossParams(self.f_ghz)
-
-    def reflection(self) -> ReflectionParams:
-        return ReflectionParams(self.pl_irs_db, self.pl_wall_db)
 
     def geometry(self) -> ScenarioGeometry:
         return build_geometry(

@@ -7,9 +7,9 @@ sum of the LoS amplitude and all element amplitudes.
 The baseline replaces the reflector with a passive wall patch of the same
 area.  Each run re-samples ``n_rays`` scatter points on the patch, builds one
 full-budget ray per point (wall reflection loss, phase from the path length
-or drawn uniform, see MonteCarloConfig.ray_phases), combines them with the
-LoS path and squares to power.  The gain is the ratio of the deterministic
-reflector power to the mean baseline power, in dB.
+or drawn uniform, see MonteCarloConfig.ray_phases), adds their phasors to
+the LoS phasor and squares to power.  The gain is the ratio of the
+deterministic reflector power to the mean baseline power, in dB.
 
 Draw layout within run r (stream seeded by run_seed(master_seed, r)):
   draws 0 .. 2*n_rays-1   scatter positions, y then z per point
@@ -23,23 +23,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .channel import TWO_PI, dbm_to_amplitude, wavelength_m
 from .errors import DegenerateGeometryError
-from .geometry import Position3D, ScenarioGeometry
+from .geometry import ScenarioGeometry, depression_angle, distance
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig
+
+SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
+
+TWO_PI = 2.0 * math.pi
+
+
+def wavelength_m(f_ghz: float) -> float:
+    return SPEED_OF_LIGHT / (f_ghz * 1e9)
+
+
+def dbm_to_amplitude(p_dbm):
+    """sqrt of the linear power: sqrt(10^(p/10)) mW^0.5, for scalars or arrays."""
+    return 10.0 ** (p_dbm / 20.0)
 
 
 @dataclass(frozen=True)
 class GainResult:
     """Gain of the reflector scenario over the wall baseline, with components."""
 
-    gamma_irs: float                      # deterministic combined amplitude, sqrt-mW
+    gamma_irs: float                      # deterministic received amplitude, sqrt-mW
     mean_wall_power_mw: float             # Monte Carlo mean baseline power
     gain_db: float                        # 10 log10(gamma_irs^2 / mean_wall_power_mw)
     std_error_db: float                   # standard error of the mean, in dB
@@ -55,11 +67,10 @@ class WallEstimate(NamedTuple):
 
 
 def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
-    bs, uav = geom.bs, geom.uav
-    if bs == uav:
+    if geom.bs == geom.uav:
         raise DegenerateGeometryError("BS and UAV coincide")
-    d = math.sqrt((uav.x - bs.x) ** 2 + (uav.y - bs.y) ** 2 + (uav.z - bs.z) ** 2)
-    theta0 = math.degrees(math.atan2(bs.z - uav.z, math.hypot(uav.x - bs.x, uav.y - bs.y)))
+    d = distance(geom.bs, geom.uav)
+    theta0 = depression_angle(geom.bs, geom.uav)
     p_rx = cfg.p_t_dbm + vertical_gain(theta0, cfg.antenna()) - pl_los(d, cfg.pathloss())
     return dbm_to_amplitude(p_rx), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
 
@@ -70,7 +81,9 @@ def _reflected_amps_phases(
     points: np.ndarray,
     reflection_loss_db: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised link budget for reflected paths through ``points`` (..., 3).
+    """Vectorised link budget for reflected paths through ``points`` (..., 3):
+    pattern gain at the BS-to-point angle, PL_NLoS(d1 + d2) at the UAV height,
+    and ``reflection_loss_db``.  Serves the reflector elements and the wall rays.
 
     Returns (amplitudes, path_lengths), both shaped like points[..., 0].
     """
@@ -89,28 +102,22 @@ def _reflected_amps_phases(
         - pl_nlos(d1 + d2, geom.uav.z, cfg.pathloss())
         - reflection_loss_db
     )
-    return 10.0 ** (p_rx / 20.0), d1 + d2
+    return dbm_to_amplitude(p_rx), d1 + d2
+
+
+def _irs_amplitudes(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
+    """(LoS amplitude, sum of the element amplitudes) in sqrt-mW."""
+    a0, _ = _los_amp_phase(cfg, geom)
+    amps, _ = _reflected_amps_phases(cfg, geom, geom.elements, cfg.pl_irs_db)
+    return a0, float(np.sum(amps))  # 0.0 for an empty lattice
 
 
 def irs_amplitude(cfg: ScenarioConfig) -> float:
     """Deterministic received amplitude with ideal phase alignment: LoS plus
     every element amplitude (sqrt-mW)."""
     cfg.validate()
-    geom = cfg.geometry()
-    a0, _ = _los_amp_phase(cfg, geom)
-    elems = geom.element_matrix()
-    if elems.shape[0] == 0:
-        return a0
-    amps, _ = _reflected_amps_phases(cfg, geom, elems, cfg.pl_irs_db)
-    return a0 + float(np.sum(amps))
-
-
-def _element_amplitude_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
-    elems = geom.element_matrix()
-    if elems.shape[0] == 0:
-        return 0.0
-    amps, _ = _reflected_amps_phases(cfg, geom, elems, cfg.pl_irs_db)
-    return float(np.sum(amps))
+    a0, irs_sum = _irs_amplitudes(cfg, cfg.geometry())
+    return a0 + irs_sum
 
 
 def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
@@ -123,16 +130,8 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
     return pts
 
 
-def wall_power_estimate(
-    cfg: ScenarioConfig,
-    mc: MonteCarloConfig,
-    scatter_points: Sequence[Position3D] | None = None,
-) -> WallEstimate:
-    """Mean and standard error of the baseline received power over ``n_runs``.
-
-    ``scatter_points`` pins the ray positions for every run (useful for
-    degenerate checks); in "geometric" mode that makes all runs identical.
-    """
+def wall_power_estimate(cfg: ScenarioConfig, mc: MonteCarloConfig) -> WallEstimate:
+    """Mean and standard error of the baseline received power over ``n_runs``."""
     cfg.validate()
     mc.validate()
     geom = cfg.geometry()
@@ -143,14 +142,8 @@ def wall_power_estimate(
         return WallEstimate(power, 0.0, 0.0)
 
     seeds = rng.run_seeds(mc.master_seed, mc.n_runs)
-    if scatter_points is None:
-        u_pos = rng.uniform_block(seeds, 2 * mc.n_rays).reshape(mc.n_runs, mc.n_rays, 2)
-        pts = _scatter_matrix(geom, u_pos)
-    else:
-        if len(scatter_points) != mc.n_rays:
-            raise ValueError("scatter_points must have length n_rays")
-        fixed = np.array([[p.x, p.y, p.z] for p in scatter_points], dtype=float)
-        pts = np.broadcast_to(fixed, (mc.n_runs,) + fixed.shape)
+    u_pos = rng.uniform_block(seeds, 2 * mc.n_rays).reshape(mc.n_runs, mc.n_rays, 2)
+    pts = _scatter_matrix(geom, u_pos)
 
     amps, path_len = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
     if mc.ray_phases == RAY_PHASES_UNIFORM:
@@ -175,9 +168,7 @@ def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig) -> GainResult:
     """Full gain evaluation at one scenario point."""
     cfg.validate()
     mc.validate()
-    geom = cfg.geometry()
-    a0, _ = _los_amp_phase(cfg, geom)
-    irs_sum = _element_amplitude_sum(cfg, geom)
+    a0, irs_sum = _irs_amplitudes(cfg, cfg.geometry())
     gamma = a0 + irs_sum
     wall = wall_power_estimate(cfg, mc)
     gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)

@@ -1,10 +1,16 @@
+"""Hand-value checks of the scalar reference budget (tests/scalar_reference.py),
+the oracle that the vectorised kernel in irslink.simulator is compared against."""
+
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from irslink.channel import (
+from irslink.errors import DegenerateGeometryError, InvalidParameterError
+from irslink.geometry import Position3D, build_geometry
+from irslink.propagation import AntennaParams, PathlossParams, pl_los, pl_nlos
+from scalar_reference import (
     PHASE_ALIGNED,
     PHASE_GEOMETRIC,
     ChannelCoefficient,
@@ -16,9 +22,6 @@ from irslink.channel import (
     wall_ray_coefficient,
     wavelength_m,
 )
-from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D, build_geometry
-from irslink.propagation import AntennaParams, PathlossParams, pl_los, pl_nlos
 
 ANT = AntennaParams()
 PL2 = PathlossParams(2.0)

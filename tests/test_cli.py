@@ -1,10 +1,14 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+from irslink import rng
 from irslink.cli import main, parse_config_text
 from irslink.errors import InvalidParameterError
+from irslink.scenario import ScenarioConfig
 
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
@@ -73,7 +77,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_degenerate_geometry_is_exit_3(self, capsys):
+    def test_degenerate_geometry_is_exit_3(self, monkeypatch, capsys):
         # UAV pinned onto the BS position
         code, _, err = run_cli(
             ["gain", "--h-uav", "25", "--l", "50"] + FAST + ["--n-rays", "0"], capsys
@@ -82,13 +86,41 @@ class TestExitCodes:
         cfgfile_code, _, err = run_cli(["optimize", "--l-grid", "10:5:1"] + FAST, capsys)
         assert cfgfile_code == 2  # empty/invalid range
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_result_is_exit_3(self, capsys):
-        # a vanishing carrier overflows the amplitudes: gain_db is nan
-        code, out, err = run_cli(["gain", "--f-ghz", "1e-300", "--n-runs", "100"], capsys)
+        # no flag can put the UAV on the BS, so move it there in the resolved scene
+        geometry = ScenarioConfig.geometry
+
+        def uav_on_bs(cfg):
+            geom = geometry(cfg)
+            return replace(geom, uav=geom.bs)
+
+        monkeypatch.setattr(ScenarioConfig, "geometry", uav_on_bs)
+        code, out, err = run_cli(["gain"] + FAST, capsys)
         assert code == 3
         assert out == ""
-        assert "non-finite" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_non_finite_result_is_exit_3(self, capsys):
+        # a vanishing carrier overflows the amplitudes: gain_db is nan
+        sweep = ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "2"]
+        for command in (["gain"], sweep):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # any warning fails the test, also in a sweep's worker threads
+                code, out, err = run_cli(command + ["--f-ghz", "1e-300", "--n-runs", "100"], capsys)
+            assert code == 3
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+            assert "non-finite" in err
+
+    def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
+        # stands in for an --n-runs too large to allocate
+        def no_memory(master_seed, n_runs):
+            raise MemoryError(f"cannot allocate {n_runs} run seeds")
+
+        monkeypatch.setattr(rng, "run_seeds", no_memory)
+        code, out, err = run_cli(["gain", "--n-runs", "1000000000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_success_is_exit_0(self, capsys):
         code, _, _ = run_cli(["gain"] + FAST, capsys)

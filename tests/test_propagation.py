@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from irslink.errors import InvalidParameterError
-from irslink.propagation import (
-    AntennaParams,
-    PathlossParams,
-    effective_tx_power,
-    pl_bs_to_element,
-    pl_element_to_uav,
-    pl_los,
-    pl_nlos,
-    vertical_gain,
-)
+from irslink.propagation import AntennaParams, PathlossParams, pl_los, pl_nlos, vertical_gain
+from scalar_reference import effective_tx_power, pl_bs_to_element, pl_element_to_uav
 
 ANT = AntennaParams()
 PL2 = PathlossParams(f_ghz=2.0)

@@ -1,6 +1,7 @@
 import numpy as np
 
-from irslink.rng import CounterStream, run_seed, run_seeds, uniform_at, uniform_block
+from irslink.rng import run_seed, run_seeds, uniform_at, uniform_block
+from scalar_reference import CounterStream
 
 
 def test_scalar_and_vector_run_seeds_agree():

@@ -4,25 +4,37 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irslink.channel import (
+from irslink import simulator
+from irslink.rng import run_seed
+from irslink.scenario import MonteCarloConfig, ScenarioConfig
+from irslink.simulator import irs_amplitude, irs_gain, wall_power_estimate
+from scalar_reference import (
     PHASE_GEOMETRIC,
     ChannelCoefficient,
+    CounterStream,
+    ReflectionParams,
     combine,
     element_coefficient,
     los_coefficient,
+    sample_scatter_points,
     wall_ray_coefficient,
 )
-from irslink.geometry import sample_scatter_points
-from irslink.rng import CounterStream, run_seed
-from irslink.scenario import MonteCarloConfig, ScenarioConfig
-from irslink.simulator import irs_amplitude, irs_gain, wall_power_estimate
 
 CFG = ScenarioConfig()
+REFL = ReflectionParams(CFG.pl_irs_db, CFG.pl_wall_db)
 TWO_PI = 2.0 * math.pi
 
 
 def mc(runs=200, rays=20, seed=42, phases="geometric"):
     return MonteCarloConfig(n_runs=runs, n_rays=rays, master_seed=seed, ray_phases=phases)
+
+
+def pin_scatter_points(monkeypatch, points):
+    """Make every Monte Carlo run use the same scatter points (rows of ``points``)."""
+    fixed = np.asarray(points, dtype=float)
+    monkeypatch.setattr(
+        simulator, "_scatter_matrix", lambda geom, u: np.broadcast_to(fixed, u.shape[:-1] + (3,))
+    )
 
 
 class TestIrsAmplitude:
@@ -37,7 +49,7 @@ class TestIrsAmplitude:
         geom = CFG.geometry()
         los = los_coefficient(geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm)
         total = los.amplitude + sum(
-            element_coefficient(k, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, CFG.reflection()).amplitude
+            element_coefficient(k, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL).amplitude
             for k in range(100)
         )
         assert irs_amplitude(CFG) == pytest.approx(total, rel=1e-12)
@@ -48,7 +60,7 @@ class TestIrsAmplitude:
         centre = replace(CFG, irs_rows=1, irs_cols=1)
         geom_c = centre.geometry()
         centre_amp = element_coefficient(
-            0, geom_c, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, CFG.reflection()
+            0, geom_c, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL
         ).amplitude
         total = irs_amplitude(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert total == pytest.approx(100.0 * centre_amp, rel=1e-3)
@@ -108,7 +120,7 @@ class TestWallPowerEstimate:
             stream = CounterStream(run_seed(777, r))
             pts = sample_scatter_points(geom, 7, stream)
             rays = [
-                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, CFG.reflection())
+                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL)
                 for p in pts
             ]
             if phases == "uniform":
@@ -117,10 +129,10 @@ class TestWallPowerEstimate:
             powers.append(combine([los] + rays) ** 2)
         assert est.mean_power_mw == pytest.approx(np.mean(powers), rel=1e-12)
 
-    def test_fixed_scatter_points_freeze_the_geometry(self):
+    def test_fixed_scatter_points_freeze_the_geometry(self, monkeypatch):
         geom = CFG.geometry()
-        pts = list(geom.elements[:20])
-        est = wall_power_estimate(CFG, mc(runs=50), scatter_points=pts)
+        pin_scatter_points(monkeypatch, geom.elements[:20])
+        est = wall_power_estimate(CFG, mc(runs=50))
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
 
 
@@ -134,14 +146,16 @@ class TestIrsGain:
         assert res.gamma_irs >= res.los_amplitude
         assert res.gamma_irs == pytest.approx(res.los_amplitude + res.irs_sum_amplitude, rel=1e-12)
 
-    def test_equal_losses_and_matched_rays_give_zero_db(self):
+    def test_equal_losses_and_matched_rays_give_zero_db(self, monkeypatch):
         # same reflection loss, rays pinned to the element positions, geometric
         # phases on both sides: numerator and denominator coincide
         cfg = replace(CFG, pl_wall_db=CFG.pl_irs_db)
         geom = cfg.geometry()
-        est = wall_power_estimate(cfg, mc(runs=10, rays=100), scatter_points=list(geom.elements))
+        pin_scatter_points(monkeypatch, geom.elements)
+        est = wall_power_estimate(cfg, mc(runs=10, rays=100))
+        refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
         coeffs = [los_coefficient(geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm)] + [
-            element_coefficient(k, geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm, cfg.reflection(), PHASE_GEOMETRIC)
+            element_coefficient(k, geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
             for k in range(100)
         ]
         assert 10.0 * math.log10(combine(coeffs) ** 2 / est.mean_power_mw) == pytest.approx(0.0, abs=1e-9)
@@ -168,7 +182,7 @@ class TestIrsGain:
             stream = CounterStream(run_seed(42, r))
             pts = sample_scatter_points(geom, 20, stream)
             rays = [
-                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, CFG.reflection())
+                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL)
                 for p in pts
             ]
             assert combine([los] + rays) < gamma
