@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError as exc:  # e.g. an --n-runs too large to allocate
+    except MemoryError as exc:  # e.g. an element lattice too large to allocate
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
     except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:

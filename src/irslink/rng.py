@@ -39,6 +39,12 @@ def run_seed(master_seed: int, run_index: int) -> int:
     return _finalize_int((master_seed + (run_index + 1) * _PHI_A) & _MASK64)
 
 
+def block_master_seed(master_seed: int, first_run: int) -> int:
+    """Master seed whose run i is run first_run + i of ``master_seed``:
+    run_seed(block_master_seed(m, s), i) == run_seed(m, s + i)."""
+    return (master_seed + first_run * _PHI_A) & _MASK64
+
+
 def uniform_at(seed: int, draw_index: int) -> float:
     """The draw_index-th uniform variate in [0, 1) of the stream ``seed``."""
     bits = _finalize_int((seed + (draw_index + 1) * _PHI_B) & _MASK64)

@@ -17,6 +17,13 @@ Draw layout within run r (stream seeded by run_seed(master_seed, r)):
 
 Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
+
+Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
+consecutive runs, so memory does not grow with ``n_runs``.  Each block
+reduces its powers to (count, mean, sum of squared deviations) and its
+``|sum of rays|`` to a sum; the blocks are merged in run order with Chan et
+al.'s pairwise update.  The block size is a constant, so the merge order,
+and with it every bit of the result, depends only on the configs.
 """
 
 from __future__ import annotations
@@ -105,19 +112,27 @@ def _reflected_amps_phases(
     return dbm_to_amplitude(p_rx), d1 + d2
 
 
-def _irs_amplitudes(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
-    """(LoS amplitude, sum of the element amplitudes) in sqrt-mW."""
-    a0, _ = _los_amp_phase(cfg, geom)
+def _point(cfg: ScenarioConfig, mc: MonteCarloConfig | None = None) -> tuple[ScenarioGeometry, float, float]:
+    """Validate the configs, then build cfg's geometry and LoS budget once:
+    (geometry, LoS amplitude, LoS phase)."""
+    cfg.validate()
+    if mc is not None:
+        mc.validate()
+    geom = cfg.geometry()
+    return (geom, *_los_amp_phase(cfg, geom))
+
+
+def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
+    """Sum of the element amplitudes in sqrt-mW (0.0 for an empty lattice)."""
     amps, _ = _reflected_amps_phases(cfg, geom, geom.elements, cfg.pl_irs_db)
-    return a0, float(np.sum(amps))  # 0.0 for an empty lattice
+    return float(np.sum(amps))
 
 
 def irs_amplitude(cfg: ScenarioConfig) -> float:
     """Deterministic received amplitude with ideal phase alignment: LoS plus
     every element amplitude (sqrt-mW)."""
-    cfg.validate()
-    a0, irs_sum = _irs_amplitudes(cfg, cfg.geometry())
-    return a0 + irs_sum
+    geom, a0, _ = _point(cfg)
+    return a0 + _irs_sum(cfg, geom)
 
 
 def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
@@ -130,47 +145,68 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
     return pts
 
 
-def wall_power_estimate(cfg: ScenarioConfig, mc: MonteCarloConfig) -> WallEstimate:
-    """Mean and standard error of the baseline received power over ``n_runs``."""
-    cfg.validate()
-    mc.validate()
-    geom = cfg.geometry()
-    a0, phi0 = _los_amp_phase(cfg, geom)
+# Wall paths (runs x rays) per block: big enough to amortise numpy's per-call
+# cost, small enough that a block's temporaries stay near the caches.
+_CHUNK_PATHS = 1 << 16
+
+
+def wall_power_estimate(
+    cfg: ScenarioConfig,
+    mc: MonteCarloConfig,
+    point: tuple[ScenarioGeometry, float, float] | None = None,
+) -> WallEstimate:
+    """Mean and standard error of the baseline received power over ``n_runs``.
+
+    ``point`` is ``_point(cfg, mc)`` when the caller has already computed it.
+    """
+    geom, a0, phi0 = _point(cfg, mc) if point is None else point
 
     if mc.n_rays == 0:
         power = a0 * a0
         return WallEstimate(power, 0.0, 0.0)
 
-    seeds = rng.run_seeds(mc.master_seed, mc.n_runs)
-    u_pos = rng.uniform_block(seeds, 2 * mc.n_rays).reshape(mc.n_runs, mc.n_rays, 2)
-    pts = _scatter_matrix(geom, u_pos)
+    los_re, los_im = a0 * math.cos(phi0), a0 * math.sin(phi0)
+    uniform = mc.ray_phases == RAY_PHASES_UNIFORM
+    n_pos = 2 * mc.n_rays
+    block = max(1, _CHUNK_PATHS // mc.n_rays)
+    count, mean, m2, refl_sum = 0, 0.0, 0.0, 0.0
+    for first in range(0, mc.n_runs, block):
+        n = min(block, mc.n_runs - first)
+        seeds = rng.run_seeds(rng.block_master_seed(mc.master_seed, first), n)
+        u = rng.uniform_block(seeds, n_pos + mc.n_rays if uniform else n_pos)
+        pts = _scatter_matrix(geom, u[:, :n_pos].reshape(n, mc.n_rays, 2))
+        amps, path_len = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
+        if uniform:
+            phases = TWO_PI * u[:, n_pos:]
+        else:
+            phases = (-TWO_PI * path_len / wavelength_m(cfg.f_ghz)) % TWO_PI
+        ray_re = np.sum(amps * np.cos(phases), axis=1)
+        ray_im = np.sum(amps * np.sin(phases), axis=1)
+        refl_sum += float(np.sum(np.hypot(ray_re, ray_im)))
+        re = los_re + ray_re
+        im = los_im + ray_im
+        power = re * re + im * im
 
-    amps, path_len = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
-    if mc.ray_phases == RAY_PHASES_UNIFORM:
-        u_phase = rng.uniform_block(seeds, mc.n_rays, first_draw=2 * mc.n_rays)
-        phases = TWO_PI * u_phase
-    else:
-        phases = (-TWO_PI * path_len / wavelength_m(cfg.f_ghz)) % TWO_PI
+        # Chan et al.: merge this block's (n, mean, M2) into the running one
+        block_mean = float(np.mean(power))
+        dev = power - block_mean
+        block_m2 = float(np.sum(dev * dev))
+        delta = block_mean - mean
+        count += n
+        mean += delta * (n / count)
+        m2 += block_m2 + delta * delta * ((count - n) * n / count)
 
-    ray_sum = np.sum(amps * np.exp(1j * phases), axis=1)
-    powers = np.abs(a0 * np.exp(1j * phi0) + ray_sum) ** 2
-    reflection_amps = np.abs(ray_sum)
-
-    mean = float(np.mean(powers))
-    if mc.n_runs > 1:
-        se = float(np.std(powers, ddof=1) / math.sqrt(mc.n_runs))
-    else:
-        se = 0.0
-    return WallEstimate(mean, se, float(np.mean(reflection_amps)))
+    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+    return WallEstimate(mean, se, refl_sum / count)
 
 
 def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig) -> GainResult:
     """Full gain evaluation at one scenario point."""
-    cfg.validate()
-    mc.validate()
-    a0, irs_sum = _irs_amplitudes(cfg, cfg.geometry())
+    point = _point(cfg, mc)
+    geom, a0, _ = point
+    irs_sum = _irs_sum(cfg, geom)
     gamma = a0 + irs_sum
-    wall = wall_power_estimate(cfg, mc)
+    wall = wall_power_estimate(cfg, mc, point)
     gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(

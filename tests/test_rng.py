@@ -1,6 +1,6 @@
 import numpy as np
 
-from irslink.rng import run_seed, run_seeds, uniform_at, uniform_block
+from irslink.rng import block_master_seed, run_seed, run_seeds, uniform_at, uniform_block
 from scalar_reference import CounterStream
 
 
@@ -8,6 +8,16 @@ def test_scalar_and_vector_run_seeds_agree():
     vec = run_seeds(12345, 50)
     for r in range(50):
         assert int(vec[r]) == run_seed(12345, r)
+
+
+def test_block_master_seed_continues_the_run_sequence():
+    for master in (0, 42, 2**64 - 1, 2**64 - 3):
+        for first, n in ((0, 5), (1, 4), (3276, 3), (2**63, 2)):
+            block = run_seeds(block_master_seed(master, first), n)
+            if first < 10_000:
+                assert np.array_equal(block, run_seeds(master, first + n)[first:])
+            for i in range(n):
+                assert int(block[i]) == run_seed(master, first + i)
 
 
 def test_scalar_and_vector_uniforms_agree():

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irslink import simulator
-from irslink.rng import run_seed
+from irslink.rng import run_seed, run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
 from irslink.simulator import irs_amplitude, irs_gain, wall_power_estimate
 from scalar_reference import (
@@ -35,6 +36,24 @@ def pin_scatter_points(monkeypatch, points):
     monkeypatch.setattr(
         simulator, "_scatter_matrix", lambda geom, u: np.broadcast_to(fixed, u.shape[:-1] + (3,))
     )
+
+
+def one_shot_estimate(cfg, config):
+    """The wall estimate over every run at once: the (n_runs, n_rays) arrays,
+    complex phasors, |z|**2 and numpy's mean and std on the whole array."""
+    n, rays = config.n_runs, config.n_rays
+    geom = cfg.geometry()
+    a0, phi0 = simulator._los_amp_phase(cfg, geom)
+    seeds = run_seeds(config.master_seed, n)
+    pts = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    amps, path_len = simulator._reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
+    if config.ray_phases == "uniform":
+        phases = TWO_PI * uniform_block(seeds, rays, first_draw=2 * rays)
+    else:
+        phases = (-TWO_PI * path_len / simulator.wavelength_m(cfg.f_ghz)) % TWO_PI
+    ray_sum = np.sum(amps * np.exp(1j * phases), axis=1)
+    powers = np.abs(a0 * np.exp(1j * phi0) + ray_sum) ** 2
+    return np.mean(powers), np.std(powers, ddof=1) / math.sqrt(n), np.mean(np.abs(ray_sum))
 
 
 class TestIrsAmplitude:
@@ -134,9 +153,50 @@ class TestWallPowerEstimate:
         pin_scatter_points(monkeypatch, geom.elements[:20])
         est = wall_power_estimate(CFG, mc(runs=50))
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
+        # and across blocks: 7 runs per block, the last one holds a single run
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7 * 20)
+        blocked = wall_power_estimate(CFG, mc(runs=50))
+        assert blocked.std_error_mw == pytest.approx(0.0, abs=1e-18)
+        assert blocked.mean_power_mw == pytest.approx(est.mean_power_mw, rel=1e-12)
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("runs", [40, 100])
+    @pytest.mark.parametrize("chunk_paths", [64, 5])  # at 7 rays: 9 runs per block (last ragged), or 1
+    def test_blocks_match_one_shot_estimate(self, monkeypatch, phases, runs, chunk_paths):
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", chunk_paths)
+        config = mc(runs=runs, rays=7, seed=2**64 - 5, phases=phases)
+        est = wall_power_estimate(CFG, config)
+        mean, se, refl = one_shot_estimate(CFG, config)
+        assert est.mean_power_mw == pytest.approx(mean, rel=1e-12)
+        assert est.std_error_mw == pytest.approx(se, rel=1e-12)
+        assert est.mean_reflection_amplitude == pytest.approx(refl, rel=1e-12)
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_memory_is_flat_in_n_runs(self, phases):
+        tracemalloc.start()
+        try:
+            wall_power_estimate(CFG, MonteCarloConfig(n_runs=200_000, ray_phases=phases))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestIrsGain:
+    def test_one_geometry_per_point(self, monkeypatch):
+        # the geometry and LoS budget are built once and handed to the wall
+        # estimate, which is still called through the module with (cfg, mc)
+        built, walls = [], []
+        geometry, wall = ScenarioConfig.geometry, simulator.wall_power_estimate
+        monkeypatch.setattr(ScenarioConfig, "geometry", lambda cfg: built.append(cfg) or geometry(cfg))
+        monkeypatch.setattr(
+            simulator, "wall_power_estimate", lambda *args: walls.append(args[:2]) or wall(*args)
+        )
+        config = mc(runs=10)
+        irs_gain(CFG, config)
+        assert built == [CFG]
+        assert walls == [(CFG, config)]
+
     def test_gain_result_invariants(self):
         res = irs_gain(CFG, mc(runs=500))
         assert res.gain_db == pytest.approx(
