@@ -27,18 +27,12 @@ for k in spec.values:
     row = [r.result.gain_db for r in result.rows if r.value == k]
     print(f"{k:>5} | " + " | ".join(f"{g:10.2f}" for g in row))
 
-by_height = {}
-for r in result.rows:
-    by_height.setdefault(r.overlay_value, ([], []))
-    by_height[r.overlay_value][0].append(r.value)
-    by_height[r.overlay_value][1].append(r.result.gain_db)
-
 doubled = [r.result.gain_db for r in result.rows if r.overlay_value == 50.0 and r.value in (50, 100)]
 print(f"\nDoubling K from 50 to 100 at H_UAV=50 m adds {doubled[1] - doubled[0]:.2f} dB (K^2 scaling).")
 
 OUT.mkdir(exist_ok=True)
 svg = render_line_plot(
-    [(f"H_UAV={h:g} m", xs, ys) for h, (xs, ys) in by_height.items()],
+    [(f"H_UAV={h:g} m", xs, ys) for h, (xs, ys) in result.series().items()],
     "elements", "gain [dB]", title="gain vs reflector size",
 )
 (OUT / "gain_vs_elements.svg").write_text(svg)

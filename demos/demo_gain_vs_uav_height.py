@@ -38,13 +38,8 @@ for r in rows50:
     print(f"{r.value:>6g} | {los_db:8.2f} | {wall_db:8.2f} | {irs_db:12.2f} | {irs_db - wall_db:6.2f}")
 
 OUT.mkdir(exist_ok=True)
-by_l = {}
-for r in result.rows:
-    by_l.setdefault(r.overlay_value, ([], []))
-    by_l[r.overlay_value][0].append(r.value)
-    by_l[r.overlay_value][1].append(r.result.gain_db)
 (OUT / "gain_vs_uav_height.svg").write_text(render_line_plot(
-    [(f"L={l:g} m", xs, ys) for l, (xs, ys) in by_l.items()],
+    [(f"L={l:g} m", xs, ys) for l, (xs, ys) in result.series().items()],
     "UAV height [m]", "gain [dB]", title="gain vs UAV height",
 ))
 (OUT / "link_amplitudes.svg").write_text(render_line_plot(

@@ -35,14 +35,9 @@ print(f"\ngolden-section refinement at defaults: L* = {l_star:.2f} m, gain {gain
 
 spec = SweepSpec("l", tuple(grid), base, mc, "h_irs", (5.0, 10.0, 15.0))
 result = run_sweep(spec)
-by_h = {}
-for r in result.rows:
-    by_h.setdefault(r.overlay_value, ([], []))
-    by_h[r.overlay_value][0].append(r.value)
-    by_h[r.overlay_value][1].append(r.result.gain_db)
 OUT.mkdir(exist_ok=True)
 (OUT / "gain_vs_distance.svg").write_text(render_line_plot(
-    [(f"h_irs={h:g} m", xs, ys) for h, (xs, ys) in by_h.items()],
+    [(f"h_irs={h:g} m", xs, ys) for h, (xs, ys) in result.series().items()],
     "BS-wall distance [m]", "gain [dB]", title="placement sweet spot",
 ))
 print(f"wrote {OUT / 'gain_vs_distance.svg'}")

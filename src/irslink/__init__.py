@@ -12,7 +12,7 @@ from .geometry import Position3D, ScenarioGeometry, build_geometry, depression_a
 from .propagation import AntennaParams, PathlossParams, pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
 from .simulator import GainResult, dbm_to_amplitude, irs_amplitude, irs_gain, wall_power_estimate
-from .experiments import SweepSpec, SweepResult, component_amplitudes, optimal_distance, run_sweep
+from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
 __all__ = [
     "AntennaParams",
@@ -28,7 +28,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "build_geometry",
-    "component_amplitudes",
     "dbm_to_amplitude",
     "depression_angle",
     "distance",

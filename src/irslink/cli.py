@@ -23,10 +23,10 @@ from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
 # optimal_distance is re-exported: perfbench/tracer.py hooks it under this module
 from .experiments import (  # noqa: F401
-    SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep,
+    SWEEPABLE, SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep,
 )
 from .rng import GENERATOR_ID
-from .scenario import MonteCarloConfig, ScenarioConfig, floor_sqrt_factors
+from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
 from .svgplot import render_line_plot
 
 # (flag, config key, type) of every per-parameter override.  The config file
@@ -43,9 +43,7 @@ _KEYS = (
 CONFIG_KEYS = tuple(key for _, key, _ in _KEYS)
 _KEY_TYPES = {key: typ for _, key, typ in _KEYS}
 
-_SWEEP_NAMES = {"k": "k", "h-uav": "h_uav", "l": "l", "h-irs": "h_irs", "f": "f"}
-_SWEEP_LABELS = {"k": "elements", "h_uav": "UAV height [m]", "l": "BS-wall distance [m]",
-                 "h_irs": "reflector height [m]", "f": "carrier frequency [GHz]"}
+_SWEEP_NAMES = {name.replace("_", "-"): name for name in SWEEPABLE}
 
 
 def _fmt(x) -> str:
@@ -80,6 +78,8 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InvalidParameterError(f"non-numeric range {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise InvalidParameterError(f"range START, STOP and STEP must be finite, got {text!r}")
     if step <= 0:
         raise InvalidParameterError(f"range step must be positive, got {step}")
     if stop < start:
@@ -126,7 +126,7 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
                 raise InvalidParameterError(f"k={k} is not a multiple of irs_cols={cols}")
             values["irs_rows"] = k // cols
         else:
-            values["irs_rows"], values["irs_cols"] = floor_sqrt_factors(k)
+            values["irs_rows"], values["irs_cols"] = near_square_factors(k)
 
     mc_values = {key: values.pop(key) for key in ("n_runs", "n_rays", "master_seed") if key in values}
     if args.ray_phases is not None:
@@ -191,34 +191,25 @@ def cmd_gain(args) -> int:
     return 0
 
 
-def _sweep_csv(result, with_overlay: bool) -> str:
-    header = ("param,overlay," if with_overlay else "param,") + _HEADER_BASE
-    lines = [header]
+def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: dict) -> None:
+    """Write a sweep's CSV, manifest and (with --svg) plot, once every cell is checked."""
+    parameter, overlay = result.metadata["parameter"], result.metadata["overlay_parameter"]
+    lines = [("param,overlay," if overlay else "param,") + _HEADER_BASE]
     for row in result.rows:
-        prefix = _fmt(row.value) + ("," + _fmt(row.overlay_value) if with_overlay else "")
+        prefix = _fmt(row.value) + ("," + _fmt(row.overlay_value) if overlay else "")
         lines.append(f"{prefix},{_result_cells(row.result)}")
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_svg(result, parameter: str, overlay: str | None) -> str:
-    series = {}
-    for row in result.rows:
-        series.setdefault(row.overlay_value, ([], []))
-        series[row.overlay_value][0].append(row.value)
-        series[row.overlay_value][1].append(row.result.gain_db)
-    labelled = [
-        (f"{overlay}={_fmt(ov)}" if ov is not None else "gain", xs, ys)
-        for ov, (xs, ys) in series.items()
-    ]
-    return render_line_plot(labelled, _SWEEP_LABELS[parameter], "gain [dB]",
-                            title=f"gain vs {_SWEEP_LABELS[parameter]}")
+    _emit(args, "\n".join(lines) + "\n", _manifest(args, cfg, mc, extra))
+    if args.svg:
+        label = SWEEPABLE[parameter][1]
+        series = [(f"{overlay.replace('_', '-')}={_fmt(ov)}" if overlay else "gain", xs, gains)
+                  for ov, (xs, gains) in result.series().items()]
+        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(render_line_plot(series, label, "gain [dB]", title=f"gain vs {label}"))
 
 
 def cmd_sweep(args) -> int:
     cfg, mc = build_configs(args)
-    parameter = _SWEEP_NAMES.get(args.sweep)
-    if parameter is None:
-        raise InvalidParameterError(f"unknown sweep parameter {args.sweep!r}; expected one of {sorted(_SWEEP_NAMES)}")
+    parameter = _SWEEP_NAMES[args.sweep]
     if args.values:
         values = _parse_range(args.values)
     elif parameter == "h_uav":
@@ -232,30 +223,20 @@ def cmd_sweep(args) -> int:
         overlay_param, overlay_values = _parse_overlay(args.overlay)
     spec = SweepSpec(parameter, tuple(values), cfg, mc, overlay_param, tuple(overlay_values))
     result = run_sweep(spec, threads=args.threads)
-    csv_text = _sweep_csv(result, overlay_param is not None)
     meta = dict(result.metadata)
     meta.pop("base_config", None)  # the manifest already carries the config
-    _emit(args, csv_text, _manifest(args, cfg, mc, {"sweep": meta}))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_sweep_svg(result, parameter, args.overlay.split("=")[0] if args.overlay else None))
+    _emit_sweep(args, cfg, mc, result, {"sweep": meta})
     return 0
 
 
 def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
-    spec = SweepSpec("l", tuple(grid), cfg, mc)
-    result = run_sweep(spec, threads=args.threads)
-    csv_text = _sweep_csv(result, with_overlay=False)
-    gains = [row.result.gain_db for row in result.rows]
-    l_star, gain_star = _best_distance(cfg, mc, grid, gains, args.refine)
-    _emit(args, csv_text, _manifest(args, cfg, mc, {"l_grid": list(grid), "refined": bool(args.refine)}))
+    result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads)
+    l_star, gain_star = _best_distance(cfg, mc, *result.series()[None], args.refine)
+    _emit_sweep(args, cfg, mc, result, {"l_grid": list(grid), "refined": bool(args.refine)})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_sweep_svg(result, "l", None))
     return 0
 
 

@@ -24,26 +24,27 @@ from .rng import GENERATOR_ID
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
 from .simulator import GainResult, irs_gain
 
-SWEEPABLE = ("k", "h_uav", "l", "h_irs", "f")
+# sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
+SWEEPABLE = {
+    "k": (None, "elements"),
+    "h_uav": ("h_uav_m", "UAV height [m]"),
+    "l": ("l_m", "BS-wall distance [m]"),
+    "h_irs": ("h_irs_m", "reflector height [m]"),
+    "f": ("f_ghz", "carrier frequency [GHz]"),
+}
 
 
 def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
     """Return a copy of cfg with one sweepable parameter changed."""
+    if name not in SWEEPABLE:
+        raise InvalidParameterError(f"unknown sweep parameter {name!r}; expected one of {tuple(SWEEPABLE)}")
     if name == "k":
         k = int(value)
         if k != value or k < 1:
             raise InvalidParameterError(f"k values must be positive integers, got {value}")
         rows, cols = near_square_factors(k)
         return replace(cfg, irs_rows=rows, irs_cols=cols)
-    if name == "h_uav":
-        return replace(cfg, h_uav_m=float(value))
-    if name == "l":
-        return replace(cfg, l_m=float(value))
-    if name == "h_irs":
-        return replace(cfg, h_irs_m=float(value))
-    if name == "f":
-        return replace(cfg, f_ghz=float(value))
-    raise InvalidParameterError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
+    return replace(cfg, **{SWEEPABLE[name][0]: float(value)})
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class SweepSpec:
 
     def validate(self) -> "SweepSpec":
         if self.parameter not in SWEEPABLE:
-            raise InvalidParameterError(f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEPABLE}")
+            raise InvalidParameterError(
+                f"unknown sweep parameter {self.parameter!r}; expected one of {tuple(SWEEPABLE)}")
         if len(self.values) == 0:
             raise InvalidParameterError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -87,6 +89,15 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     metadata: dict
 
+    def series(self) -> dict:
+        """{overlay value (None without one): (swept values, gains in dB)}."""
+        out: dict = {}
+        for row in self.rows:
+            xs, gains = out.setdefault(row.overlay_value, ([], []))
+            xs.append(row.value)
+            gains.append(row.result.gain_db)
+        return out
+
 
 def _sweep_metadata(spec: SweepSpec) -> dict:
     meta = {
@@ -111,6 +122,8 @@ def _sweep_metadata(spec: SweepSpec) -> dict:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order."""
     spec.validate()
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:
@@ -132,12 +145,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     return SweepResult(rows, _sweep_metadata(spec))
 
 
-def component_amplitudes(cfg: ScenarioConfig, mc: MonteCarloConfig) -> tuple[float, float, float]:
-    """(LoS, mean wall reflection, reflector sum) amplitudes at one point."""
-    res = irs_gain(cfg, mc)
-    return res.los_amplitude, res.mean_wall_reflection_amplitude, res.irs_sum_amplitude
-
-
 def optimal_distance(
     base: ScenarioConfig,
     l_grid,
@@ -151,17 +158,8 @@ def optimal_distance(
     grid neighbours of the argmax; the objective is a pure function of L
     because the Monte Carlo seed is fixed.
     """
-    l_grid = list(l_grid)
-    if not l_grid:
-        raise InvalidParameterError("l_grid must be non-empty")
-    if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
-        raise InvalidParameterError("l_grid must be strictly increasing")
-    gains = [_gain_at(base, mc, l) for l in l_grid]
-    return _best_distance(base, mc, l_grid, gains, refine)
-
-
-def _gain_at(base: ScenarioConfig, mc: MonteCarloConfig, l: float) -> float:
-    return irs_gain(apply_parameter(base, "l", l), mc).gain_db
+    l_values, gains = run_sweep(SweepSpec("l", tuple(l_grid), base, mc)).series()[None]
+    return _best_distance(base, mc, l_values, gains, refine)
 
 
 def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, refine: bool) -> tuple[float, float]:
@@ -171,7 +169,7 @@ def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, re
     # The left neighbour is strictly lower because the first maximum wins, so
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
-        l_ref, f_ref = _golden_min(lambda l: -_gain_at(base, mc, l),
+        l_ref, f_ref = _golden_min(lambda l: -irs_gain(apply_parameter(base, "l", l), mc).gain_db,
                                    l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:
             return l_ref, -f_ref

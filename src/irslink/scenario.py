@@ -21,6 +21,10 @@ DEFAULT_MASTER_SEED = 42  # used whenever no seed is given; recorded in every ma
 RAY_PHASES_GEOMETRIC = "geometric"
 RAY_PHASES_UNIFORM = "uniform"
 
+# time is linear in n_runs and 10**9 runs already take hours per point, so
+# larger counts are rejected instead of running until killed
+_MAX_RUNS = 10**9
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -98,8 +102,8 @@ class MonteCarloConfig:
     ray_phases: str = RAY_PHASES_GEOMETRIC
 
     def validate(self) -> "MonteCarloConfig":
-        if self.n_runs < 1:
-            raise InvalidParameterError(f"n_runs must be >= 1, got {self.n_runs}")
+        if not 1 <= self.n_runs <= _MAX_RUNS:
+            raise InvalidParameterError(f"n_runs must be in 1..{_MAX_RUNS}, got {self.n_runs}")
         if self.n_rays < 0:
             raise InvalidParameterError(f"n_rays must be >= 0, got {self.n_rays}")
         if not 0 <= self.master_seed < 2**64:
@@ -112,8 +116,9 @@ class MonteCarloConfig:
 def near_square_factors(k: int) -> tuple[int, int]:
     """Factor k into (rows, cols) with rows the largest divisor <= sqrt(k).
 
-    Used by sweeps so element counts that are not perfect squares still map to
-    an exact lattice (50 -> 5x10, 25 -> 5x5); primes degrade to 1 x k.
+    Serves ``--k``, ``k =`` and sweeps over k alike, so counts that are not
+    perfect squares still map to an exact lattice (50 -> 5x10, 25 -> 5x5);
+    primes degrade to 1 x k.
     """
     if k < 1:
         raise InvalidParameterError(f"element count must be >= 1, got {k}")
@@ -122,16 +127,3 @@ def near_square_factors(k: int) -> tuple[int, int]:
             return rows, k // rows
     raise AssertionError("unreachable")
 
-
-def floor_sqrt_factors(k: int) -> tuple[int, int]:
-    """Single-run rule: rows = floor(sqrt(k)), cols = ceil(k / rows); the pair
-    must multiply back to k (so 50 is rejected, 5x10 must be given explicitly)."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    rows = math.isqrt(k)
-    cols = -(-k // rows)
-    if rows * cols != k:
-        raise InvalidParameterError(
-            f"k={k} does not factor as rows x cols with rows={rows}; pass irs_rows/irs_cols explicitly"
-        )
-    return rows, cols

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -6,8 +7,9 @@ from dataclasses import replace
 import pytest
 
 from irslink import rng
-from irslink.cli import main, parse_config_text
+from irslink.cli import _build_parser, _parse_overlay, main, parse_config_text
 from irslink.errors import InvalidParameterError
+from irslink.experiments import SWEEPABLE
 from irslink.scenario import ScenarioConfig
 
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
@@ -49,10 +51,13 @@ class TestConfigParsing:
         values = parse_config_text("# full comment\nl_m = 70  # inline\nmaster_seed = 9\n")
         assert values == {"l_m": 70.0, "master_seed": 9}
 
-    def test_k_50_rejected_without_rows(self, capsys):
-        code, _, err = run_cli(["gain", "--k", "50"] + FAST, capsys)
-        assert code == 2
-        assert "k=50" in err
+    def test_k_50_maps_to_5x10_without_rows(self, capsys):
+        code, out, err = run_cli(["gain", "--k", "50"] + FAST, capsys)
+        assert code == 0
+        explicit = run_cli(["gain", "--irs-rows", "5", "--irs-cols", "10"] + FAST, capsys)
+        assert explicit[0] == 0 and explicit[1] == out
+        config = json.loads(err.strip().splitlines()[-1])["config"]
+        assert (config["irs_rows"], config["irs_cols"]) == (5, 10)
 
     def test_k_50_accepted_with_rows_cols(self, capsys):
         code, _, _ = run_cli(["gain", "--k", "50", "--irs-rows", "5", "--irs-cols", "10"] + FAST, capsys)
@@ -112,12 +117,26 @@ class TestExitCodes:
             assert "non-finite" in err
 
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
-        # stands in for an --n-runs too large to allocate
+        # stands in for any allocation that fails inside the kernel
         def no_memory(master_seed, n_runs):
             raise MemoryError(f"cannot allocate {n_runs} run seeds")
 
         monkeypatch.setattr(rng, "run_seeds", no_memory)
-        code, out, err = run_cli(["gain", "--n-runs", "1000000000000000"], capsys)
+        code, out, err = run_cli(["gain", "--n-runs", "200"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["gain", "--n-runs", "1000000000000000"],
+        ["sweep", "--sweep", "h-uav", "--values", "nan:nan:1"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:inf:1"],
+        ["optimize", "--l-grid", "10:20:nan"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "0"],
+        ["optimize", "--l-grid", "40:50:10", "--threads", "-5"],
+    ])
+    def test_rejected_inputs_are_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
@@ -205,6 +224,15 @@ class TestSweepCommand:
         run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10",
                  "--config", str(cfg_file), "--out", str(second)], capsys)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_sweep_and_overlay_names_are_the_sweepable_keys_hyphenated(self):
+        names = sorted(name.replace("_", "-") for name in SWEEPABLE)
+        commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        sweep_flag = next(a for a in commands.choices["sweep"]._actions if a.dest == "sweep")
+        assert sweep_flag.choices == names
+        assert [_parse_overlay(f"{name}=1")[0] for name in names] == sorted(SWEEPABLE)
+        with pytest.raises(InvalidParameterError):
+            _parse_overlay("h_uav=1")
 
     def test_default_h_uav_grid_used_when_values_absent(self, tmp_path, capsys):
         out_csv = tmp_path / "h.csv"

@@ -16,7 +16,6 @@ from irslink.experiments import (
     SweepSpec,
     _golden_min,
     apply_parameter,
-    component_amplitudes,
     default_h_uav_grid,
     default_l_grid,
     optimal_distance,
@@ -85,6 +84,13 @@ class TestRunSweep:
             gains = [r.result.gain_db for r in result.rows if r.overlay_value == ov]
             assert gains == sorted(gains)
 
+    def test_series_groups_rows_by_overlay(self):
+        result = run_sweep(SweepSpec("k", (25, 50), CFG, MC, "h_uav", (30.0, 50.0)))
+        gains = [r.result.gain_db for r in result.rows]
+        assert result.series() == {30.0: ([25, 50], gains[:2]), 50.0: ([25, 50], gains[2:])}
+        single = run_sweep(SweepSpec("h_uav", (30.0,), CFG, MC))
+        assert single.series() == {None: ([30.0], [single.rows[0].result.gain_db])}
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             SweepSpec("h_uav", (), CFG, MC).validate()
@@ -100,7 +106,8 @@ class TestRunSweep:
 
 class TestComponentAmplitudes:
     def test_matches_gain_result(self):
-        los, wall, irs = component_amplitudes(CFG, MC)
+        first = irs_gain(CFG, MC)
+        los, wall, irs = first.los_amplitude, first.mean_wall_reflection_amplitude, first.irs_sum_amplitude
         res = irs_gain(CFG, MC)
         assert (los, wall, irs) == (
             res.los_amplitude,
@@ -109,7 +116,8 @@ class TestComponentAmplitudes:
         )
 
     def test_no_rays_zeroes_the_wall_component(self):
-        los, wall, irs = component_amplitudes(CFG, MonteCarloConfig(n_runs=10, n_rays=0))
+        res = irs_gain(CFG, MonteCarloConfig(n_runs=10, n_rays=0))
+        los, wall, irs = res.los_amplitude, res.mean_wall_reflection_amplitude, res.irs_sum_amplitude
         assert wall == 0.0
         assert los > 0.0 and irs > 0.0
 
@@ -163,6 +171,13 @@ class TestOptimalDistance:
         monkeypatch.setattr(experiments, "irs_gain", on_grid_only)
         with pytest.raises(DegenerateGeometryError):
             optimal_distance(CFG, [45.0, 50.0, 55.0], MC, refine=True)
+
+    def test_refined_search_matches_cli_summary(self, tmp_path, capsys):
+        l_star, gain = optimal_distance(CFG, default_l_grid(), replace(MC, n_runs=200, master_seed=3), refine=True)
+        code = main(["optimize", "--refine", "--ray-phases", "uniform", "--n-runs", "200", "--seed", "3",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert capsys.readouterr().out == f"l_star = {l_star:.6g}, gain_db = {gain:.6g}\n"
 
     def test_empty_and_unsorted_grids_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from irslink.errors import InvalidParameterError
-from irslink.scenario import MonteCarloConfig, ScenarioConfig, floor_sqrt_factors, near_square_factors
+from irslink.scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
 
 
 def test_defaults_match_standard_parameters():
@@ -30,6 +32,9 @@ def test_validation_names_the_offending_key():
         ScenarioConfig(f_ghz=-2.0).validate()
     with pytest.raises(InvalidParameterError, match="n_runs"):
         MonteCarloConfig(n_runs=0).validate()
+    with pytest.raises(InvalidParameterError, match="n_runs"):
+        MonteCarloConfig(n_runs=10**9 + 1).validate()
+    assert MonteCarloConfig(n_runs=10**9).validate().n_runs == 10**9
     with pytest.raises(InvalidParameterError, match="ray_phases"):
         MonteCarloConfig(ray_phases="other").validate()
 
@@ -48,7 +53,15 @@ def test_near_square_factorisation(k, expected):
 
 
 def test_floor_sqrt_rule():
-    assert floor_sqrt_factors(100) == (10, 10)
-    assert floor_sqrt_factors(30) == (5, 6)
-    with pytest.raises(InvalidParameterError):
-        floor_sqrt_factors(50)  # 7*8 != 50
+    # floor-sqrt oracle: rows = floor(sqrt(k)), cols = ceil(k / rows), valid
+    # when rows * cols == k; every k it factors gets the same lattice here
+    accepted = 0
+    for k in range(1, 10_001):
+        rows = math.isqrt(k)
+        cols = -(-k // rows)
+        if rows * cols == k:
+            accepted += 1
+            assert near_square_factors(k) == (rows, cols)
+    assert near_square_factors(30) == (5, 6)
+    assert near_square_factors(50) == (5, 10)  # the oracle misses 50 (7 * 8 != 50)
+    assert accepted > 100
