@@ -45,6 +45,8 @@ _KEY_TYPES = {key: typ for _, key, typ in _KEYS}
 
 _SWEEP_NAMES = {name.replace("_", "-"): name for name in SWEEPABLE}
 
+_MAX_RANGE_POINTS = 10**6  # one gain point each; far past any useful grid
+
 
 def _fmt(x) -> str:
     return format(float(x), ".6g")
@@ -84,7 +86,10 @@ def _parse_range(text: str) -> list[float]:
         raise InvalidParameterError(f"range step must be positive, got {step}")
     if stop < start:
         raise InvalidParameterError(f"range stop must be >= start in {text!r}")
-    n = int((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_RANGE_POINTS:  # also an overflowed (infinite) count
+        raise InvalidParameterError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+    n = int(span) + 1
     return [start + i * step for i in range(n)]
 
 

@@ -24,6 +24,9 @@ RAY_PHASES_UNIFORM = "uniform"
 # time is linear in n_runs and 10**9 runs already take hours per point, so
 # larger counts are rejected instead of running until killed
 _MAX_RUNS = 10**9
+# 10**8 elements are a 2.4 GB (K, 3) lattice plus ~20 K-long temporaries in
+# the link budget, so larger counts are rejected before anything is built
+_MAX_ELEMENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class ScenarioConfig:
                 raise InvalidParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.irs_rows < 0 or self.irs_cols < 0:
             raise InvalidParameterError(f"irs_rows/irs_cols must be non-negative, got {self.irs_rows}x{self.irs_cols}")
+        if self.k > _MAX_ELEMENTS:
+            raise InvalidParameterError(f"irs_rows*irs_cols must be <= {_MAX_ELEMENTS}, got {self.k}")
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -120,8 +125,8 @@ def near_square_factors(k: int) -> tuple[int, int]:
     perfect squares still map to an exact lattice (50 -> 5x10, 25 -> 5x5);
     primes degrade to 1 x k.
     """
-    if k < 1:
-        raise InvalidParameterError(f"element count must be >= 1, got {k}")
+    if not 1 <= k <= _MAX_ELEMENTS:  # trial division of a huge prime k alone takes minutes
+        raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {k}")
     for rows in range(math.isqrt(k), 0, -1):
         if k % rows == 0:
             return rows, k // rows

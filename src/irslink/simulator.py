@@ -19,11 +19,12 @@ Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
-consecutive runs, so memory does not grow with ``n_runs``.  Each block
-reduces its powers to (count, mean, sum of squared deviations) and its
-``|sum of rays|`` to a sum; the blocks are merged in run order with Chan et
-al.'s pairwise update.  The block size is a constant, so the merge order,
-and with it every bit of the result, depends only on the configs.
+consecutive runs (2**15 paths, so a block's temporaries stay in cache), and
+memory does not grow with ``n_runs``.  Each block reduces its powers to
+(count, mean, sum of squared deviations) and its ``|sum of rays|`` to a sum;
+the blocks are merged in run order with Chan et al.'s pairwise update.  The
+block size is a constant, so the merge order, and with it every bit of the
+result, depends only on the configs.
 """
 
 from __future__ import annotations
@@ -94,15 +95,14 @@ def _reflected_amps_phases(
 
     Returns (amplitudes, path_lengths), both shaped like points[..., 0].
     """
-    bs = geom.bs.as_array()
-    uav = geom.uav.as_array()
-    v1 = points - bs
-    v2 = uav - points
-    d1 = np.sqrt(np.sum(v1 * v1, axis=-1))
-    d2 = np.sqrt(np.sum(v2 * v2, axis=-1))
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    dx1, dy1, dz1 = x - geom.bs.x, y - geom.bs.y, z - geom.bs.z
+    dx2, dy2, dz2 = geom.uav.x - x, geom.uav.y - y, geom.uav.z - z
+    d1 = np.sqrt(dx1 * dx1 + dy1 * dy1 + dz1 * dz1)  # (a0 + a1) + a2, as numpy's length-3 sum
+    d2 = np.sqrt(dx2 * dx2 + dy2 * dy2 + dz2 * dz2)
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise DegenerateGeometryError("reflection point coincides with BS or UAV")
-    theta = np.degrees(np.arctan2(bs[2] - points[..., 2], np.hypot(v1[..., 0], v1[..., 1])))
+    theta = np.degrees(np.arctan2(geom.bs.z - z, np.hypot(dx1, dy1)))
     p_rx = (
         cfg.p_t_dbm
         + vertical_gain(theta, cfg.antenna())
@@ -146,8 +146,8 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
 
 
 # Wall paths (runs x rays) per block: big enough to amortise numpy's per-call
-# cost, small enough that a block's temporaries stay near the caches.
-_CHUNK_PATHS = 1 << 16
+# cost, small enough that a block's ~20 float64 temporaries stay in cache.
+_CHUNK_PATHS = 1 << 15
 
 
 def wall_power_estimate(

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from irslink import rng
-from irslink.cli import _build_parser, _parse_overlay, main, parse_config_text
+from irslink.cli import _build_parser, _parse_overlay, _parse_range, main, parse_config_text
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SWEEPABLE
 from irslink.scenario import ScenarioConfig
@@ -140,6 +140,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--l-grid", "0:1e300:1e-300"],  # the point count overflows to inf
+        ["sweep", "--sweep", "h-uav", "--values", "0:1e10:1e-10"],
+        ["sweep", "--sweep", "l", "--values", "1:1000001:1"],  # one point past the bound
+        ["gain", "--k", "1000000000039"],  # prime: trial division up to 10**6
+        ["gain", "--k", "2305843009213693951"],  # prime 2**61 - 1: minutes of trial division
+        ["sweep", "--sweep", "k", "--values", "1000000000039:1000000000039:1"],
+        ["gain", "--irs-rows", "100000", "--irs-cols", "100000"],
+    ])
+    def test_oversized_ranges_and_lattices_are_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)  # rejected before any list or lattice is built
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_range_point_bound_is_inclusive(self):
+        assert len(_parse_range("1:1000000:1")) == 10**6
 
     def test_success_is_exit_0(self, capsys):
         code, _, _ = run_cli(["gain"] + FAST, capsys)

@@ -6,6 +6,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import irslink
@@ -70,6 +72,23 @@ class TestRunSweep:
     def test_threads_do_not_change_results(self):
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:6]), CFG, MC)
         assert run_sweep(spec, threads=4).rows == run_sweep(spec, threads=1).rows
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(
+        sweep=st.sampled_from([
+            ("h_uav", st.floats(2.0, 300.0)),
+            ("l", st.floats(5.0, 150.0)),
+            ("k", st.integers(1, 400)),
+        ]).flatmap(lambda s: st.tuples(st.just(s[0]), st.lists(s[1], min_size=1, max_size=5, unique=True))),
+        runs=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        phases=st.sampled_from(["geometric", "uniform"]),
+    )
+    def test_two_threads_give_the_rows_of_one(self, sweep, runs, seed, phases):
+        parameter, values = sweep
+        mc = MonteCarloConfig(n_runs=runs, master_seed=seed, ray_phases=phases)
+        spec = SweepSpec(parameter, tuple(sorted(values)), CFG, mc)
+        assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
 
     def test_metadata_records_k_factorisations(self):
         spec = SweepSpec("k", (25, 50), CFG, MC)

@@ -52,6 +52,16 @@ def test_near_square_factorisation(k, expected):
     assert near_square_factors(k) == expected
 
 
+def test_element_count_is_bounded_before_factoring():
+    assert near_square_factors(10**8) == (10**4, 10**4)
+    for k in (0, 10**8 + 1, 2**61 - 1):  # a huge prime would take minutes to factor
+        with pytest.raises(InvalidParameterError, match="element count"):
+            near_square_factors(k)
+    with pytest.raises(InvalidParameterError, match="irs_rows"):
+        ScenarioConfig(irs_rows=10**4, irs_cols=10**4 + 1).validate()
+    assert ScenarioConfig(irs_rows=10**4, irs_cols=10**4).validate().k == 10**8
+
+
 def test_floor_sqrt_rule():
     # floor-sqrt oracle: rows = floor(sqrt(k)), cols = ceil(k / rows), valid
     # when rows * cols == k; every k it factors gets the same lattice here

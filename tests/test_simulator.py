@@ -1,11 +1,15 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import simulator
+from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seed, run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
 from irslink.simulator import irs_amplitude, irs_gain, wall_power_estimate
@@ -54,6 +58,45 @@ def one_shot_estimate(cfg, config):
     ray_sum = np.sum(amps * np.exp(1j * phases), axis=1)
     powers = np.abs(a0 * np.exp(1j * phi0) + ray_sum) ** 2
     return np.mean(powers), np.std(powers, ddof=1) / math.sqrt(n), np.mean(np.abs(ray_sum))
+
+
+def vector_form_budget(cfg, geom, points, reflection_loss_db):
+    """The link budget as (..., 3) difference vectors reduced by numpy's
+    length-3 sum: the form the per-coordinate kernel must match bit for bit."""
+    bs = geom.bs.as_array()
+    uav = geom.uav.as_array()
+    v1 = points - bs
+    v2 = uav - points
+    d1 = np.sqrt(np.sum(v1 * v1, axis=-1))
+    d2 = np.sqrt(np.sum(v2 * v2, axis=-1))
+    theta = np.degrees(np.arctan2(bs[2] - points[..., 2], np.hypot(v1[..., 0], v1[..., 1])))
+    p_rx = (
+        cfg.p_t_dbm
+        + vertical_gain(theta, cfg.antenna())
+        - pl_nlos(d1 + d2, geom.uav.z, cfg.pathloss())
+        - reflection_loss_db
+    )
+    return simulator.dbm_to_amplitude(p_rx), d1 + d2
+
+
+class TestLinkBudgetOracle:
+    # both NLoS branches (h_uav 20 / 150), near and far wall, 2 and 28 GHz,
+    # a strip, the default and a large lattice
+    @pytest.mark.parametrize("h_uav", [20.0, 150.0])
+    @pytest.mark.parametrize("l_m", [10.0, 50.0])
+    @pytest.mark.parametrize("f_ghz", [2.0, 28.0])
+    @pytest.mark.parametrize("rows,cols", [(1, 7), (10, 10), (40, 40)])
+    def test_per_coordinate_budget_is_bit_identical_to_vector_form(self, h_uav, l_m, f_ghz, rows, cols):
+        cfg = replace(CFG, h_uav_m=h_uav, l_m=l_m, f_ghz=f_ghz, irs_rows=rows, irs_cols=cols)
+        geom = cfg.geometry()
+        seeds = run_seeds(7, 300)
+        rays = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * 20).reshape(300, 20, 2))
+        for points, loss in ((geom.elements, cfg.pl_irs_db), (rays, cfg.pl_wall_db)):
+            amps, path_len = simulator._reflected_amps_phases(cfg, geom, points, loss)
+            ref_amps, ref_len = vector_form_budget(cfg, geom, points, loss)
+            assert amps.shape == ref_amps.shape == points.shape[:-1]
+            assert np.array_equal(amps, ref_amps)
+            assert np.array_equal(path_len, ref_len)
 
 
 class TestIrsAmplitude:
@@ -170,6 +213,24 @@ class TestWallPowerEstimate:
         assert est.mean_power_mw == pytest.approx(mean, rel=1e-12)
         assert est.std_error_mw == pytest.approx(se, rel=1e-12)
         assert est.mean_reflection_amplitude == pytest.approx(refl, rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        runs=st.integers(2, 120),
+        rays=st.integers(1, 25),
+        chunk_paths=st.integers(1, 4000),
+        seed=st.integers(0, 2**64 - 1),
+        phases=st.sampled_from(["geometric", "uniform"]),
+    )
+    def test_any_block_size_matches_one_block(self, runs, rays, chunk_paths, seed, phases):
+        config = mc(runs=runs, rays=rays, seed=seed, phases=phases)
+        with mock.patch.object(simulator, "_CHUNK_PATHS", runs * rays):
+            whole = wall_power_estimate(CFG, config)
+        with mock.patch.object(simulator, "_CHUNK_PATHS", chunk_paths):
+            blocked = wall_power_estimate(CFG, config)
+        assert blocked.mean_power_mw == pytest.approx(whole.mean_power_mw, rel=1e-12)
+        assert blocked.std_error_mw == pytest.approx(whole.std_error_mw, rel=1e-12)
+        assert blocked.mean_reflection_amplitude == pytest.approx(whole.mean_reflection_amplitude, rel=1e-12)
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_memory_is_flat_in_n_runs(self, phases):
