@@ -9,19 +9,17 @@ __version__ = "0.1.0"
 
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import Position3D, ScenarioGeometry, build_geometry, depression_angle, distance, element_positions
-from .propagation import AntennaParams, PathlossParams, pl_los, pl_nlos, vertical_gain
+from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
 from .simulator import GainResult, dbm_to_amplitude, irs_amplitude, irs_gain, wall_power_estimate
 from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
 __all__ = [
-    "AntennaParams",
     "DEFAULT_MASTER_SEED",
     "DegenerateGeometryError",
     "GainResult",
     "InvalidParameterError",
     "MonteCarloConfig",
-    "PathlossParams",
     "Position3D",
     "ScenarioConfig",
     "ScenarioGeometry",

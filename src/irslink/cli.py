@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,22 +26,15 @@ from .experiments import (  # noqa: F401
     SWEEPABLE, SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep,
 )
 from .rng import GENERATOR_ID
-from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
+from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
 from .svgplot import render_line_plot
 
-# (flag, config key, type) of every per-parameter override.  The config file
-# accepts the same keys, and the flag's value lands under the key.
-_KEYS = (
-    ("--f-ghz", "f_ghz", float), ("--p-t-dbm", "p_t_dbm", float),
-    ("--theta-etilt-deg", "theta_etilt_deg", float), ("--pl-irs-db", "pl_irs_db", float),
-    ("--pl-wall-db", "pl_wall_db", float), ("--h-bs", "h_bs_m", float),
-    ("--h-uav", "h_uav_m", float), ("--h-irs", "h_irs_m", float), ("--l", "l_m", float),
-    ("--irs-rows", "irs_rows", int), ("--irs-cols", "irs_cols", int),
-    ("--n-rays", "n_rays", int), ("--n-runs", "n_runs", int),
-    ("--seed", "master_seed", int), ("--k", "k", int),
-)
-CONFIG_KEYS = tuple(key for _, key, _ in _KEYS)
-_KEY_TYPES = {key: typ for _, key, typ in _KEYS}
+# Every field of the two configs is a config key, parsed by its annotated type,
+# and a flag (see _flag); "k" is the one key that is not a field.
+_FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
+_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(ScenarioConfig) + fields(MonteCarloConfig)}
+_KEY_TYPES["k"] = int
+_MC_KEYS = {f.name for f in fields(MonteCarloConfig)}
 
 _SWEEP_NAMES = {name.replace("_", "-"): name for name in SWEEPABLE}
 
@@ -62,7 +55,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in CONFIG_KEYS:
+        if key not in _KEY_TYPES:
             raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
         try:
             values[key] = _KEY_TYPES[key](val)
@@ -106,13 +99,18 @@ def _parse_overlay(text: str) -> tuple[str, list[float]]:
     return _SWEEP_NAMES[name], values
 
 
+def _flag(key: str) -> str:
+    """The flag of a config key: drop a trailing "_m" and hyphenate."""
+    return "--seed" if key == "master_seed" else "--" + key.removesuffix("_m").replace("_", "-")
+
+
 def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
-    """Merge config file, flag overrides and defaults into validated configs."""
+    """Merge config file, flag overrides and defaults into the two configs."""
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
-    for key in CONFIG_KEYS:
+    for key in _KEY_TYPES:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
 
@@ -133,11 +131,9 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
         else:
             values["irs_rows"], values["irs_cols"] = near_square_factors(k)
 
-    mc_values = {key: values.pop(key) for key in ("n_runs", "n_rays", "master_seed") if key in values}
-    if args.ray_phases is not None:
-        mc_values["ray_phases"] = args.ray_phases
-    cfg = ScenarioConfig(**values).validate()
-    mc = MonteCarloConfig(**mc_values).validate()
+    mc_values = {key: values.pop(key) for key in _MC_KEYS & values.keys()}
+    cfg = ScenarioConfig(**values)
+    mc = MonteCarloConfig(**mc_values)
     if cfg.k < 1:
         raise InvalidParameterError("irs_rows*irs_cols must be >= 1 (element count k must be positive)")
     return cfg, mc
@@ -228,9 +224,7 @@ def cmd_sweep(args) -> int:
         overlay_param, overlay_values = _parse_overlay(args.overlay)
     spec = SweepSpec(parameter, tuple(values), cfg, mc, overlay_param, tuple(overlay_values))
     result = run_sweep(spec, threads=args.threads)
-    meta = dict(result.metadata)
-    meta.pop("base_config", None)  # the manifest already carries the config
-    _emit_sweep(args, cfg, mc, result, {"sweep": meta})
+    _emit_sweep(args, cfg, mc, result, {"sweep": result.metadata})
     return 0
 
 
@@ -250,13 +244,15 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     p.add_argument("--out", help="write CSV here (manifest goes to OUT.manifest.json)")
     if svg:
         p.add_argument("--svg", help="also write an SVG line plot")
-    for flag, key, typ in _KEYS:  # only --seed is listed in --help
-        shown = key == "master_seed"
-        p.add_argument(flag, dest=key, type=typ, metavar=flag[2:].upper(),
-                       help="master seed for the Monte Carlo baseline" if shown else argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=1, help="parallel sweep-point evaluation")
-    p.add_argument("--ray-phases", choices=("geometric", "uniform"),
-                   help="wall-ray phase model (default: geometric)")
+    for key, typ in _KEY_TYPES.items():
+        flag = _flag(key)
+        if key == "ray_phases":  # --help lists it after --threads, with its choices
+            p.add_argument("--threads", type=int, default=1, help="parallel sweep-point evaluation")
+            p.add_argument(flag, dest=key, choices=RAY_PHASES, help="wall-ray phase model (default: geometric)")
+        else:  # of these, --help lists only --seed
+            shown = key == "master_seed"
+            p.add_argument(flag, dest=key, type=typ, metavar=flag[2:].upper(),
+                           help="master seed for the Monte Carlo baseline" if shown else argparse.SUPPRESS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

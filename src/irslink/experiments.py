@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .errors import InvalidParameterError
-from .rng import GENERATOR_ID
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
 from .simulator import GainResult, irs_gain
 
@@ -32,6 +30,10 @@ SWEEPABLE = {
     "h_irs": ("h_irs_m", "reflector height [m]"),
     "f": ("f_ghz", "carrier frequency [GHz]"),
 }
+
+# the pool starts a thread per submitted point while none is idle, so a large
+# --threads on a large grid would ask the OS for that many threads
+_MAX_THREADS = 256
 
 
 def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
@@ -56,7 +58,7 @@ class SweepSpec:
     overlay_parameter: str | None = None
     overlay_values: tuple = ()
 
-    def validate(self) -> "SweepSpec":
+    def __post_init__(self):
         if self.parameter not in SWEEPABLE:
             raise InvalidParameterError(
                 f"unknown sweep parameter {self.parameter!r}; expected one of {tuple(SWEEPABLE)}")
@@ -74,7 +76,6 @@ class SweepSpec:
             if self.overlay_parameter == self.parameter:
                 # apply_parameter would overwrite every overlay value with the swept one
                 raise InvalidParameterError(f"overlay parameter {self.overlay_parameter!r} is the swept parameter")
-        return self
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,8 @@ class SweepResult:
 
 
 def _sweep_metadata(spec: SweepSpec) -> dict:
+    """The swept grid only: a run manifest records the configs beside it."""
     meta = {
-        "artifact_version": __version__,
-        "generator": GENERATOR_ID,
-        "master_seed": spec.mc.master_seed,
-        "ray_phases": spec.mc.ray_phases,
-        "n_runs": spec.mc.n_runs,
-        "n_rays": spec.mc.n_rays,
-        "base_config": asdict(spec.base),
         "parameter": spec.parameter,
         "values": list(spec.values),
         "overlay_parameter": spec.overlay_parameter,
@@ -121,9 +116,8 @@ def _sweep_metadata(spec: SweepSpec) -> dict:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order."""
-    spec.validate()
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:

@@ -1,49 +1,25 @@
 """Down-tilted vertical antenna pattern and urban-macro air-to-ground path loss.
 
 All functions accept scalars or numpy arrays for the distance/angle argument
-and return dB values.  Frequencies are in GHz, distances in metres.
+and return dB values.  Frequencies are in GHz, distances in metres.  The
+model constants (tilt, beamwidth, side-lobe level, carrier) are read from a
+``ScenarioConfig``, which has checked them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
+from .scenario import ScenarioConfig
+
+NLOS_BREAKPOINT_HEIGHT_M = 22.5  # receiver height splitting the two NLoS branches
 
 
-@dataclass(frozen=True)
-class AntennaParams:
-    """Vertical pattern of the BS antenna: boresight tilted below horizon."""
-
-    downtilt_deg: float = 15.0
-    theta3db_deg: float = 10.0
-    sla_db: float = 20.0
-
-    def __post_init__(self):
-        if self.theta3db_deg <= 0:
-            raise InvalidParameterError(f"theta3db_deg must be positive, got {self.theta3db_deg}")
-        if self.sla_db <= 0:
-            raise InvalidParameterError(f"sla_db must be positive, got {self.sla_db}")
-
-
-@dataclass(frozen=True)
-class PathlossParams:
-    """Carrier frequency and the receiver-height threshold between NLoS branches."""
-
-    f_ghz: float
-    breakpoint_height_m: float = 22.5
-
-    def __post_init__(self):
-        if self.f_ghz <= 0:
-            raise InvalidParameterError(f"f_ghz must be positive, got {self.f_ghz}")
-
-
-def vertical_gain(theta_deg, params: AntennaParams):
+def vertical_gain(theta_deg, cfg: ScenarioConfig):
     """Antenna gain -min[12*((theta - tilt)/theta3dB)^2, SLA] in dB, within [-SLA, 0]."""
-    dev = (np.asarray(theta_deg, dtype=float) - params.downtilt_deg) / params.theta3db_deg
-    g = -np.minimum(12.0 * dev * dev, params.sla_db)
+    dev = (np.asarray(theta_deg, dtype=float) - cfg.theta_etilt_deg) / cfg.theta3db_deg
+    g = -np.minimum(12.0 * dev * dev, cfg.sla_db)
     return float(g) if np.isscalar(theta_deg) else g
 
 
@@ -53,11 +29,11 @@ def _check_positive(value, name: str):
         raise InvalidParameterError(f"{name} must be positive and finite")
 
 
-def pl_los(d_m, params: PathlossParams):
+def pl_los(d_m, cfg: ScenarioConfig):
     """Line-of-sight path loss 28 + 22 log10(d) + 20 log10(f) in dB."""
     _check_positive(d_m, "d_m")
     d = np.asarray(d_m, dtype=float)
-    pl = 28.0 + 22.0 * np.log10(d) + 20.0 * np.log10(params.f_ghz)
+    pl = 28.0 + 22.0 * np.log10(d) + 20.0 * np.log10(cfg.f_ghz)
     return float(pl) if np.isscalar(d_m) else pl
 
 
@@ -73,7 +49,7 @@ def _pl_nlos_high(d, h, f_ghz):
     return -17.5 + (46.0 - 7.0 * np.log10(h)) * np.log10(d) + 20.0 * np.log10(40.0 * np.pi * f_ghz / 3.0)
 
 
-def pl_nlos(d_m, receiver_height_m: float, params: PathlossParams):
+def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig):
     """Non-line-of-sight path loss in dB, branching on the receiver height.
 
     Heights >= the breakpoint (22.5 m) use the high-altitude expression; lower
@@ -84,9 +60,8 @@ def pl_nlos(d_m, receiver_height_m: float, params: PathlossParams):
     if receiver_height_m <= 0:
         raise InvalidParameterError(f"receiver_height_m must be positive, got {receiver_height_m}")
     d = np.asarray(d_m, dtype=float)
-    if receiver_height_m >= params.breakpoint_height_m:
-        pl = _pl_nlos_high(d, receiver_height_m, params.f_ghz)
+    if receiver_height_m >= NLOS_BREAKPOINT_HEIGHT_M:
+        pl = _pl_nlos_high(d, receiver_height_m, cfg.f_ghz)
     else:
-        pl = _pl_nlos_low(d, receiver_height_m, params.f_ghz)
+        pl = _pl_nlos_low(d, receiver_height_m, cfg.f_ghz)
     return float(pl) if np.isscalar(d_m) else pl
-

@@ -5,6 +5,11 @@ down-tilt, 1 dB / 10 dB reflection losses, BS at 25 m, UAV at 50 m, reflector
 centre at 10 m, a 10x10 element lattice at 2 cm pitch, and 50 m BS-wall
 separation.  The UAV hovers at the midpoint (x = L/2) unless an explicit
 position is given.
+
+Both configs check themselves when they are made, also through
+``dataclasses.replace``, so every config that exists is valid.  Their fields
+are the model's whole parameter set: the propagation model reads them
+directly, and the command line derives its flags and config keys from them.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidParameterError
 from .geometry import ScenarioGeometry, build_geometry
-from .propagation import AntennaParams, PathlossParams
 
 DEFAULT_MASTER_SEED = 42  # used whenever no seed is given; recorded in every manifest
 
 RAY_PHASES_GEOMETRIC = "geometric"
 RAY_PHASES_UNIFORM = "uniform"
+RAY_PHASES = (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM)
 
 # time is linear in n_runs and 10**9 runs already take hours per point, so
 # larger counts are rejected instead of running until killed
@@ -48,7 +53,7 @@ class ScenarioConfig:
     uav_x_m: float | None = None  # None tracks l_m / 2
     uav_y_m: float = 0.0
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         positive = ("f_ghz", "h_bs_m", "h_uav_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
         for name in positive:
             if getattr(self, name) <= 0:
@@ -64,17 +69,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
-        return self
 
     @property
     def k(self) -> int:
         return self.irs_rows * self.irs_cols
-
-    def antenna(self) -> AntennaParams:
-        return AntennaParams(self.theta_etilt_deg, self.theta3db_deg, self.sla_db)
-
-    def pathloss(self) -> PathlossParams:
-        return PathlossParams(self.f_ghz)
 
     def geometry(self) -> ScenarioGeometry:
         return build_geometry(
@@ -106,16 +104,15 @@ class MonteCarloConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     ray_phases: str = RAY_PHASES_GEOMETRIC
 
-    def validate(self) -> "MonteCarloConfig":
+    def __post_init__(self):
         if not 1 <= self.n_runs <= _MAX_RUNS:
             raise InvalidParameterError(f"n_runs must be in 1..{_MAX_RUNS}, got {self.n_runs}")
         if self.n_rays < 0:
             raise InvalidParameterError(f"n_rays must be >= 0, got {self.n_rays}")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
-        if self.ray_phases not in (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM):
+        if self.ray_phases not in RAY_PHASES:
             raise InvalidParameterError(f"ray_phases must be 'geometric' or 'uniform', got {self.ray_phases!r}")
-        return self
 
 
 def near_square_factors(k: int) -> tuple[int, int]:

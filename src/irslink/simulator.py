@@ -79,7 +79,7 @@ def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, 
         raise DegenerateGeometryError("BS and UAV coincide")
     d = distance(geom.bs, geom.uav)
     theta0 = depression_angle(geom.bs, geom.uav)
-    p_rx = cfg.p_t_dbm + vertical_gain(theta0, cfg.antenna()) - pl_los(d, cfg.pathloss())
+    p_rx = cfg.p_t_dbm + vertical_gain(theta0, cfg) - pl_los(d, cfg)
     return dbm_to_amplitude(p_rx), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
 
 
@@ -105,27 +105,34 @@ def _reflected_amps_phases(
     theta = np.degrees(np.arctan2(geom.bs.z - z, np.hypot(dx1, dy1)))
     p_rx = (
         cfg.p_t_dbm
-        + vertical_gain(theta, cfg.antenna())
-        - pl_nlos(d1 + d2, geom.uav.z, cfg.pathloss())
+        + vertical_gain(theta, cfg)
+        - pl_nlos(d1 + d2, geom.uav.z, cfg)
         - reflection_loss_db
     )
     return dbm_to_amplitude(p_rx), d1 + d2
 
 
-def _point(cfg: ScenarioConfig, mc: MonteCarloConfig | None = None) -> tuple[ScenarioGeometry, float, float]:
-    """Validate the configs, then build cfg's geometry and LoS budget once:
-    (geometry, LoS amplitude, LoS phase)."""
-    cfg.validate()
-    if mc is not None:
-        mc.validate()
+def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
+    """Build cfg's geometry and LoS budget once: (geometry, LoS amplitude, LoS phase)."""
     geom = cfg.geometry()
     return (geom, *_los_amp_phase(cfg, geom))
 
 
+# Paths per link-budget call (elements, or wall runs x rays): big enough to
+# amortise numpy's per-call cost, small enough that the ~20 float64
+# temporaries of one call stay in cache.
+_CHUNK_PATHS = 1 << 15
+
+
 def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
-    """Sum of the element amplitudes in sqrt-mW (0.0 for an empty lattice)."""
-    amps, _ = _reflected_amps_phases(cfg, geom, geom.elements, cfg.pl_irs_db)
-    return float(np.sum(amps))
+    """Sum of the element amplitudes in sqrt-mW (0.0 for an empty lattice),
+    in slices of ``_CHUNK_PATHS`` elements so that memory beyond the lattice
+    itself stays constant."""
+    total = 0.0
+    for first in range(0, len(geom.elements), _CHUNK_PATHS):
+        amps, _ = _reflected_amps_phases(cfg, geom, geom.elements[first:first + _CHUNK_PATHS], cfg.pl_irs_db)
+        total += float(np.sum(amps))
+    return total
 
 
 def irs_amplitude(cfg: ScenarioConfig) -> float:
@@ -145,11 +152,6 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
     return pts
 
 
-# Wall paths (runs x rays) per block: big enough to amortise numpy's per-call
-# cost, small enough that a block's ~20 float64 temporaries stay in cache.
-_CHUNK_PATHS = 1 << 15
-
-
 def wall_power_estimate(
     cfg: ScenarioConfig,
     mc: MonteCarloConfig,
@@ -157,9 +159,9 @@ def wall_power_estimate(
 ) -> WallEstimate:
     """Mean and standard error of the baseline received power over ``n_runs``.
 
-    ``point`` is ``_point(cfg, mc)`` when the caller has already computed it.
+    ``point`` is ``_point(cfg)`` when the caller has already computed it.
     """
-    geom, a0, phi0 = _point(cfg, mc) if point is None else point
+    geom, a0, phi0 = _point(cfg) if point is None else point
 
     if mc.n_rays == 0:
         power = a0 * a0
@@ -202,7 +204,7 @@ def wall_power_estimate(
 
 def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig) -> GainResult:
     """Full gain evaluation at one scenario point."""
-    point = _point(cfg, mc)
+    point = _point(cfg)
     geom, a0, _ = point
     irs_sum = _irs_sum(cfg, geom)
     gamma = a0 + irs_sum

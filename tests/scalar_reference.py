@@ -7,7 +7,10 @@ its own antenna pattern and path-loss formulas, the reflected loss split into
 a BS-to-element segment and an element-to-UAV segment, the element lattice
 built by a loop, and a sequential counter stream over the scalar
 ``rng.uniform_at``.  It calls nothing in the library's link budget; it shares
-only the data types (positions, parameter records) and the error classes.
+only the data types (positions, the scenario config) and the error classes.
+Each function takes the config as the record its formula reads, ``antenna``
+for the pattern and ``pathloss`` for the carrier; the NLoS breakpoint height
+is its own constant.
 
 A coefficient is an (amplitude, phase) pair.  Amplitudes are in sqrt-milliwatt:
 link budgets are assembled in dBm and converted to the linear domain before
@@ -24,12 +27,14 @@ from dataclasses import dataclass
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.geometry import Position3D, ScenarioGeometry
-from irslink.propagation import AntennaParams, PathlossParams
 from irslink.rng import uniform_at
+from irslink.scenario import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
 
 TWO_PI = 2.0 * math.pi
+
+BREAKPOINT_HEIGHT_M = 22.5  # receiver height splitting the two NLoS branches
 
 PHASE_ALIGNED = "aligned"
 PHASE_GEOMETRIC = "geometric"
@@ -80,41 +85,41 @@ def propagation_phase(path_length_m: float, f_ghz: float) -> float:
 # --- antenna pattern and path loss -------------------------------------------
 
 
-def vertical_gain(theta_deg: float, antenna: AntennaParams) -> float:
+def vertical_gain(theta_deg: float, antenna: ScenarioConfig) -> float:
     """-min[12*((theta - tilt)/theta3dB)^2, SLA] in dB."""
-    dev = (theta_deg - antenna.downtilt_deg) / antenna.theta3db_deg
+    dev = (theta_deg - antenna.theta_etilt_deg) / antenna.theta3db_deg
     return -min(12.0 * dev * dev, antenna.sla_db)
 
 
-def effective_tx_power(p_t_dbm: float, theta_deg: float, antenna: AntennaParams) -> float:
+def effective_tx_power(p_t_dbm: float, theta_deg: float, antenna: ScenarioConfig) -> float:
     """Transmit power seen at vertical angle theta: P_T plus the pattern gain (dBm)."""
     return p_t_dbm + vertical_gain(theta_deg, antenna)
 
 
-def pl_los(d_m: float, pathloss: PathlossParams) -> float:
+def pl_los(d_m: float, pathloss: ScenarioConfig) -> float:
     """28 + 22 log10(d) + 20 log10(f) in dB."""
     if not d_m > 0:
         raise InvalidParameterError(f"d_m must be positive, got {d_m}")
     return 28.0 + 22.0 * math.log10(d_m) + 20.0 * math.log10(pathloss.f_ghz)
 
 
-def pl_nlos(d_m: float, receiver_height_m: float, pathloss: PathlossParams) -> float:
+def pl_nlos(d_m: float, receiver_height_m: float, pathloss: ScenarioConfig) -> float:
     """High branch at or above the breakpoint height, max(PL_LoS, PL_0) below."""
     if not d_m > 0:
         raise InvalidParameterError(f"d_m must be positive, got {d_m}")
     h, f = receiver_height_m, pathloss.f_ghz
-    if h >= pathloss.breakpoint_height_m:
+    if h >= BREAKPOINT_HEIGHT_M:
         return -17.5 + (46.0 - 7.0 * math.log10(h)) * math.log10(d_m) + 20.0 * math.log10(40.0 * math.pi * f / 3.0)
     pl0 = 13.54 + 39.08 * math.log10(d_m) + 20.0 * math.log10(f) - 0.6 * (h - 1.5)
     return max(pl_los(d_m, pathloss), pl0)
 
 
-def pl_bs_to_element(d1_m: float, receiver_height_m: float, pathloss: PathlossParams) -> float:
+def pl_bs_to_element(d1_m: float, receiver_height_m: float, pathloss: ScenarioConfig) -> float:
     """First segment of a reflected path (BS to reflector element)."""
     return pl_nlos(d1_m, receiver_height_m, pathloss)
 
 
-def pl_element_to_uav(d1_m: float, d2_m: float, receiver_height_m: float, pathloss: PathlossParams) -> float:
+def pl_element_to_uav(d1_m: float, d2_m: float, receiver_height_m: float, pathloss: ScenarioConfig) -> float:
     """Second segment: distance-related loss only, so the two segments add up
     to the end-to-end PL_NLoS(d1 + d2) exactly."""
     if not d2_m > 0:
@@ -199,8 +204,8 @@ def sample_scatter_points(geom: ScenarioGeometry, count: int, stream: CounterStr
 
 def los_coefficient(
     geom: ScenarioGeometry,
-    antenna: AntennaParams,
-    pathloss: PathlossParams,
+    antenna: ScenarioConfig,
+    pathloss: ScenarioConfig,
     p_t_dbm: float,
 ) -> ChannelCoefficient:
     """Direct BS-to-UAV path: down-tilt pattern at the LoS angle, LoS path loss."""
@@ -215,8 +220,8 @@ def los_coefficient(
 def _reflected_power_dbm(
     p: Position3D,
     geom: ScenarioGeometry,
-    antenna: AntennaParams,
-    pathloss: PathlossParams,
+    antenna: ScenarioConfig,
+    pathloss: ScenarioConfig,
     p_t_dbm: float,
     reflection_loss_db: float,
 ) -> tuple[float, float]:
@@ -234,8 +239,8 @@ def _reflected_power_dbm(
 def element_coefficient(
     element_index: int,
     geom: ScenarioGeometry,
-    antenna: AntennaParams,
-    pathloss: PathlossParams,
+    antenna: ScenarioConfig,
+    pathloss: ScenarioConfig,
     p_t_dbm: float,
     refl: ReflectionParams,
     phase_mode: str = PHASE_ALIGNED,
@@ -259,8 +264,8 @@ def element_coefficient(
 def wall_ray_coefficient(
     scatter_point,
     geom: ScenarioGeometry,
-    antenna: AntennaParams,
-    pathloss: PathlossParams,
+    antenna: ScenarioConfig,
+    pathloss: ScenarioConfig,
     p_t_dbm: float,
     refl: ReflectionParams,
 ) -> ChannelCoefficient:

@@ -21,7 +21,7 @@ import pytest
 
 from irslink.cli import main as cli_main
 from irslink.experiments import SweepSpec, default_l_grid, optimal_distance, run_sweep
-from irslink.propagation import PathlossParams, pl_los, pl_nlos, vertical_gain
+from irslink.propagation import pl_los, pl_nlos, vertical_gain
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
 from irslink.simulator import irs_gain
 from scalar_reference import ChannelCoefficient, combine, pl_bs_to_element, pl_element_to_uav
@@ -44,11 +44,11 @@ def h_sweep():
 
 
 def test_criterion_1_hand_value_unit_suite():
-    pl2 = PathlossParams(2.0)
+    pl2 = ScenarioConfig(f_ghz=2.0)
     checks = [
         ("pl_los(100m)", pl_los(100.0, pl2), 78.0206),
         ("pl_nlos(100m, 50m)", pl_nlos(100.0, 50.0, pl2), 89.177),
-        ("vertical_gain(25deg)", vertical_gain(25.0, CFG.antenna()), -12.0),
+        ("vertical_gain(25deg)", vertical_gain(25.0, CFG), -12.0),
     ]
     errs = {name: abs(got - want) for name, got, want in checks}
     ok = all(e <= 1e-3 for e in errs.values())
@@ -64,7 +64,7 @@ def test_criterion_2_segment_composition_identity():
         d1 = rng.uniform(0.1, 200.0)
         d2 = rng.uniform(0.1, 200.0)
         h = rng.uniform(1.0, 150.0)
-        params = PathlossParams(rng.uniform(0.5, 6.0))
+        params = ScenarioConfig(f_ghz=rng.uniform(0.5, 6.0))
         total = pl_bs_to_element(d1, h, params) + pl_element_to_uav(d1, d2, h, params)
         worst = max(worst, abs(total - pl_nlos(d1 + d2, h, params)))
     ok = worst <= 1e-9
@@ -160,10 +160,10 @@ def test_criterion_9_frequency_invariance():
         d = rng.uniform(1.0, 300.0)
         f1, f2 = rng.uniform(0.5, 6.0, 2)
         shift = 20.0 * math.log10(f2 / f1)
-        worst = max(worst, abs(pl_los(d, PathlossParams(f2)) - pl_los(d, PathlossParams(f1)) - shift))
+        worst = max(worst, abs(pl_los(d, ScenarioConfig(f_ghz=f2)) - pl_los(d, ScenarioConfig(f_ghz=f1)) - shift))
         worst = max(
             worst,
-            abs(pl_nlos(d, 50.0, PathlossParams(f2)) - pl_nlos(d, 50.0, PathlossParams(f1)) - shift),
+            abs(pl_nlos(d, 50.0, ScenarioConfig(f_ghz=f2)) - pl_nlos(d, 50.0, ScenarioConfig(f_ghz=f1)) - shift),
         )
     ok = spread <= 0.5 and worst <= 1e-9
     line = report(

@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.geometry import Position3D, build_geometry
-from irslink.propagation import AntennaParams, PathlossParams, pl_los, pl_nlos
+from irslink.propagation import pl_los, pl_nlos
+from irslink.scenario import ScenarioConfig
 from scalar_reference import (
     PHASE_ALIGNED,
     PHASE_GEOMETRIC,
@@ -23,8 +24,8 @@ from scalar_reference import (
     wavelength_m,
 )
 
-ANT = AntennaParams()
-PL2 = PathlossParams(2.0)
+ANT = ScenarioConfig()
+PL2 = ScenarioConfig(f_ghz=2.0)
 REFL = ReflectionParams()
 TWO_PI = 2.0 * math.pi
 
@@ -175,7 +176,7 @@ class TestFrequencyCovariance:
     def test_all_paths_scale_by_the_same_factor(self):
         # doubling f costs 20 log10(2) dB on every path: amplitudes halve exactly
         geom = default_geom()
-        pl4 = PathlossParams(4.0)
+        pl4 = ScenarioConfig(f_ghz=4.0)
         pairs = [
             (los_coefficient(geom, ANT, PL2, 46.0), los_coefficient(geom, ANT, pl4, 46.0)),
             (

@@ -134,6 +134,8 @@ class TestExitCodes:
         ["optimize", "--l-grid", "10:20:nan"],
         ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "0"],
         ["optimize", "--l-grid", "40:50:10", "--threads", "-5"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:20:1", "--threads", "257"],  # before any thread starts
+        ["gain", "--theta3db-deg", "0"],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
@@ -225,23 +227,45 @@ class TestSweepCommand:
 
     def test_manifest_round_trip_reproduces_bytes(self, tmp_path, capsys):
         first = tmp_path / "first.csv"
-        run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10", "--h-irs", "5",
-                 "--seed", "11", "--out", str(first)] + FAST, capsys)
+        code, _, _ = run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10", "--h-irs", "5",
+                              "--sla-db", "15", "--uav-y", "3", "--ray-phases", "uniform",
+                              "--seed", "11", "--out", str(first)] + FAST, capsys)
+        assert code == 0
         manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
 
-        cfg = manifest["config"]
-        lines = [f"{key} = {cfg[key]}" for key in (
-            "f_ghz", "p_t_dbm", "theta_etilt_deg", "pl_irs_db", "pl_wall_db",
-            "h_bs_m", "h_uav_m", "h_irs_m", "irs_rows", "irs_cols", "l_m")]
-        lines += [f"n_runs = {manifest['n_runs']}", f"n_rays = {manifest['n_rays']}",
-                  f"master_seed = {manifest['master_seed']}"]
+        # every recorded value goes back in; uav_x_m is null (tracks L/2)
+        recorded = {key: value for key, value in manifest["config"].items() if value is not None}
+        recorded.update({key: manifest[key] for key in ("n_runs", "n_rays", "master_seed", "ray_phases")})
         cfg_file = tmp_path / "replay.cfg"
-        cfg_file.write_text("\n".join(lines) + "\n")
+        cfg_file.write_text("".join(f"{key} = {value}\n" for key, value in recorded.items()))
 
         second = tmp_path / "second.csv"
-        run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10",
-                 "--config", str(cfg_file), "--out", str(second)], capsys)
+        code, _, _ = run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10",
+                              "--config", str(cfg_file), "--out", str(second)], capsys)
+        assert code == 0
         assert first.read_bytes() == second.read_bytes()
+        replayed = json.loads((tmp_path / "second.csv.manifest.json").read_text())
+        assert replayed["config"] == manifest["config"] and replayed["ray_phases"] == "uniform"
+
+    def test_every_config_field_is_a_key_and_a_flag(self, tmp_path, capsys):
+        cfg_file = tmp_path / "model.cfg"
+        cfg_file.write_text("theta3db_deg = 12\nelement_pitch_m = 0.03\nuav_x_m = 20\nray_phases = uniform\n")
+        from_file = run_cli(["gain", "--config", str(cfg_file)] + FAST, capsys)
+        from_flags = run_cli(["gain", "--theta3db-deg", "12", "--element-pitch", "0.03", "--uav-x", "20",
+                              "--ray-phases", "uniform"] + FAST, capsys)
+        assert from_file[0] == from_flags[0] == 0
+        assert from_file[1] == from_flags[1] != run_cli(["gain"] + FAST, capsys)[1]
+        manifest = json.loads(from_file[2].strip().splitlines()[-1])
+        assert manifest["config"]["theta3db_deg"] == 12.0 and manifest["config"]["uav_x_m"] == 20.0
+        assert manifest["ray_phases"] == "uniform"
+
+    def test_sweep_block_repeats_no_top_level_key(self, tmp_path, capsys):
+        out_csv = tmp_path / "k.csv"
+        code, _, _ = run_cli(["sweep", "--sweep", "k", "--values", "25:50:25", "--out", str(out_csv)] + FAST, capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "k.csv.manifest.json").read_text())
+        assert set(manifest["sweep"]) & set(manifest) == set()
+        assert manifest["sweep"]["k_factorizations"] == {"25": [5, 5], "50": [5, 10]}
 
     def test_sweep_and_overlay_names_are_the_sweepable_keys_hyphenated(self):
         names = sorted(name.replace("_", "-") for name in SWEEPABLE)

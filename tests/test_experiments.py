@@ -94,7 +94,8 @@ class TestRunSweep:
         spec = SweepSpec("k", (25, 50), CFG, MC)
         meta = run_sweep(spec).metadata
         assert meta["k_factorizations"] == {25: [5, 5], 50: [5, 10]}
-        assert meta["ray_phases"] == "uniform"
+        # the grid only: the configs are recorded once, by the run manifest
+        assert set(meta) == {"parameter", "values", "overlay_parameter", "overlay_values", "k_factorizations"}
 
     def test_gain_increases_with_k_for_each_overlay(self):
         spec = SweepSpec("k", (25, 50, 100), CFG, MC, "h_uav", (30.0, 50.0))
@@ -112,15 +113,15 @@ class TestRunSweep:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            SweepSpec("h_uav", (), CFG, MC).validate()
+            SweepSpec("h_uav", (), CFG, MC)
         with pytest.raises(InvalidParameterError):
-            SweepSpec("h_uav", (30.0, 20.0), CFG, MC).validate()
+            SweepSpec("h_uav", (30.0, 20.0), CFG, MC)
         with pytest.raises(InvalidParameterError):
-            SweepSpec("h_uav", (20.0,), CFG, MC, "l", (35.0, 35.0)).validate()
+            SweepSpec("h_uav", (20.0,), CFG, MC, "l", (35.0, 35.0))
         with pytest.raises(InvalidParameterError):
-            SweepSpec("bogus", (1.0,), CFG, MC).validate()
+            SweepSpec("bogus", (1.0,), CFG, MC)
         with pytest.raises(InvalidParameterError):
-            SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0)).validate()
+            SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0))
 
 
 class TestComponentAmplitudes:

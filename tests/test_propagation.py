@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from irslink.errors import InvalidParameterError
-from irslink.propagation import AntennaParams, PathlossParams, pl_los, pl_nlos, vertical_gain
+from irslink.propagation import pl_los, pl_nlos, vertical_gain
+from irslink.scenario import ScenarioConfig
 from scalar_reference import effective_tx_power, pl_bs_to_element, pl_element_to_uav
 
-ANT = AntennaParams()
-PL2 = PathlossParams(f_ghz=2.0)
+ANT = ScenarioConfig()
+PL2 = ScenarioConfig(f_ghz=2.0)
 
 
 class TestVerticalGain:
@@ -73,7 +74,7 @@ class TestPlLos:
     def test_strictly_increasing_in_d_and_f(self):
         d = np.linspace(1.0, 500.0, 200)
         assert np.all(np.diff(pl_los(d, PL2)) > 0)
-        assert pl_los(100.0, PathlossParams(4.0)) > pl_los(100.0, PL2)
+        assert pl_los(100.0, ScenarioConfig(f_ghz=4.0)) > pl_los(100.0, PL2)
 
     def test_invalid_distance(self):
         with pytest.raises(InvalidParameterError):
@@ -134,7 +135,7 @@ class TestSegmentComposition:
             d1 = rng.uniform(0.1, 200.0)
             d2 = rng.uniform(0.1, 200.0)
             h = rng.uniform(1.0, 150.0)
-            params = PathlossParams(rng.uniform(0.5, 6.0))
+            params = ScenarioConfig(f_ghz=rng.uniform(0.5, 6.0))
             total = pl_bs_to_element(d1, h, params) + pl_element_to_uav(d1, d2, h, params)
             assert total == pytest.approx(pl_nlos(d1 + d2, h, params), abs=1e-9)
 
@@ -147,26 +148,25 @@ class TestFrequencyShift:
             d = rng.uniform(1.0, 300.0)
             f1, f2 = rng.uniform(0.5, 6.0, 2)
             shift = 20.0 * math.log10(f2 / f1)
-            assert pl_los(d, PathlossParams(f2)) - pl_los(d, PathlossParams(f1)) == pytest.approx(shift, abs=1e-9)
-            assert pl_nlos(d, 50.0, PathlossParams(f2)) - pl_nlos(d, 50.0, PathlossParams(f1)) == pytest.approx(
-                shift, abs=1e-9
-            )
+            cfg1, cfg2 = ScenarioConfig(f_ghz=f1), ScenarioConfig(f_ghz=f2)
+            assert pl_los(d, cfg2) - pl_los(d, cfg1) == pytest.approx(shift, abs=1e-9)
+            assert pl_nlos(d, 50.0, cfg2) - pl_nlos(d, 50.0, cfg1) == pytest.approx(shift, abs=1e-9)
 
     def test_shift_identity_low_branch_pl0_term(self):
         # in the low branch the shift applies whenever PL_0 binds on both sides
         d, h = 200.0, 20.0
         f1, f2 = 2.0, 4.0
-        got = pl_nlos(d, h, PathlossParams(f2)) - pl_nlos(d, h, PathlossParams(f1))
+        got = pl_nlos(d, h, ScenarioConfig(f_ghz=f2)) - pl_nlos(d, h, ScenarioConfig(f_ghz=f1))
         assert got == pytest.approx(20.0 * math.log10(f2 / f1), abs=1e-9)
 
 
 class TestParamValidation:
     def test_antenna_params(self):
         with pytest.raises(InvalidParameterError):
-            AntennaParams(theta3db_deg=0.0)
+            ScenarioConfig(theta3db_deg=0.0)
         with pytest.raises(InvalidParameterError):
-            AntennaParams(sla_db=-1.0)
+            ScenarioConfig(sla_db=-1.0)
 
     def test_pathloss_params(self):
         with pytest.raises(InvalidParameterError):
-            PathlossParams(0.0)
+            ScenarioConfig(f_ghz=0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -27,16 +28,21 @@ def test_defaults_match_standard_parameters():
 
 def test_validation_names_the_offending_key():
     with pytest.raises(InvalidParameterError, match="h_uav_m"):
-        ScenarioConfig(h_uav_m=0.0).validate()
+        ScenarioConfig(h_uav_m=0.0)
     with pytest.raises(InvalidParameterError, match="f_ghz"):
-        ScenarioConfig(f_ghz=-2.0).validate()
+        ScenarioConfig(f_ghz=-2.0)
     with pytest.raises(InvalidParameterError, match="n_runs"):
-        MonteCarloConfig(n_runs=0).validate()
+        MonteCarloConfig(n_runs=0)
     with pytest.raises(InvalidParameterError, match="n_runs"):
-        MonteCarloConfig(n_runs=10**9 + 1).validate()
-    assert MonteCarloConfig(n_runs=10**9).validate().n_runs == 10**9
+        MonteCarloConfig(n_runs=10**9 + 1)
+    assert MonteCarloConfig(n_runs=10**9).n_runs == 10**9
     with pytest.raises(InvalidParameterError, match="ray_phases"):
-        MonteCarloConfig(ray_phases="other").validate()
+        MonteCarloConfig(ray_phases="other")
+    # a copy is checked too, so every config that exists is valid
+    with pytest.raises(InvalidParameterError, match="sla_db"):
+        replace(ScenarioConfig(), sla_db=0.0)
+    with pytest.raises(InvalidParameterError, match="n_rays"):
+        replace(MonteCarloConfig(), n_rays=-1)
 
 
 def test_geometry_resolution_tracks_midpoint():
@@ -58,8 +64,8 @@ def test_element_count_is_bounded_before_factoring():
         with pytest.raises(InvalidParameterError, match="element count"):
             near_square_factors(k)
     with pytest.raises(InvalidParameterError, match="irs_rows"):
-        ScenarioConfig(irs_rows=10**4, irs_cols=10**4 + 1).validate()
-    assert ScenarioConfig(irs_rows=10**4, irs_cols=10**4).validate().k == 10**8
+        ScenarioConfig(irs_rows=10**4, irs_cols=10**4 + 1)
+    assert ScenarioConfig(irs_rows=10**4, irs_cols=10**4).k == 10**8
 
 
 def test_floor_sqrt_rule():

@@ -72,8 +72,8 @@ def vector_form_budget(cfg, geom, points, reflection_loss_db):
     theta = np.degrees(np.arctan2(bs[2] - points[..., 2], np.hypot(v1[..., 0], v1[..., 1])))
     p_rx = (
         cfg.p_t_dbm
-        + vertical_gain(theta, cfg.antenna())
-        - pl_nlos(d1 + d2, geom.uav.z, cfg.pathloss())
+        + vertical_gain(theta, cfg)
+        - pl_nlos(d1 + d2, geom.uav.z, cfg)
         - reflection_loss_db
     )
     return simulator.dbm_to_amplitude(p_rx), d1 + d2
@@ -103,15 +103,15 @@ class TestIrsAmplitude:
     def test_empty_lattice_equals_los_alone(self):
         cfg = replace(CFG, irs_rows=0, irs_cols=0)
         geom = cfg.geometry()
-        los = los_coefficient(geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm)
+        los = los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)
         assert irs_amplitude(cfg) == pytest.approx(los.amplitude, rel=1e-12)
 
     def test_matches_per_element_summation(self):
         # vectorised path against the scalar coefficient chain
         geom = CFG.geometry()
-        los = los_coefficient(geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm)
+        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         total = los.amplitude + sum(
-            element_coefficient(k, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL).amplitude
+            element_coefficient(k, geom, CFG, CFG, CFG.p_t_dbm, REFL).amplitude
             for k in range(100)
         )
         assert irs_amplitude(CFG) == pytest.approx(total, rel=1e-12)
@@ -122,7 +122,7 @@ class TestIrsAmplitude:
         centre = replace(CFG, irs_rows=1, irs_cols=1)
         geom_c = centre.geometry()
         centre_amp = element_coefficient(
-            0, geom_c, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL
+            0, geom_c, CFG, CFG, CFG.p_t_dbm, REFL
         ).amplitude
         total = irs_amplitude(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert total == pytest.approx(100.0 * centre_amp, rel=1e-3)
@@ -134,12 +134,28 @@ class TestIrsAmplitude:
         full = irs_amplitude(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert full / half == pytest.approx(2.0, abs=1e-3)
 
+    def test_sliced_sum_matches_one_slice(self, monkeypatch):
+        whole = irs_amplitude(CFG)
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7)  # 15 slices, the last holds 2 elements
+        assert irs_amplitude(CFG) == pytest.approx(whole, rel=1e-12)
+
+    def test_element_sum_memory_is_the_lattice_plus_one_slice(self):
+        # 250,000 elements: a 6 MB lattice; summed in one piece the link
+        # budget's temporaries would add ~128 bytes per element
+        tracemalloc.start()
+        try:
+            irs_gain(replace(CFG, irs_rows=500, irs_cols=500), mc(runs=100, rays=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestWallPowerEstimate:
     def test_no_rays_is_los_power_exactly(self):
         est = wall_power_estimate(CFG, mc(runs=50, rays=0))
         geom = CFG.geometry()
-        los = los_coefficient(geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm)
+        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         assert est.mean_power_mw == pytest.approx(los.amplitude**2, rel=1e-12)
         assert est.std_error_mw == 0.0
         assert est.mean_reflection_amplitude == 0.0
@@ -176,13 +192,13 @@ class TestWallPowerEstimate:
         config = mc(runs=runs, rays=7, seed=777, phases=phases)
         est = wall_power_estimate(CFG, config)
         geom = CFG.geometry()
-        los = los_coefficient(geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm)
+        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         powers = []
         for r in range(runs):
             stream = CounterStream(run_seed(777, r))
             pts = sample_scatter_points(geom, 7, stream)
             rays = [
-                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL)
+                wall_ray_coefficient(p, geom, CFG, CFG, CFG.p_t_dbm, REFL)
                 for p in pts
             ]
             if phases == "uniform":
@@ -275,8 +291,8 @@ class TestIrsGain:
         pin_scatter_points(monkeypatch, geom.elements)
         est = wall_power_estimate(cfg, mc(runs=10, rays=100))
         refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
-        coeffs = [los_coefficient(geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm)] + [
-            element_coefficient(k, geom, cfg.antenna(), cfg.pathloss(), cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
+        coeffs = [los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)] + [
+            element_coefficient(k, geom, cfg, cfg, cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
             for k in range(100)
         ]
         assert 10.0 * math.log10(combine(coeffs) ** 2 / est.mean_power_mw) == pytest.approx(0.0, abs=1e-9)
@@ -298,12 +314,12 @@ class TestIrsGain:
         # per-path dominance: 10 dB wall loss vs 1 dB, 20 rays vs 100 elements
         gamma = irs_amplitude(CFG)
         geom = CFG.geometry()
-        los = los_coefficient(geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm)
+        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         for r in range(100):
             stream = CounterStream(run_seed(42, r))
             pts = sample_scatter_points(geom, 20, stream)
             rays = [
-                wall_ray_coefficient(p, geom, CFG.antenna(), CFG.pathloss(), CFG.p_t_dbm, REFL)
+                wall_ray_coefficient(p, geom, CFG, CFG, CFG.p_t_dbm, REFL)
                 for p in pts
             ]
             assert combine([los] + rays) < gamma
