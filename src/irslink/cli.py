@@ -23,7 +23,8 @@ from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
 # optimal_distance is re-exported: perfbench/tracer.py hooks it under this module
 from .experiments import (  # noqa: F401
-    SWEEPABLE, SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep,
+    SWEEPABLE, SweepSpec, _best_distance, check_threads, default_h_uav_grid, default_l_grid, optimal_distance,
+    run_sweep,
 )
 from .rng import GENERATOR_ID
 from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
@@ -185,6 +186,7 @@ def _result_cells(res) -> str:
 def cmd_gain(args) -> int:
     from .simulator import irs_gain
 
+    check_threads(args.threads)  # gain evaluates one point, but the flag is still checked
     cfg, mc = build_configs(args)
     res = irs_gain(cfg, mc)
     csv_text = f"param,{_HEADER_BASE}\n{_fmt(cfg.h_uav_m)},{_result_cells(res)}\n"
@@ -261,18 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"irslink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gain = sub.add_parser("gain", help="evaluate the gain at one scenario point")
+    p_gain = sub.add_parser("gain", allow_abbrev=False, help="evaluate the gain at one scenario point")
     _add_common(p_gain)
     p_gain.set_defaults(func=cmd_gain)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, optionally with an overlay")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="sweep one parameter, optionally with an overlay")
     _add_common(p_sweep, svg=True)
     p_sweep.add_argument("--sweep", required=True, choices=sorted(_SWEEP_NAMES), help="parameter to sweep")
     p_sweep.add_argument("--values", help="grid as START:STOP:STEP (inclusive)")
     p_sweep.add_argument("--overlay", help="second parameter as NAME=V1,V2,...")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_opt = sub.add_parser("optimize", help="find the gain-maximising BS-wall distance")
+    p_opt = sub.add_parser("optimize", allow_abbrev=False, help="find the gain-maximising BS-wall distance")
     _add_common(p_opt, svg=True)
     p_opt.add_argument("--l-grid", help="distance grid as START:STOP:STEP (default 10:100:5)")
     p_opt.add_argument("--refine", action="store_true", help="golden-section refinement around the argmax")

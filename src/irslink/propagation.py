@@ -16,10 +16,20 @@ from .scenario import ScenarioConfig
 NLOS_BREAKPOINT_HEIGHT_M = 22.5  # receiver height splitting the two NLoS branches
 
 
-def vertical_gain(theta_deg, cfg: ScenarioConfig):
-    """Antenna gain -min[12*((theta - tilt)/theta3dB)^2, SLA] in dB, within [-SLA, 0]."""
-    dev = (np.asarray(theta_deg, dtype=float) - cfg.theta_etilt_deg) / cfg.theta3db_deg
-    g = -np.minimum(12.0 * dev * dev, cfg.sla_db)
+def vertical_gain(theta_deg, cfg: ScenarioConfig, out=None, scratch=None):
+    """Antenna gain -min[12*((theta - tilt)/theta3dB)^2, SLA] in dB, within [-SLA, 0].
+
+    ``out`` and ``scratch`` are optional float64 arrays shaped like
+    ``theta_deg`` (``scratch`` may be ``theta_deg`` itself) that receive the
+    gain and the intermediate deviation, so an array call allocates nothing.
+    """
+    theta = np.asarray(theta_deg, dtype=float)
+    dev = np.subtract(theta, cfg.theta_etilt_deg, out=np.empty_like(theta) if scratch is None else scratch)
+    np.divide(dev, cfg.theta3db_deg, out=dev)
+    g = np.multiply(dev, 12.0, out=np.empty_like(theta) if out is None else out)
+    np.multiply(g, dev, out=g)
+    np.minimum(g, cfg.sla_db, out=g)
+    np.negative(g, out=g)
     return float(g) if np.isscalar(theta_deg) else g
 
 
@@ -37,31 +47,35 @@ def pl_los(d_m, cfg: ScenarioConfig):
     return float(pl) if np.isscalar(d_m) else pl
 
 
-def _pl_nlos_low(d, h, f_ghz):
-    # below the breakpoint height: max(PL_LoS, PL_0)
-    pl0 = 13.54 + 39.08 * np.log10(d) + 20.0 * np.log10(f_ghz) - 0.6 * (h - 1.5)
-    pll = 28.0 + 22.0 * np.log10(d) + 20.0 * np.log10(f_ghz)
-    return np.maximum(pll, pl0)
-
-
-def _pl_nlos_high(d, h, f_ghz):
-    # at or above the breakpoint height
-    return -17.5 + (46.0 - 7.0 * np.log10(h)) * np.log10(d) + 20.0 * np.log10(40.0 * np.pi * f_ghz / 3.0)
-
-
-def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig):
+def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig, out=None, scratch=None):
     """Non-line-of-sight path loss in dB, branching on the receiver height.
 
-    Heights >= the breakpoint (22.5 m) use the high-altitude expression; lower
-    heights use max(PL_LoS, PL_0).  The boundary itself is assigned to the
-    high branch.
+    Heights >= the breakpoint (22.5 m) use the high-altitude expression
+    -17.5 + (46 - 7 log10 h) log10(d) + 20 log10(40 pi f / 3); lower heights
+    use max(PL_LoS, PL_0) with PL_0 = 13.54 + 39.08 log10(d) + 20 log10(f)
+    - 0.6 (h - 1.5).  The boundary itself is assigned to the high branch.
+
+    ``out`` and ``scratch`` are optional float64 arrays shaped like ``d_m``
+    (``scratch`` may be ``d_m`` itself) that receive the loss and, below the
+    breakpoint, PL_LoS, so an array call allocates nothing.
     """
     _check_positive(d_m, "d_m")
     if receiver_height_m <= 0:
         raise InvalidParameterError(f"receiver_height_m must be positive, got {receiver_height_m}")
     d = np.asarray(d_m, dtype=float)
-    if receiver_height_m >= NLOS_BREAKPOINT_HEIGHT_M:
-        pl = _pl_nlos_high(d, receiver_height_m, cfg.f_ghz)
+    h, f_db = receiver_height_m, 20.0 * np.log10(cfg.f_ghz)
+    pl = np.log10(d, out=np.empty_like(d) if out is None else out)
+    if h >= NLOS_BREAKPOINT_HEIGHT_M:
+        pl *= 46.0 - 7.0 * np.log10(h)
+        pl += -17.5
+        pl += 20.0 * np.log10(40.0 * np.pi * cfg.f_ghz / 3.0)
     else:
-        pl = _pl_nlos_low(d, receiver_height_m, cfg.f_ghz)
+        pll = np.multiply(pl, 22.0, out=np.empty_like(d) if scratch is None else scratch)
+        pll += 28.0
+        pll += f_db
+        pl *= 39.08
+        pl += 13.54
+        pl += f_db
+        pl -= 0.6 * (h - 1.5)
+        np.maximum(pll, pl, out=pl)
     return float(pl) if np.isscalar(d_m) else pl

@@ -51,27 +51,39 @@ def uniform_at(seed: int, draw_index: int) -> float:
     return (bits >> 11) * 2.0 ** -53
 
 
-def _finalize_u64(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+def _finalize_u64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64's output permutation, in place on the uint64 array ``z``;
+    ``t`` is scratch of the same shape."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
 def run_seeds(master_seed: int, n_runs: int) -> np.ndarray:
     """Vectorised ``run_seed`` for runs 0..n_runs-1, shape (n_runs,)."""
-    r = np.arange(1, n_runs + 1, dtype=np.uint64)
-    base = np.uint64(master_seed & _MASK64) + r * np.uint64(_PHI_A)
-    return _finalize_u64(base)
+    z = np.arange(1, n_runs + 1, dtype=np.uint64)
+    z *= np.uint64(_PHI_A)
+    z += np.uint64(master_seed & _MASK64)
+    return _finalize_u64(z, np.empty_like(z))
 
 
-def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0) -> np.ndarray:
-    """Uniforms u[i, j] = uniform_at(seeds[i], first_draw + j), shape (len(seeds), n_draws)."""
+def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0, out=None, scratch=None) -> np.ndarray:
+    """Uniforms u[i, j] = uniform_at(seeds[i], first_draw + j), shape (len(seeds), n_draws).
+
+    ``out`` (float64) and ``scratch`` (uint64), both of that shape, are
+    optional work arrays: with both given the call allocates nothing of the
+    result's size, and ``out`` is returned.
+    """
+    shape = (len(seeds), n_draws)
+    z = np.empty(shape, np.uint64) if scratch is None else scratch
+    u = np.empty(shape) if out is None else out
     j = np.arange(first_draw + 1, first_draw + n_draws + 1, dtype=np.uint64)
-    z = seeds.astype(np.uint64)[:, None] + j[None, :] * np.uint64(_PHI_B)
-    bits = _finalize_u64(z)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
+    j *= np.uint64(_PHI_B)
+    np.add(seeds.astype(np.uint64, copy=False)[:, None], j, out=z)
+    _finalize_u64(z, u.view(np.uint64))  # u is free until the last step
+    z >>= np.uint64(11)
+    return np.multiply(z, 2.0 ** -53, out=u)

@@ -29,8 +29,12 @@ RAY_PHASES = (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM)
 # time is linear in n_runs and 10**9 runs already take hours per point, so
 # larger counts are rejected instead of running until killed
 _MAX_RUNS = 10**9
-# 10**8 elements are a 2.4 GB (K, 3) lattice plus ~20 K-long temporaries in
-# the link budget, so larger counts are rejected before anything is built
+# one run block of the wall kernel (simulator._CHUNK_PATHS paths): a run's rays
+# share a block, so more rays would make a block, and with it the kernel's
+# retained per-thread workspace, grow with the input
+_MAX_RAYS = 2**15
+# 10**8 elements are a 2.4 GB (K, 3) lattice, so larger counts are rejected
+# before anything is built
 _MAX_ELEMENTS = 10**8
 
 
@@ -107,8 +111,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if not 1 <= self.n_runs <= _MAX_RUNS:
             raise InvalidParameterError(f"n_runs must be in 1..{_MAX_RUNS}, got {self.n_runs}")
-        if self.n_rays < 0:
-            raise InvalidParameterError(f"n_rays must be >= 0, got {self.n_rays}")
+        if not 0 <= self.n_rays <= _MAX_RAYS:
+            raise InvalidParameterError(f"n_rays must be in 0..{_MAX_RAYS}, got {self.n_rays}")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
         if self.ray_phases not in RAY_PHASES:

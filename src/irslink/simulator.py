@@ -19,10 +19,15 @@ Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
-consecutive runs (2**15 paths, so a block's temporaries stay in cache), and
-memory does not grow with ``n_runs``.  Each block reduces its powers to
-(count, mean, sum of squared deviations) and its ``|sum of rays|`` to a sum;
-the blocks are merged in run order with Chan et al.'s pairwise update.  The
+consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
+memory does not grow with ``n_runs``.  Every array of a block's size lives in
+one workspace per thread (12 rows of 2**15 float64, 3 MiB), made by the
+thread's first call and reused by every later block and call: the uniforms,
+the scatter points and the link budget are written into it with numpy's
+``out=``, in the same operation order as the plain expressions, so the bits
+are those of the allocating form.  Each block reduces its powers to (count,
+mean, sum of squared deviations) and its ``|sum of rays|`` to a sum; the
+blocks are merged in run order with Chan et al.'s pairwise update.  The
 block size is a constant, so the merge order, and with it every bit of the
 result, depends only on the configs.
 """
@@ -30,6 +35,7 @@ result, depends only on the configs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,28 +94,46 @@ def _reflected_amps_phases(
     geom: ScenarioGeometry,
     points: np.ndarray,
     reflection_loss_db: float,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised link budget for reflected paths through ``points`` (..., 3):
-    pattern gain at the BS-to-point angle, PL_NLoS(d1 + d2) at the UAV height,
-    and ``reflection_loss_db``.  Serves the reflector elements and the wall rays.
+    """Vectorised link budget for reflected paths through ``points`` (..., 3)
+    on the wall plane x = irs_center.x: pattern gain at the BS-to-point angle,
+    PL_NLoS(d1 + d2) at the UAV height, and ``reflection_loss_db``.  Serves
+    the reflector elements and the wall rays.
+
+    ``work`` is an optional float64 array of shape (_BUDGET_ROWS, >= paths)
+    that holds every intermediate, so the call allocates nothing of the
+    paths' size; the results are then views of it.
 
     Returns (amplitudes, path_lengths), both shaped like points[..., 0].
     """
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    dx1, dy1, dz1 = x - geom.bs.x, y - geom.bs.y, z - geom.bs.z
-    dx2, dy2, dz2 = geom.uav.x - x, geom.uav.y - y, geom.uav.z - z
-    d1 = np.sqrt(dx1 * dx1 + dy1 * dy1 + dz1 * dz1)  # (a0 + a1) + a2, as numpy's length-3 sum
-    d2 = np.sqrt(dx2 * dx2 + dy2 * dy2 + dz2 * dz2)
-    if np.any(d1 == 0.0) or np.any(d2 == 0.0):
+    shape = points.shape[:-1]
+    size = math.prod(shape)
+    rows = np.empty((_BUDGET_ROWS, size)) if work is None else work
+    a, b, d1, d2, c, amps = (row[:size].reshape(shape) for row in rows)
+    bs, uav, y, z = geom.bs, geom.uav, points[..., 1], points[..., 2]
+    dx1, dx2 = geom.irs_center.x - bs.x, uav.x - geom.irs_center.x  # every point has x = irs_center.x
+    # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum
+    np.square(np.subtract(y, bs.y, out=a), out=d1)  # a keeps dy1 for the angle
+    d1 += dx1 * dx1
+    np.square(np.subtract(z, bs.z, out=b), out=b)
+    d1 += b
+    np.sqrt(d1, out=d1)
+    np.square(np.subtract(uav.y, y, out=d2), out=d2)
+    d2 += dx2 * dx2
+    np.square(np.subtract(uav.z, z, out=b), out=b)
+    d2 += b
+    np.sqrt(d2, out=d2)
+    if not (d1.all() and d2.all()):
         raise DegenerateGeometryError("reflection point coincides with BS or UAV")
-    theta = np.degrees(np.arctan2(geom.bs.z - z, np.hypot(dx1, dy1)))
-    p_rx = (
-        cfg.p_t_dbm
-        + vertical_gain(theta, cfg)
-        - pl_nlos(d1 + d2, geom.uav.z, cfg)
-        - reflection_loss_db
-    )
-    return dbm_to_amplitude(p_rx), d1 + d2
+    theta = np.degrees(np.arctan2(np.subtract(bs.z, z, out=b), np.hypot(dx1, a, out=c), out=b), out=b)
+    vertical_gain(theta, cfg, out=amps, scratch=theta)
+    amps += cfg.p_t_dbm
+    amps -= pl_nlos(np.add(d1, d2, out=a), uav.z, cfg, out=c, scratch=a)
+    amps -= reflection_loss_db
+    np.power(10.0, np.divide(amps, 20.0, out=amps), out=amps)  # dbm_to_amplitude
+    d1 += d2
+    return amps, d1
 
 
 def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
@@ -119,9 +143,34 @@ def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
 
 
 # Paths per link-budget call (elements, or wall runs x rays): big enough to
-# amortise numpy's per-call cost, small enough that the ~20 float64
-# temporaries of one call stay in cache.
+# amortise numpy's per-call cost, small enough that one block's work arrays
+# stay in cache.  MonteCarloConfig bounds n_rays by the same 2**15, so a
+# block never exceeds it.
 _CHUNK_PATHS = 1 << 15
+
+# Rows of a thread's wall-kernel workspace, each one block of paths long:
+# the uniforms (up to 3 draws per ray), the scatter points (x, y, z planes)
+# and the link budget's work rows, the first three of which are also the
+# generator's scratch.  The workspace is per thread, not passed in, so that
+# the sweep's pool threads and the placement search reuse it across points
+# without a parameter on irs_gain; its contents never outlive one block.
+_BUDGET_ROWS = 6
+_UNIFORMS, _POINTS, _BUDGET = slice(0, 3), slice(3, 6), slice(6, 6 + _BUDGET_ROWS)
+_local = threading.local()
+
+
+def _workspace(paths: int) -> np.ndarray:
+    """This thread's workspace with room for ``paths`` paths per row: made on
+    first use and kept, so the blocks of every later call reuse its pages."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.shape[1] < paths:
+        ws = _local.workspace = np.empty((_BUDGET.stop, paths))
+    return ws
+
+
+def _flat(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of consecutive workspace rows, viewed as ``shape``."""
+    return rows.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
@@ -142,13 +191,17 @@ def irs_amplitude(cfg: ScenarioConfig) -> float:
     return a0 + _irs_sum(cfg, geom)
 
 
-def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray) -> np.ndarray:
-    """Map uniforms u (..., n_rays, 2) to patch points (..., n_rays, 3)."""
+def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map uniforms u (..., n_rays, 2) to patch points (..., n_rays, 3), written
+    into ``out`` when it is given."""
     c = geom.irs_center
-    pts = np.empty(u.shape[:-1] + (3,), dtype=float)
+    pts = np.empty(u.shape[:-1] + (3,)) if out is None else out
     pts[..., 0] = c.x
-    pts[..., 1] = c.y + (2.0 * u[..., 0] - 1.0) * geom.patch_half_width_y
-    pts[..., 2] = c.z + (2.0 * u[..., 1] - 1.0) * geom.patch_half_height_z
+    for axis, centre, half in ((1, c.y, geom.patch_half_width_y), (2, c.z, geom.patch_half_height_z)):
+        coord = np.multiply(u[..., axis - 1], 2.0, out=pts[..., axis])  # c + (2u - 1) * half
+        coord -= 1.0
+        coord *= half
+        coord += centre
     return pts
 
 
@@ -170,29 +223,39 @@ def wall_power_estimate(
     los_re, los_im = a0 * math.cos(phi0), a0 * math.sin(phi0)
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
     n_pos = 2 * mc.n_rays
+    n_draws = n_pos + mc.n_rays if uniform else n_pos
     block = max(1, _CHUNK_PATHS // mc.n_rays)
+    ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
     count, mean, m2, refl_sum = 0, 0.0, 0.0, 0.0
     for first in range(0, mc.n_runs, block):
         n = min(block, mc.n_runs - first)
         seeds = rng.run_seeds(rng.block_master_seed(mc.master_seed, first), n)
-        u = rng.uniform_block(seeds, n_pos + mc.n_rays if uniform else n_pos)
-        pts = _scatter_matrix(geom, u[:, :n_pos].reshape(n, mc.n_rays, 2))
-        amps, path_len = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
+        u = rng.uniform_block(seeds, n_draws, out=_flat(ws[_UNIFORMS], (n, n_draws)),
+                              scratch=_flat(ws[_BUDGET], (n, n_draws)).view(np.uint64))
+        planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)
+        pts = _scatter_matrix(geom, u[:, :n_pos].reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
+        amps, phases = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db, work=ws[_BUDGET])
         if uniform:
-            phases = TWO_PI * u[:, n_pos:]
-        else:
-            phases = (-TWO_PI * path_len / wavelength_m(cfg.f_ghz)) % TWO_PI
-        ray_re = np.sum(amps * np.cos(phases), axis=1)
-        ray_im = np.sum(amps * np.sin(phases), axis=1)
-        refl_sum += float(np.sum(np.hypot(ray_re, ray_im)))
-        re = los_re + ray_re
-        im = los_im + ray_im
-        power = re * re + im * im
+            np.multiply(u[:, n_pos:], TWO_PI, out=phases)
+        else:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
+            phases *= -TWO_PI
+            phases /= wavelength_m(cfg.f_ghz)
+            np.remainder(phases, TWO_PI, out=phases)
+        # past the budget only its results are live: its first row and the
+        # point planes are free for the phasor sums
+        part = _flat(ws[_BUDGET.start], amps.shape)
+        re, im, mag = ws[_POINTS, :n]
+        np.sum(np.multiply(amps, np.cos(phases, out=part), out=part), axis=1, out=re)
+        np.sum(np.multiply(amps, np.sin(phases, out=part), out=part), axis=1, out=im)
+        refl_sum += float(np.sum(np.hypot(re, im, out=mag)))
+        re += los_re
+        im += los_im
+        power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
 
         # Chan et al.: merge this block's (n, mean, M2) into the running one
         block_mean = float(np.mean(power))
-        dev = power - block_mean
-        block_m2 = float(np.sum(dev * dev))
+        power -= block_mean
+        block_m2 = float(np.sum(np.square(power, out=power)))
         delta = block_mean - mean
         count += n
         mean += delta * (n / count)

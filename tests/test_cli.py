@@ -136,12 +136,26 @@ class TestExitCodes:
         ["optimize", "--l-grid", "40:50:10", "--threads", "-5"],
         ["sweep", "--sweep", "h-uav", "--values", "20:20:1", "--threads", "257"],  # before any thread starts
         ["gain", "--theta3db-deg", "0"],
+        ["gain", "--threads", "0"],  # gain evaluates one point but checks the flag like sweep
+        ["gain", "--threads", "100000"],
+        ["gain", "--n-rays", "32769"],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [["gain"], ["sweep", "--sweep", "l"], ["optimize"]])
+    def test_flag_prefixes_are_rejected(self, command, capsys):
+        # "--h-u" would otherwise run as --h-uav, and turn ambiguous once a field shares the prefix
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--h-u", "30"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "irslink: error: unrecognized arguments: --h-u 30"]
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--l-grid", "0:1e300:1e-300"],  # the point count overflows to inf

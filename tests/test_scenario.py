@@ -36,6 +36,9 @@ def test_validation_names_the_offending_key():
     with pytest.raises(InvalidParameterError, match="n_runs"):
         MonteCarloConfig(n_runs=10**9 + 1)
     assert MonteCarloConfig(n_runs=10**9).n_runs == 10**9
+    with pytest.raises(InvalidParameterError, match="n_rays"):
+        MonteCarloConfig(n_rays=2**15 + 1)  # more than one run block
+    assert MonteCarloConfig(n_rays=2**15).n_rays == 2**15
     with pytest.raises(InvalidParameterError, match="ray_phases"):
         MonteCarloConfig(ray_phases="other")
     # a copy is checked too, so every config that exists is valid

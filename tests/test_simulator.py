@@ -38,7 +38,7 @@ def pin_scatter_points(monkeypatch, points):
     """Make every Monte Carlo run use the same scatter points (rows of ``points``)."""
     fixed = np.asarray(points, dtype=float)
     monkeypatch.setattr(
-        simulator, "_scatter_matrix", lambda geom, u: np.broadcast_to(fixed, u.shape[:-1] + (3,))
+        simulator, "_scatter_matrix", lambda geom, u, out=None: np.broadcast_to(fixed, u.shape[:-1] + (3,))
     )
 
 
@@ -58,6 +58,25 @@ def one_shot_estimate(cfg, config):
     ray_sum = np.sum(amps * np.exp(1j * phases), axis=1)
     powers = np.abs(a0 * np.exp(1j * phi0) + ray_sum) ** 2
     return np.mean(powers), np.std(powers, ddof=1) / math.sqrt(n), np.mean(np.abs(ray_sum))
+
+
+def per_run_reference_powers(cfg, config):
+    """Each run's baseline power re-derived with the scalar channel chain and
+    the documented draw layout: 2 position draws per ray, then one phase draw
+    per ray in uniform mode."""
+    geom = cfg.geometry()
+    refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
+    los = los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)
+    powers = []
+    for r in range(config.n_runs):
+        stream = CounterStream(run_seed(config.master_seed, r))
+        pts = sample_scatter_points(geom, config.n_rays, stream)
+        rays = [wall_ray_coefficient(p, geom, cfg, cfg, cfg.p_t_dbm, refl) for p in pts]
+        if config.ray_phases == "uniform":
+            u = stream.uniforms(config.n_rays)
+            rays = [ChannelCoefficient(c.amplitude, float(TWO_PI * ui) % TWO_PI) for c, ui in zip(rays, u)]
+        powers.append(combine([los] + rays) ** 2)
+    return powers
 
 
 def vector_form_budget(cfg, geom, points, reflection_loss_db):
@@ -186,26 +205,30 @@ class TestWallPowerEstimate:
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_vectorised_matches_per_run_reference(self, phases):
-        # re-derive each run with the scalar channel chain and the documented
-        # draw layout: 2 position draws per ray, then one phase draw per ray
-        runs = 40
-        config = mc(runs=runs, rays=7, seed=777, phases=phases)
+        config = mc(runs=40, rays=7, seed=777, phases=phases)
         est = wall_power_estimate(CFG, config)
-        geom = CFG.geometry()
-        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
-        powers = []
-        for r in range(runs):
-            stream = CounterStream(run_seed(777, r))
-            pts = sample_scatter_points(geom, 7, stream)
-            rays = [
-                wall_ray_coefficient(p, geom, CFG, CFG, CFG.p_t_dbm, REFL)
-                for p in pts
-            ]
-            if phases == "uniform":
-                u = stream.uniforms(7)
-                rays = [ChannelCoefficient(c.amplitude, float(TWO_PI * ui) % TWO_PI) for c, ui in zip(rays, u)]
-            powers.append(combine([los] + rays) ** 2)
-        assert est.mean_power_mw == pytest.approx(np.mean(powers), rel=1e-12)
+        assert est.mean_power_mw == pytest.approx(np.mean(per_run_reference_powers(CFG, config)), rel=1e-12)
+
+    # the library against the scalar chain on random valid scenarios: both
+    # NLoS branches (UAV below and above 22.5 m), near and far walls, carriers
+    # from 0.7 to 40 GHz and patch shapes from one element to a 40 x 40 lattice
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        h_uav=st.one_of(st.floats(2.0, 22.4), st.floats(22.5, 300.0)),
+        l_m=st.floats(5.0, 150.0),
+        f_ghz=st.floats(0.7, 40.0),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        runs=st.integers(2, 30),
+        rays=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        phases=st.sampled_from(["geometric", "uniform"]),
+    )
+    def test_random_scenarios_match_per_run_reference(self, h_uav, l_m, f_ghz, rows, cols, runs, rays, seed, phases):
+        cfg = replace(CFG, h_uav_m=h_uav, l_m=l_m, f_ghz=f_ghz, irs_rows=rows, irs_cols=cols)
+        config = mc(runs=runs, rays=rays, seed=seed, phases=phases)
+        est = wall_power_estimate(cfg, config)
+        assert est.mean_power_mw == pytest.approx(np.mean(per_run_reference_powers(cfg, config)), rel=1e-12)
 
     def test_fixed_scatter_points_freeze_the_geometry(self, monkeypatch):
         geom = CFG.geometry()
@@ -257,6 +280,19 @@ class TestWallPowerEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_warm_call_allocates_no_block_arrays(self, phases):
+        # every block-sized float array lives in this thread's workspace, made by
+        # the first call; a later call allocates only run-sized and scalar values
+        wall_power_estimate(CFG, mc(runs=1, phases=phases))
+        tracemalloc.start()
+        try:
+            wall_power_estimate(CFG, MonteCarloConfig(n_runs=200_000, ray_phases=phases))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestIrsGain:
