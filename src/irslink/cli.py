@@ -21,11 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
-# optimal_distance is re-exported: perfbench/tracer.py hooks it under this module
-from .experiments import (  # noqa: F401
-    SWEEPABLE, SweepSpec, _best_distance, check_threads, default_h_uav_grid, default_l_grid, optimal_distance,
-    run_sweep,
-)
+from .experiments import SWEEPABLE, SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, run_sweep
 from .rng import GENERATOR_ID
 from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
 from .svgplot import render_line_plot
@@ -110,7 +106,10 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
+            try:
+                values.update(parse_config_text(fh.read()))
+            except UnicodeDecodeError as exc:
+                raise InvalidParameterError(f"config file {args.config!r} is not UTF-8 text: {exc}") from None
     for key in _KEY_TYPES:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
@@ -140,35 +139,6 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
     return cfg, mc
 
 
-def _manifest(args, cfg: ScenarioConfig, mc: MonteCarloConfig, extra: dict | None = None) -> dict:
-    man = {
-        "artifact_version": __version__,
-        "generator": GENERATOR_ID,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "command": list(getattr(args, "_argv", [])),
-        "master_seed": mc.master_seed,
-        "ray_phases": mc.ray_phases,
-        "n_runs": mc.n_runs,
-        "n_rays": mc.n_rays,
-        "config": asdict(cfg),
-    }
-    if extra:
-        man.update(extra)
-    return man
-
-
-def _emit(args, csv_text: str, manifest: dict) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
-
-
 _HEADER_BASE = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
 
@@ -183,31 +153,49 @@ def _result_cells(res) -> str:
     return text
 
 
-def cmd_gain(args) -> int:
-    from .simulator import irs_gain
-
-    check_threads(args.threads)  # gain evaluates one point, but the flag is still checked
-    cfg, mc = build_configs(args)
-    res = irs_gain(cfg, mc)
-    csv_text = f"param,{_HEADER_BASE}\n{_fmt(cfg.h_uav_m)},{_result_cells(res)}\n"
-    _emit(args, csv_text, _manifest(args, cfg, mc))
-    return 0
-
-
 def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: dict) -> None:
-    """Write a sweep's CSV, manifest and (with --svg) plot, once every cell is checked."""
+    """Write a command's CSV, manifest and (with --svg) plot, once every cell is checked."""
     parameter, overlay = result.metadata["parameter"], result.metadata["overlay_parameter"]
     lines = [("param,overlay," if overlay else "param,") + _HEADER_BASE]
     for row in result.rows:
         prefix = _fmt(row.value) + ("," + _fmt(row.overlay_value) if overlay else "")
         lines.append(f"{prefix},{_result_cells(row.result)}")
-    _emit(args, "\n".join(lines) + "\n", _manifest(args, cfg, mc, extra))
+    csv_text = "\n".join(lines) + "\n"
+    manifest = {
+        "artifact_version": __version__,
+        "generator": GENERATOR_ID,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "command": list(getattr(args, "_argv", [])),
+        "master_seed": mc.master_seed,
+        "ray_phases": mc.ray_phases,
+        "n_runs": mc.n_runs,
+        "n_rays": mc.n_rays,
+        "config": asdict(cfg),
+        **extra,
+    }
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(csv_text)
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        sys.stdout.write(csv_text)
+        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     if args.svg:
         label = SWEEPABLE[parameter][1]
         series = [(f"{overlay.replace('_', '-')}={_fmt(ov)}" if overlay else "gain", xs, gains)
                   for ov, (xs, gains) in result.series().items()]
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_line_plot(series, label, "gain [dB]", title=f"gain vs {label}"))
+
+
+def cmd_gain(args) -> int:
+    """One gain point: a one-point sweep over the UAV height, so param is that height."""
+    cfg, mc = build_configs(args)
+    result = run_sweep(SweepSpec("h_uav", (cfg.h_uav_m,), cfg, mc), threads=args.threads)
+    _emit_sweep(args, cfg, mc, result, {})
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -265,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gain = sub.add_parser("gain", allow_abbrev=False, help="evaluate the gain at one scenario point")
     _add_common(p_gain)
-    p_gain.set_defaults(func=cmd_gain)
+    p_gain.set_defaults(func=cmd_gain, svg=None)
 
     p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="sweep one parameter, optionally with an overlay")
     _add_common(p_sweep, svg=True)
@@ -292,10 +280,7 @@ def main(argv=None) -> int:
         # overflow/invalid warnings would only repeat that report
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except InvalidParameterError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InvalidParameterError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # e.g. an element lattice too large to allocate

@@ -13,6 +13,7 @@ Monte Carlo noise.
 from __future__ import annotations
 
 import contextvars
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -41,7 +42,7 @@ def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioCon
     if name not in SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {name!r}; expected one of {tuple(SWEEPABLE)}")
     if name == "k":
-        k = int(value)
+        k = int(value) if math.isfinite(value) else 0  # int() of nan or inf raises
         if k != value or k < 1:
             raise InvalidParameterError(f"k values must be positive integers, got {value}")
         rows, cols = near_square_factors(k)

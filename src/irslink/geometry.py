@@ -27,7 +27,8 @@ class Position3D:
 
 @dataclass(frozen=True, eq=False)  # an array field has no scalar equality
 class ScenarioGeometry:
-    """Resolved 3D scene: BS, UAV, reflector patch centre and element lattice.
+    """Resolved 3D scene (see ``ScenarioConfig.geometry``): BS, UAV, reflector
+    patch centre and element lattice.
 
     ``elements`` is a read-only (K, 3) array of element positions in lattice
     order; K = 0 when there is no reflector.
@@ -77,39 +78,3 @@ def depression_angle(frm: Position3D, to: Position3D) -> float:
     horiz = math.hypot(to.x - frm.x, to.y - frm.y)
     return math.degrees(math.atan2(frm.z - to.z, horiz))
 
-
-def build_geometry(
-    rows: int,
-    cols: int,
-    pitch_m: float,
-    l_m: float,
-    h_bs_m: float,
-    h_irs_m: float,
-    h_uav_m: float,
-    uav_x_m: float | None = None,
-    uav_y_m: float = 0.0,
-) -> ScenarioGeometry:
-    """Resolve the scene: BS at origin, wall at x = L, UAV midway by default.
-
-    rows = 0 or cols = 0 gives an empty lattice (no reflector) with a
-    zero-extent patch.
-    """
-    if rows < 0 or cols < 0:
-        raise InvalidParameterError(f"rows/cols must be non-negative, got {rows}x{cols}")
-    if l_m <= 0:
-        raise InvalidParameterError(f"l_m must be positive, got {l_m}")
-    for name, h in (("h_bs_m", h_bs_m), ("h_irs_m", h_irs_m), ("h_uav_m", h_uav_m)):
-        if h <= 0:
-            raise InvalidParameterError(f"{name} must be positive, got {h}")
-    bs = Position3D(0.0, 0.0, h_bs_m)
-    center = Position3D(l_m, 0.0, h_irs_m)
-    uav = Position3D(l_m / 2.0 if uav_x_m is None else uav_x_m, uav_y_m, h_uav_m)
-    if rows == 0 or cols == 0:
-        elements = np.empty((0, 3), dtype=float)
-        half_w = half_h = 0.0
-    else:
-        elements = element_positions(rows, cols, pitch_m, center)
-        half_w = (cols - 1) * pitch_m / 2.0
-        half_h = (rows - 1) * pitch_m / 2.0
-    elements.flags.writeable = False
-    return ScenarioGeometry(bs, uav, center, elements, half_w, half_h)

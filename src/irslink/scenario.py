@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import InvalidParameterError
-from .geometry import ScenarioGeometry, build_geometry
+from .geometry import Position3D, ScenarioGeometry, element_positions
 
 DEFAULT_MASTER_SEED = 42  # used whenever no seed is given; recorded in every manifest
 
@@ -79,17 +81,20 @@ class ScenarioConfig:
         return self.irs_rows * self.irs_cols
 
     def geometry(self) -> ScenarioGeometry:
-        return build_geometry(
-            self.irs_rows,
-            self.irs_cols,
-            self.element_pitch_m,
-            self.l_m,
-            self.h_bs_m,
-            self.h_irs_m,
-            self.h_uav_m,
-            self.uav_x_m,
-            self.uav_y_m,
-        )
+        """Resolve the scene: BS at the origin, wall at x = L, UAV midway unless pinned.
+
+        k = 0 gives an empty lattice (no reflector) with a zero-extent patch.
+        """
+        center = Position3D(self.l_m, 0.0, self.h_irs_m)
+        uav = Position3D(self.l_m / 2.0 if self.uav_x_m is None else self.uav_x_m, self.uav_y_m, self.h_uav_m)
+        if self.k == 0:
+            elements, half_w, half_h = np.empty((0, 3), dtype=float), 0.0, 0.0
+        else:
+            elements = element_positions(self.irs_rows, self.irs_cols, self.element_pitch_m, center)
+            half_w = (self.irs_cols - 1) * self.element_pitch_m / 2.0
+            half_h = (self.irs_rows - 1) * self.element_pitch_m / 2.0
+        elements.flags.writeable = False
+        return ScenarioGeometry(Position3D(0.0, 0.0, self.h_bs_m), uav, center, elements, half_w, half_h)
 
 
 @dataclass(frozen=True)

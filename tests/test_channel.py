@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D, build_geometry
+from irslink.geometry import Position3D
 from irslink.propagation import pl_los, pl_nlos
 from irslink.scenario import ScenarioConfig
 from scalar_reference import (
@@ -31,7 +31,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def default_geom(rows=10, cols=10):
-    return build_geometry(rows, cols, 0.02, 50.0, 25.0, 10.0, 50.0)
+    return ScenarioConfig(irs_rows=rows, irs_cols=cols).geometry()
 
 
 class TestDbmToAmplitude:
@@ -62,12 +62,13 @@ class TestLosCoefficient:
 
     def test_wavelength_multiple_gives_zero_phase(self):
         # colinear scene: path length 39 wavelengths at 2 GHz
-        geom = build_geometry(1, 1, 0.02, 3.0, 5.0, 5.0, 5.0, uav_x_m=5.85)
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+                              uav_x_m=5.85).geometry()
         coeff = los_coefficient(geom, ANT, PL2, 46.0)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
 
     def test_coincident_bs_uav_raises(self):
-        geom = build_geometry(1, 1, 0.02, 50.0, 25.0, 10.0, 25.0, uav_x_m=0.0)
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=25.0, uav_x_m=0.0).geometry()
         with pytest.raises(DegenerateGeometryError):
             los_coefficient(geom, ANT, PL2, 46.0)
 
@@ -92,7 +93,8 @@ class TestElementCoefficient:
 
     def test_lossless_reflection_at_wavelength_multiple(self):
         # d1 + d2 = 39 wavelengths, reflection loss zero: raw link budget, zero phase
-        geom = build_geometry(1, 1, 0.02, 3.0, 5.0, 5.0, 5.0, uav_x_m=0.15)
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+                              uav_x_m=0.15).geometry()
         refl = ReflectionParams(pl_irs_db=0.0, pl_wall_db=0.0)
         coeff = element_coefficient(0, geom, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
@@ -124,7 +126,8 @@ class TestWallRayCoefficient:
 
     def test_half_wavelength_offset_flips_phase(self):
         # second scatter point solved so its path is lambda/2 longer
-        geom = build_geometry(1, 1, 0.02, 3.0, 5.0, 5.0, 5.0, uav_x_m=0.15)
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+                              uav_x_m=0.15).geometry()
         lam = wavelength_m(2.0)
         target = 5.85 + lam / 2.0
 

@@ -139,6 +139,8 @@ class TestExitCodes:
         ["gain", "--threads", "0"],  # gain evaluates one point but checks the flag like sweep
         ["gain", "--threads", "100000"],
         ["gain", "--n-rays", "32769"],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=nan"],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=inf"],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
@@ -172,6 +174,15 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_non_utf8_config_file_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"f_ghz = 2\n# \xff\n")
+        code, out, err = run_cli(["gain", "--config", str(cfg)] + FAST, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(cfg) in err and "UTF-8" in err
+
     def test_range_point_bound_is_inclusive(self):
         assert len(_parse_range("1:1000000:1")) == 10**6
 
@@ -190,6 +201,28 @@ class TestGainCommand:
         manifest = json.loads(err.strip().splitlines()[-1])
         assert manifest["generator"] == "splitmix64-counter-v1"
         assert manifest["ray_phases"] == "geometric"
+
+    def test_gain_is_a_one_point_h_uav_sweep(self, tmp_path, capsys):
+        flags = ["--h-uav", "37.5", "--k", "50", "--l", "70", "--seed", "5", "--ray-phases", "uniform"] + FAST
+        gain, sweep = tmp_path / "gain.csv", tmp_path / "sweep.csv"
+        assert run_cli(["gain"] + flags + ["--out", str(gain)], capsys)[0] == 0
+        assert run_cli(["sweep", "--sweep", "h-uav", "--values", "37.5:37.5:1"] + flags + ["--out", str(sweep)],
+                       capsys)[0] == 0
+        assert gain.read_bytes() == sweep.read_bytes()
+        assert gain.read_text().splitlines()[1].startswith("37.5,")
+
+    def test_manifest_has_no_sweep_block(self, tmp_path, capsys):
+        out_csv = tmp_path / "g.csv"
+        assert run_cli(["gain", "--out", str(out_csv)] + FAST, capsys)[0] == 0
+        manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+        assert "sweep" not in manifest
+        assert manifest["config"]["h_uav_m"] == 50.0
+
+    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
+        a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        assert run_cli(["gain", "--threads", "1", "--out", str(a)] + FAST, capsys)[0] == 0
+        assert run_cli(["gain", "--threads", "2", "--out", str(b)] + FAST, capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_no_rays_baseline_is_los_only(self, capsys):
         code, out, _ = run_cli(["gain", "--n-rays", "0"] + FAST, capsys)

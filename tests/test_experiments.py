@@ -47,9 +47,10 @@ class TestApplyParameter:
         with pytest.raises(InvalidParameterError):
             apply_parameter(CFG, "pitch", 1.0)
 
-    def test_non_integer_k_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            apply_parameter(CFG, "k", 50.5)
+    @pytest.mark.parametrize("k", [50.5, float("nan"), float("inf"), float("-inf")])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidParameterError):  # not the ValueError/OverflowError of int(nan)/int(inf)
+            apply_parameter(CFG, "k", k)
 
 
 class TestRunSweep:

@@ -6,8 +6,9 @@ from scipy import stats
 
 import scalar_reference as ref
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D, build_geometry, depression_angle, distance, element_positions
+from irslink.geometry import Position3D, depression_angle, distance, element_positions
 from irslink.rng import uniform_block
+from irslink.scenario import ScenarioConfig
 from irslink.simulator import _scatter_matrix
 
 CENTER = Position3D(50.0, 0.0, 10.0)
@@ -114,14 +115,14 @@ class TestDepressionAngle:
 
 
 def _default_geom(rows=10, cols=10):
-    return build_geometry(rows, cols, 0.02, 50.0, 25.0, 10.0, 50.0)
+    return ScenarioConfig(irs_rows=rows, irs_cols=cols).geometry()
 
 
 class TestScatterSampling:
     # statistics of the simulator's mapping; the scalar reference sampler
     # (tests/scalar_reference.py) pins down the draw layout
     def test_zero_extent_patch_collapses_to_center(self):
-        geom = build_geometry(1, 1, 0.02, 50.0, 25.0, 10.0, 50.0)
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1).geometry()
         pts = scatter(geom, 123, 20)
         assert pts.tolist() == [[50.0, 0.0, 10.0]] * 20
 
@@ -166,7 +167,7 @@ class TestScatterSampling:
         assert chi2 < stats.chi2.ppf(1 - 1e-3, df=15)
 
 
-class TestBuildGeometry:
+class TestScenarioGeometry:
     def test_default_positions(self):
         geom = _default_geom()
         assert geom.bs == Position3D(0.0, 0.0, 25.0)
@@ -175,21 +176,21 @@ class TestBuildGeometry:
         assert geom.elements.shape == (100, 3)
 
     def test_explicit_uav_position_overrides_midpoint(self):
-        geom = build_geometry(10, 10, 0.02, 50.0, 25.0, 10.0, 50.0, uav_x_m=10.0, uav_y_m=2.0)
+        geom = ScenarioConfig(uav_x_m=10.0, uav_y_m=2.0).geometry()
         assert geom.uav == Position3D(10.0, 2.0, 50.0)
 
     def test_patch_extents_follow_lattice(self):
-        geom = build_geometry(5, 10, 0.02, 50.0, 25.0, 10.0, 50.0)
+        geom = ScenarioConfig(irs_rows=5).geometry()
         assert geom.patch_half_height_z == pytest.approx(0.04)
         assert geom.patch_half_width_y == pytest.approx(0.09)
         for e in geom.elements:
             assert ref.on_patch(geom, e)
 
     def test_empty_lattice_allowed(self):
-        geom = build_geometry(0, 0, 0.02, 50.0, 25.0, 10.0, 50.0)
+        geom = ScenarioConfig(irs_rows=0, irs_cols=0).geometry()
         assert geom.elements.shape == (0, 3)
         assert geom.patch_half_width_y == 0.0
 
     def test_bad_heights_rejected(self):
         with pytest.raises(InvalidParameterError):
-            build_geometry(1, 1, 0.02, 50.0, 25.0, 10.0, 0.0)
+            ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=0.0).geometry()
