@@ -11,7 +11,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import Position3D, ScenarioGeometry, depression_angle, distance, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
-from .simulator import GainResult, dbm_to_amplitude, irs_amplitude, irs_gain, wall_power_estimate
+from .simulator import GainResult, dbm_to_amplitude, irs_gain, wall_power_estimate
 from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "depression_angle",
     "distance",
     "element_positions",
-    "irs_amplitude",
     "irs_gain",
     "optimal_distance",
     "pl_los",

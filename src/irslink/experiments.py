@@ -115,15 +115,10 @@ def _sweep_metadata(spec: SweepSpec) -> dict:
     return meta
 
 
-def check_threads(threads: int) -> None:
-    """Reject a thread count outside 1.._MAX_THREADS."""
-    if not 1 <= threads <= _MAX_THREADS:
-        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
-
-
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order."""
-    check_threads(threads)
+    if not 1 <= threads <= _MAX_THREADS:
+        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:

@@ -21,9 +21,6 @@ class Position3D:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True, eq=False)  # an array field has no scalar equality
 class ScenarioGeometry:

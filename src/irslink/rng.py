@@ -8,10 +8,11 @@ any order, in parallel, or vectorised, and always produce the same bits.
 Scheme (all arithmetic mod 2**64):
 
     run_seed(master, r) = finalize(master + (r + 1) * PHI_A)
-    u(seed, j)          = finalize(seed + (j + 1) * PHI_B) / 2**64
+    u(seed, j)          = (finalize(seed + (j + 1) * PHI_B) >> 11) / 2**53
 
-where ``finalize`` is the splitmix64 output permutation.  Draw j is the j-th
-variate consumed within one run (see the simulator for the draw layout).
+where ``finalize`` is the splitmix64 output permutation: the run seeds are
+splitmix64's outputs from state ``master``.  Draw j is the j-th variate
+consumed within one run (see the simulator for the draw layout).
 """
 
 from __future__ import annotations
@@ -27,30 +28,6 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-def _finalize_int(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _M2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def run_seed(master_seed: int, run_index: int) -> int:
-    """Per-run seed derived from the master seed and the run index."""
-    return _finalize_int((master_seed + (run_index + 1) * _PHI_A) & _MASK64)
-
-
-def block_master_seed(master_seed: int, first_run: int) -> int:
-    """Master seed whose run i is run first_run + i of ``master_seed``:
-    run_seed(block_master_seed(m, s), i) == run_seed(m, s + i)."""
-    return (master_seed + first_run * _PHI_A) & _MASK64
-
-
-def uniform_at(seed: int, draw_index: int) -> float:
-    """The draw_index-th uniform variate in [0, 1) of the stream ``seed``."""
-    bits = _finalize_int((seed + (draw_index + 1) * _PHI_B) & _MASK64)
-    return (bits >> 11) * 2.0 ** -53
-
-
 def _finalize_u64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64's output permutation, in place on the uint64 array ``z``;
     ``t`` is scratch of the same shape."""
@@ -63,16 +40,16 @@ def _finalize_u64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def run_seeds(master_seed: int, n_runs: int) -> np.ndarray:
-    """Vectorised ``run_seed`` for runs 0..n_runs-1, shape (n_runs,)."""
-    z = np.arange(1, n_runs + 1, dtype=np.uint64)
+def run_seeds(master_seed: int, n_runs: int, first_run: int = 0) -> np.ndarray:
+    """Seeds of runs first_run..first_run+n_runs-1, shape (n_runs,)."""
+    z = np.arange(first_run + 1, first_run + n_runs + 1, dtype=np.uint64)
     z *= np.uint64(_PHI_A)
     z += np.uint64(master_seed & _MASK64)
     return _finalize_u64(z, np.empty_like(z))
 
 
 def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0, out=None, scratch=None) -> np.ndarray:
-    """Uniforms u[i, j] = uniform_at(seeds[i], first_draw + j), shape (len(seeds), n_draws).
+    """Uniforms u[i, j] = u(seeds[i], first_draw + j), shape (len(seeds), n_draws).
 
     ``out`` (float64) and ``scratch`` (uint64), both of that shape, are
     optional work arrays: with both given the call allocates nothing of the

@@ -38,6 +38,8 @@ _MAX_RAYS = 2**15
 # 10**8 elements are a 2.4 GB (K, 3) lattice, so larger counts are rejected
 # before anything is built
 _MAX_ELEMENTS = 10**8
+# UAV heights where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777
+_H_UAV_RANGE_M = (1.5, 300.0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ScenarioConfig:
     uav_y_m: float = 0.0
 
     def __post_init__(self):
-        positive = ("f_ghz", "h_bs_m", "h_uav_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
+        positive = ("f_ghz", "h_bs_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
@@ -75,6 +77,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
+        low, high = _H_UAV_RANGE_M
+        if not low <= self.h_uav_m <= high:
+            raise InvalidParameterError(f"h_uav_m must be in [{low:g}, {high:g}] m, got {self.h_uav_m}")
 
     @property
     def k(self) -> int:

@@ -184,13 +184,6 @@ def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
     return total
 
 
-def irs_amplitude(cfg: ScenarioConfig) -> float:
-    """Deterministic received amplitude with ideal phase alignment: LoS plus
-    every element amplitude (sqrt-mW)."""
-    geom, a0, _ = _point(cfg)
-    return a0 + _irs_sum(cfg, geom)
-
-
 def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map uniforms u (..., n_rays, 2) to patch points (..., n_rays, 3), written
     into ``out`` when it is given."""
@@ -229,7 +222,7 @@ def wall_power_estimate(
     count, mean, m2, refl_sum = 0, 0.0, 0.0, 0.0
     for first in range(0, mc.n_runs, block):
         n = min(block, mc.n_runs - first)
-        seeds = rng.run_seeds(rng.block_master_seed(mc.master_seed, first), n)
+        seeds = rng.run_seeds(mc.master_seed, n, first)
         u = rng.uniform_block(seeds, n_draws, out=_flat(ws[_UNIFORMS], (n, n_draws)),
                               scratch=_flat(ws[_BUDGET], (n, n_draws)).view(np.uint64))
         planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)

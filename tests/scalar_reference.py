@@ -5,9 +5,10 @@ The library evaluates every path in one vectorised kernel
 so that tests can compare the kernel against an independent implementation:
 its own antenna pattern and path-loss formulas, the reflected loss split into
 a BS-to-element segment and an element-to-UAV segment, the element lattice
-built by a loop, and a sequential counter stream over the scalar
-``rng.uniform_at``.  It calls nothing in the library's link budget; it shares
-only the data types (positions, the scenario config) and the error classes.
+built by a loop, and its own scalar splitmix64 counter generator
+(``run_seed``, ``uniform_at``) behind a sequential stream.  It calls nothing
+in the library's link budget or generator; it shares only the data types
+(positions, the scenario config) and the error classes.
 Each function takes the config as the record its formula reads, ``antenna``
 for the pattern and ``pathloss`` for the carrier; the NLoS breakpoint height
 is its own constant.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.geometry import Position3D, ScenarioGeometry
-from irslink.rng import uniform_at
 from irslink.scenario import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
@@ -164,6 +164,32 @@ def on_patch(geom: ScenarioGeometry, p, tol: float = 1e-9) -> bool:
         and abs(p.y - geom.irs_center.y) <= geom.patch_half_width_y + tol
         and abs(p.z - geom.irs_center.z) <= geom.patch_half_height_z + tol
     )
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_PHI_A = 0x9E3779B97F4A7C15  # run-seed increment, splitmix64's golden gamma
+_PHI_B = 0xD1B54A32D192ED03  # draw-index increment
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+
+
+def _finalize(z: int) -> int:
+    """splitmix64's output permutation on one 64-bit integer."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def run_seed(master_seed: int, run_index: int) -> int:
+    """Seed of run ``run_index``: finalize(master + (r + 1) * PHI_A)."""
+    return _finalize((master_seed + (run_index + 1) * _PHI_A) & _MASK64)
+
+
+def uniform_at(seed: int, draw_index: int) -> float:
+    """The draw_index-th uniform variate in [0, 1) of the stream ``seed``."""
+    bits = _finalize((seed + (draw_index + 1) * _PHI_B) & _MASK64)
+    return (bits >> 11) * 2.0 ** -53
 
 
 class CounterStream:

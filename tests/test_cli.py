@@ -118,7 +118,7 @@ class TestExitCodes:
 
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
         # stands in for any allocation that fails inside the kernel
-        def no_memory(master_seed, n_runs):
+        def no_memory(master_seed, n_runs, first_run=0):
             raise MemoryError(f"cannot allocate {n_runs} run seeds")
 
         monkeypatch.setattr(rng, "run_seeds", no_memory)
@@ -141,6 +141,9 @@ class TestExitCodes:
         ["gain", "--n-rays", "32769"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=nan"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=inf"],
+        ["gain", "--h-uav", "0.5"],  # the path-loss model holds for 1.5..300 m
+        ["gain", "--h-uav", "1000"],
+        ["sweep", "--sweep", "h-uav", "--values", "200:400:100"],  # 400 m, before 200 m is evaluated
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated

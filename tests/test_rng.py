@@ -1,7 +1,44 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 
-from irslink.rng import block_master_seed, run_seed, run_seeds, uniform_at, uniform_block
-from scalar_reference import CounterStream
+import scalar_reference
+from irslink.rng import run_seeds, uniform_block
+from scalar_reference import CounterStream, run_seed, uniform_at
+
+# splitmix64 seeded with state 1234567: its first five outputs, as published
+# with the reference implementation
+SPLITMIX64_1234567 = [
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+]
+
+
+def test_both_generators_reproduce_splitmix64_reference_outputs():
+    assert [int(s) for s in run_seeds(1234567, 5)] == SPLITMIX64_1234567
+    assert [run_seed(1234567, r) for r in range(5)] == SPLITMIX64_1234567
+
+
+def test_oracle_imports_no_library_numerics():
+    tree = ast.parse(Path(scalar_reference.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "irslink":
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "irslink"}
+    allowed = {
+        ("irslink.errors", "DegenerateGeometryError"),
+        ("irslink.errors", "InvalidParameterError"),
+        ("irslink.geometry", "Position3D"),
+        ("irslink.geometry", "ScenarioGeometry"),
+        ("irslink.scenario", "ScenarioConfig"),
+    }
+    assert imported and imported <= allowed, sorted(imported - allowed)
 
 
 def test_scalar_and_vector_run_seeds_agree():
@@ -10,10 +47,10 @@ def test_scalar_and_vector_run_seeds_agree():
         assert int(vec[r]) == run_seed(12345, r)
 
 
-def test_block_master_seed_continues_the_run_sequence():
+def test_first_run_continues_the_run_sequence():
     for master in (0, 42, 2**64 - 1, 2**64 - 3):
         for first, n in ((0, 5), (1, 4), (3276, 3), (2**63, 2)):
-            block = run_seeds(block_master_seed(master, first), n)
+            block = run_seeds(master, n, first)
             if first < 10_000:
                 assert np.array_equal(block, run_seeds(master, first + n)[first:])
             for i in range(n):

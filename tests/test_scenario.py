@@ -29,6 +29,11 @@ def test_defaults_match_standard_parameters():
 def test_validation_names_the_offending_key():
     with pytest.raises(InvalidParameterError, match="h_uav_m"):
         ScenarioConfig(h_uav_m=0.0)
+    for h in (1.5, 300.0):  # the UMa-AV path-loss model's height range, ends included
+        assert ScenarioConfig(h_uav_m=h).h_uav_m == h
+    for h in (1.49, 300.01):
+        with pytest.raises(InvalidParameterError, match="h_uav_m"):
+            ScenarioConfig(h_uav_m=h)
     with pytest.raises(InvalidParameterError, match="f_ghz"):
         ScenarioConfig(f_ghz=-2.0)
     with pytest.raises(InvalidParameterError, match="n_runs"):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from irslink import simulator
 from irslink.propagation import pl_nlos, vertical_gain
-from irslink.rng import run_seed, run_seeds, uniform_block
+from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
-from irslink.simulator import irs_amplitude, irs_gain, wall_power_estimate
+from irslink.simulator import irs_gain, wall_power_estimate
 from scalar_reference import (
     PHASE_GEOMETRIC,
     ChannelCoefficient,
@@ -21,6 +21,7 @@ from scalar_reference import (
     combine,
     element_coefficient,
     los_coefficient,
+    run_seed,
     sample_scatter_points,
     wall_ray_coefficient,
 )
@@ -32,6 +33,11 @@ TWO_PI = 2.0 * math.pi
 
 def mc(runs=200, rays=20, seed=42, phases="geometric"):
     return MonteCarloConfig(n_runs=runs, n_rays=rays, master_seed=seed, ray_phases=phases)
+
+
+def gamma_irs(cfg):
+    """The deterministic reflector amplitude, LoS plus every element."""
+    return irs_gain(cfg, mc(runs=1)).gamma_irs
 
 
 def pin_scatter_points(monkeypatch, points):
@@ -82,8 +88,8 @@ def per_run_reference_powers(cfg, config):
 def vector_form_budget(cfg, geom, points, reflection_loss_db):
     """The link budget as (..., 3) difference vectors reduced by numpy's
     length-3 sum: the form the per-coordinate kernel must match bit for bit."""
-    bs = geom.bs.as_array()
-    uav = geom.uav.as_array()
+    bs = np.array([geom.bs.x, geom.bs.y, geom.bs.z])
+    uav = np.array([geom.uav.x, geom.uav.y, geom.uav.z])
     v1 = points - bs
     v2 = uav - points
     d1 = np.sqrt(np.sum(v1 * v1, axis=-1))
@@ -123,7 +129,7 @@ class TestIrsAmplitude:
         cfg = replace(CFG, irs_rows=0, irs_cols=0)
         geom = cfg.geometry()
         los = los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)
-        assert irs_amplitude(cfg) == pytest.approx(los.amplitude, rel=1e-12)
+        assert gamma_irs(cfg) == pytest.approx(los.amplitude, rel=1e-12)
 
     def test_matches_per_element_summation(self):
         # vectorised path against the scalar coefficient chain
@@ -133,7 +139,7 @@ class TestIrsAmplitude:
             element_coefficient(k, geom, CFG, CFG, CFG.p_t_dbm, REFL).amplitude
             for k in range(100)
         )
-        assert irs_amplitude(CFG) == pytest.approx(total, rel=1e-12)
+        assert gamma_irs(CFG) == pytest.approx(total, rel=1e-12)
 
     def test_sum_tracks_100x_centre_element(self):
         # patch is small relative to the path lengths, so the brute-force sum
@@ -143,20 +149,20 @@ class TestIrsAmplitude:
         centre_amp = element_coefficient(
             0, geom_c, CFG, CFG, CFG.p_t_dbm, REFL
         ).amplitude
-        total = irs_amplitude(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
+        total = gamma_irs(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert total == pytest.approx(100.0 * centre_amp, rel=1e-3)
 
     def test_doubling_elements_doubles_the_sum(self):
-        half = irs_amplitude(replace(CFG, irs_rows=5, irs_cols=10)) - irs_gain(
+        half = gamma_irs(replace(CFG, irs_rows=5, irs_cols=10)) - irs_gain(
             replace(CFG, irs_rows=5, irs_cols=10), mc(runs=1)
         ).los_amplitude
-        full = irs_amplitude(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
+        full = gamma_irs(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert full / half == pytest.approx(2.0, abs=1e-3)
 
     def test_sliced_sum_matches_one_slice(self, monkeypatch):
-        whole = irs_amplitude(CFG)
+        whole = gamma_irs(CFG)
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7)  # 15 slices, the last holds 2 elements
-        assert irs_amplitude(CFG) == pytest.approx(whole, rel=1e-12)
+        assert gamma_irs(CFG) == pytest.approx(whole, rel=1e-12)
 
     def test_element_sum_memory_is_the_lattice_plus_one_slice(self):
         # 250,000 elements: a 6 MB lattice; summed in one piece the link
@@ -348,7 +354,7 @@ class TestIrsGain:
 
     def test_gamma_bounds_every_wall_run_amplitude(self):
         # per-path dominance: 10 dB wall loss vs 1 dB, 20 rays vs 100 elements
-        gamma = irs_amplitude(CFG)
+        gamma = gamma_irs(CFG)
         geom = CFG.geometry()
         los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         for r in range(100):
