@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
-from .simulator import GainResult, irs_gain
+from .simulator import GainResult, irs_gain, wall_power_estimates
 
 # sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
 SWEEPABLE = {
@@ -32,8 +32,8 @@ SWEEPABLE = {
     "f": ("f_ghz", "carrier frequency [GHz]"),
 }
 
-# the pool starts a thread per submitted point while none is idle, so a large
-# --threads on a large grid would ask the OS for that many threads
+# the pool starts one thread per grid slice, min(threads, grid size), so a
+# large --threads on a large grid would ask the OS for that many threads
 _MAX_THREADS = 256
 
 
@@ -126,17 +126,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         for v in spec.values:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
-    def evaluate(item):
-        v, ov, cfg = item
-        return SweepRow(v, ov, irs_gain(cfg, spec.mc))
+    def evaluate(items):
+        # one batch: the wall estimates share each run block's draws, then one gain per point
+        walls = wall_power_estimates([cfg for _, _, cfg in items], spec.mc)
+        return [SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(items, walls)]
 
-    if threads > 1:
-        # each point runs in a copy of the caller's context (numpy error state)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, evaluate, item) for item in grid]
-            rows = tuple(f.result() for f in futures)
+    n = min(threads, len(grid))
+    if n > 1:
+        # each thread evaluates one contiguous slice, in a copy of the caller's
+        # context (numpy error state)
+        slices = [grid[i * len(grid) // n:(i + 1) * len(grid) // n] for i in range(n)]
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, evaluate, part) for part in slices]
+            rows = tuple(row for f in futures for row in f.result())
     else:
-        rows = tuple(evaluate(item) for item in grid)
+        rows = tuple(evaluate(grid))
     return SweepResult(rows, _sweep_metadata(spec))
 
 

@@ -80,6 +80,8 @@ class ScenarioConfig:
         low, high = _H_UAV_RANGE_M
         if not low <= self.h_uav_m <= high:
             raise InvalidParameterError(f"h_uav_m must be in [{low:g}, {high:g}] m, got {self.h_uav_m}")
+        if self.h_irs_m > self.h_bs_m:  # the reflector is mounted below the BS mast top
+            raise InvalidParameterError(f"h_irs_m must be <= h_bs_m = {self.h_bs_m}, got {self.h_irs_m}")
 
     @property
     def k(self) -> int:

@@ -11,7 +11,7 @@ or drawn uniform, see MonteCarloConfig.ray_phases), adds their phasors to
 the LoS phasor and squares to power.  The gain is the ratio of the
 deterministic reflector power to the mean baseline power, in dB.
 
-Draw layout within run r (stream seeded by run_seed(master_seed, r)):
+Draw layout within run r (seeded by rng.run_seeds(master_seed, 1, r)):
   draws 0 .. 2*n_rays-1   scatter positions, y then z per point
   draws 2*n_rays .. 3*n_rays-1   ray phases (consumed only in "uniform" mode)
 
@@ -20,23 +20,36 @@ bit-reproducible regardless of execution order or parallelism.
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
-memory does not grow with ``n_runs``.  Every array of a block's size lives in
-one workspace per thread (12 rows of 2**15 float64, 3 MiB), made by the
-thread's first call and reused by every later block and call: the uniforms,
-the scatter points and the link budget are written into it with numpy's
-``out=``, in the same operation order as the plain expressions, so the bits
-are those of the allocating form.  Each block reduces its powers to (count,
-mean, sum of squared deviations) and its ``|sum of rays|`` to a sum; the
-blocks are merged in run order with Chan et al.'s pairwise update.  The
-block size is a constant, so the merge order, and with it every bit of the
-result, depends only on the configs.
+memory does not grow with ``n_runs``.  ``wall_power_estimates`` evaluates a
+batch of points that share one MonteCarloConfig (a sweep's grid, or one
+point) in one loop: the blocks are outermost and the points inner, so each
+block is drawn once for the whole batch.  Within a block the batch shares
+  - the uniforms, and in uniform mode the cos and sin of the ray phases;
+  - the scatter points, remapped only when a point's patch (centre y and z,
+    half sizes) differs from the previous point's;
+  - the BS half of the link budget, d1 and p_t + G(angle), recomputed only
+    when the patch, the BS, the wall plane x or the pattern and p_t differ;
+and evaluates the UAV half, PL_NLoS(d1 + d2), the phases and the phasor sums
+per point.  Every stage keeps the one-point operation order, so a point's
+bits do not depend on its neighbours in the batch.  Every array of a block's
+size lives in one workspace per thread (12 rows of 2**15 float64, 3 MiB:
+2 of position uniforms, 2 of phase uniforms and their sin, 6 of link budget
+and 2 of scatter points), made by the thread's first call and reused by
+every later block and call, so memory is flat in the batch size as well; a
+point keeps only scalars.  The arrays are written with numpy's ``out=``, in
+the same operation order as the plain expressions, so the bits are those of
+the allocating form.  Each block reduces a point's powers to (count, mean, sum
+of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
+merged into that point's accumulators in run order with Chan et al.'s
+pairwise update.  The block size is a constant, so the merge order, and with
+it every bit of the result, depends only on the configs.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -94,46 +107,61 @@ def _reflected_amps_phases(
     geom: ScenarioGeometry,
     points: np.ndarray,
     reflection_loss_db: float,
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised link budget for reflected paths through ``points`` (..., 3)
     on the wall plane x = irs_center.x: pattern gain at the BS-to-point angle,
     PL_NLoS(d1 + d2) at the UAV height, and ``reflection_loss_db``.  Serves
-    the reflector elements and the wall rays.
-
-    ``work`` is an optional float64 array of shape (_BUDGET_ROWS, >= paths)
-    that holds every intermediate, so the call allocates nothing of the
-    paths' size; the results are then views of it.
+    the reflector elements; the wall kernel calls its two halves itself.
 
     Returns (amplitudes, path_lengths), both shaped like points[..., 0].
     """
     shape = points.shape[:-1]
-    size = math.prod(shape)
-    rows = np.empty((_BUDGET_ROWS, size)) if work is None else work
-    a, b, d1, d2, c, amps = (row[:size].reshape(shape) for row in rows)
-    bs, uav, y, z = geom.bs, geom.uav, points[..., 1], points[..., 2]
-    dx1, dx2 = geom.irs_center.x - bs.x, uav.x - geom.irs_center.x  # every point has x = irs_center.x
+    d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + shape)
+    y, z = points[..., 1], points[..., 2]
+    _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
+    return _uav_side(cfg, geom, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
+
+
+def _bs_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, work) -> None:
+    """The BS half of the budget for points (y, z) on the wall plane: writes the
+    BS-to-point distance into ``d1`` and p_t + G(angle) into ``gain``.  ``work``
+    is three scratch arrays of the points' shape."""
+    a, b, c = work
+    bs, dx1 = geom.bs, geom.irs_center.x - geom.bs.x  # every point has x = irs_center.x
     # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum
     np.square(np.subtract(y, bs.y, out=a), out=d1)  # a keeps dy1 for the angle
     d1 += dx1 * dx1
     np.square(np.subtract(z, bs.z, out=b), out=b)
     d1 += b
     np.sqrt(d1, out=d1)
+    if not d1.all():
+        raise DegenerateGeometryError("reflection point coincides with BS or UAV")
+    theta = np.degrees(np.arctan2(np.subtract(bs.z, z, out=b), np.hypot(dx1, a, out=c), out=b), out=b)
+    vertical_gain(theta, cfg, out=gain, scratch=theta)
+    gain += cfg.p_t_dbm
+
+
+def _uav_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, reflection_loss_db: float, work):
+    """The UAV half of the budget, given the BS half (``d1``, ``gain``) of the
+    same points: PL_NLoS(d1 + d2) and the reflection loss off ``gain``.
+    ``work`` is four arrays of the points' shape; the results are its last two.
+
+    Returns (amplitudes, path_lengths).
+    """
+    d2, b, s, amps = work
+    uav, dx2 = geom.uav, geom.uav.x - geom.irs_center.x
     np.square(np.subtract(uav.y, y, out=d2), out=d2)
     d2 += dx2 * dx2
     np.square(np.subtract(uav.z, z, out=b), out=b)
     d2 += b
     np.sqrt(d2, out=d2)
-    if not (d1.all() and d2.all()):
+    if not d2.all():
         raise DegenerateGeometryError("reflection point coincides with BS or UAV")
-    theta = np.degrees(np.arctan2(np.subtract(bs.z, z, out=b), np.hypot(dx1, a, out=c), out=b), out=b)
-    vertical_gain(theta, cfg, out=amps, scratch=theta)
-    amps += cfg.p_t_dbm
-    amps -= pl_nlos(np.add(d1, d2, out=a), uav.z, cfg, out=c, scratch=a)
+    np.add(d1, d2, out=s)
+    np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=b), out=amps)
     amps -= reflection_loss_db
     np.power(10.0, np.divide(amps, 20.0, out=amps), out=amps)  # dbm_to_amplitude
-    d1 += d2
-    return amps, d1
+    return amps, s
 
 
 def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
@@ -149,14 +177,18 @@ def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
 _CHUNK_PATHS = 1 << 15
 
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
-# the uniforms (up to 3 draws per ray), the scatter points (x, y, z planes)
-# and the link budget's work rows, the first three of which are also the
-# generator's scratch.  The workspace is per thread, not passed in, so that
-# the sweep's pool threads and the placement search reuse it across points
+# the position uniforms (2 per ray), the phase uniforms (uniform mode; their
+# cos in place, then their sin), the link budget's rows (d1 and the BS-side
+# gain, then four per-point rows, the first two of which are also the
+# generator's scratch) and the scatter points' y and z planes.  The x plane,
+# which the budget never reads (every point has x = irs_center.x), lands on
+# the budget's last row.  The workspace is per thread, not passed in, so that
+# the sweep's pool threads and the placement search reuse it across batches
 # without a parameter on irs_gain; its contents never outlive one block.
 _BUDGET_ROWS = 6
-_UNIFORMS, _POINTS, _BUDGET = slice(0, 3), slice(3, 6), slice(6, 6 + _BUDGET_ROWS)
+_POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(9, 12)
 _local = threading.local()
+_NO_LATTICE = np.empty((0, 3))
 
 
 def _workspace(paths: int) -> np.ndarray:
@@ -164,7 +196,7 @@ def _workspace(paths: int) -> np.ndarray:
     first use and kept, so the blocks of every later call reuse its pages."""
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.shape[1] < paths:
-        ws = _local.workspace = np.empty((_BUDGET.stop, paths))
+        ws = _local.workspace = np.empty((_POINTS.stop, paths))
     return ws
 
 
@@ -203,68 +235,96 @@ def wall_power_estimate(
     mc: MonteCarloConfig,
     point: tuple[ScenarioGeometry, float, float] | None = None,
 ) -> WallEstimate:
-    """Mean and standard error of the baseline received power over ``n_runs``.
+    """Mean and standard error of the baseline received power over ``n_runs``:
+    a batch of one.  ``point`` is ``_point(cfg)`` when the caller has already
+    computed it."""
+    return wall_power_estimates([cfg], mc, None if point is None else [point])[0]
 
-    ``point`` is ``_point(cfg)`` when the caller has already computed it.
-    """
-    geom, a0, phi0 = _point(cfg) if point is None else point
 
+def wall_power_estimates(
+    cfgs: list[ScenarioConfig],
+    mc: MonteCarloConfig,
+    points: list[tuple[ScenarioGeometry, float, float]] | None = None,
+) -> list[WallEstimate]:
+    """``wall_power_estimate`` at each of ``cfgs`` with the same Monte Carlo
+    controls, in one pass over the run blocks.  ``points`` are the configs'
+    ``_point`` when the caller has already computed them."""
+    scene = []  # per point: cfg, geometry without the lattice, LoS amplitude and phasor, sharing keys
+    for cfg, (geom, a0, phi0) in zip(cfgs, map(_point, cfgs) if points is None else points):
+        c = geom.irs_center
+        patch = (c.y, c.z, geom.patch_half_width_y, geom.patch_half_height_z)
+        bs_side = (patch, geom.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
+        # the kernel never reads the lattice: dropping it keeps memory flat in the batch size
+        geom = replace(geom, elements=_NO_LATTICE)
+        scene.append((cfg, geom, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
     if mc.n_rays == 0:
-        power = a0 * a0
-        return WallEstimate(power, 0.0, 0.0)
+        return [WallEstimate(a0 * a0, 0.0, 0.0) for _, _, a0, *_ in scene]
 
-    los_re, los_im = a0 * math.cos(phi0), a0 * math.sin(phi0)
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
     n_pos = 2 * mc.n_rays
-    n_draws = n_pos + mc.n_rays if uniform else n_pos
     block = max(1, _CHUNK_PATHS // mc.n_rays)
     ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
-    count, mean, m2, refl_sum = 0, 0.0, 0.0, 0.0
+    count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
     for first in range(0, mc.n_runs, block):
         n = min(block, mc.n_runs - first)
+        shape = (n, mc.n_rays)
         seeds = rng.run_seeds(mc.master_seed, n, first)
-        u = rng.uniform_block(seeds, n_draws, out=_flat(ws[_UNIFORMS], (n, n_draws)),
-                              scratch=_flat(ws[_BUDGET], (n, n_draws)).view(np.uint64))
+        u = rng.uniform_block(seeds, n_pos, out=_flat(ws[_POSITIONS], (n, n_pos)),
+                              scratch=_flat(ws[_BUDGET], (n, n_pos)).view(np.uint64))
+        if uniform:  # the ray phases do not depend on the point
+            cos, sin = (_flat(row, shape) for row in ws[_PHASES])
+            rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=_flat(ws[_BUDGET], shape).view(np.uint64))
+            cos *= TWO_PI
+            np.sin(cos, out=sin)
+            np.cos(cos, out=cos)
         planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)
-        pts = _scatter_matrix(geom, u[:, :n_pos].reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
-        amps, phases = _reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db, work=ws[_BUDGET])
-        if uniform:
-            np.multiply(u[:, n_pos:], TWO_PI, out=phases)
-        else:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
-            phases *= -TWO_PI
-            phases /= wavelength_m(cfg.f_ghz)
-            np.remainder(phases, TWO_PI, out=phases)
-        # past the budget only its results are live: its first row and the
-        # point planes are free for the phasor sums
-        part = _flat(ws[_BUDGET.start], amps.shape)
-        re, im, mag = ws[_POINTS, :n]
-        np.sum(np.multiply(amps, np.cos(phases, out=part), out=part), axis=1, out=re)
-        np.sum(np.multiply(amps, np.sin(phases, out=part), out=part), axis=1, out=im)
-        refl_sum += float(np.sum(np.hypot(re, im, out=mag)))
-        re += los_re
-        im += los_im
-        power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-
-        # Chan et al.: merge this block's (n, mean, M2) into the running one
-        block_mean = float(np.mean(power))
-        power -= block_mean
-        block_m2 = float(np.sum(np.square(power, out=power)))
-        delta = block_mean - mean
+        d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
         count += n
-        mean += delta * (n / count)
-        m2 += block_m2 + delta * delta * ((count - n) * n / count)
+        mapped = computed = None  # the keys the scatter points and d1, gain were made for
+        for (cfg, geom, _, los_re, los_im, patch, bs_side), acc in zip(scene, stats):
+            if patch != mapped:
+                pts = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
+                y, z = pts[..., 1], pts[..., 2]
+                mapped = patch
+            if bs_side != computed:  # the key holds the patch too
+                _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
+                computed = bs_side
+            amps, phases = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
+            if not uniform:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
+                phases *= -TWO_PI
+                phases /= wavelength_m(cfg.f_ghz)
+                np.remainder(phases, TWO_PI, out=phases)
+            # past the budget only its results are live: d2 holds the products,
+            # and the run sums go to the leading elements of b, s and d2
+            re, im, mag = (_flat(row, (n,)) for row in (b, s, d2))
+            np.sum(np.multiply(amps, cos if uniform else np.cos(phases, out=d2), out=d2), axis=1, out=re)
+            np.sum(np.multiply(amps, sin if uniform else np.sin(phases, out=d2), out=d2), axis=1, out=im)
+            acc[2] += float(np.sum(np.hypot(re, im, out=mag)))
+            re += los_re
+            im += los_im
+            power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
 
-    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
-    return WallEstimate(mean, se, refl_sum / count)
+            # Chan et al.: merge this block's (n, mean, M2) into the point's running one
+            block_mean = float(np.mean(power))
+            power -= block_mean
+            block_m2 = float(np.sum(np.square(power, out=power)))
+            delta = block_mean - acc[0]
+            acc[0] += delta * (n / count)
+            acc[1] += block_m2 + delta * delta * ((count - n) * n / count)
+
+    return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count)
+            for mean, m2, refl in stats]
 
 
-def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig) -> GainResult:
-    """Full gain evaluation at one scenario point."""
+def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | None = None) -> GainResult:
+    """Full gain evaluation at one scenario point; ``wall`` is its baseline
+    estimate when a batch (``wall_power_estimates``) has already made it."""
     point = _point(cfg)
     geom, a0, _ = point
     irs_sum = _irs_sum(cfg, geom)
     gamma = a0 + irs_sum
-    wall = wall_power_estimate(cfg, mc, point)
+    if wall is None:
+        wall = wall_power_estimate(cfg, mc, point)
     gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(

@@ -104,6 +104,16 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_degenerate_point_in_a_sweep_is_exit_3(self, phases, threads, capsys):
+        # a one-element patch in front of the UAV at 10 m: the wall rays of
+        # that point end on the UAV, whichever batch slice it falls in
+        code, out, err = run_cli(["sweep", "--sweep", "h-uav", "--values", "9:11:1", "--irs-rows", "1", "--irs-cols",
+                                  "1", "--uav-x", "50", "--ray-phases", phases, "--threads", threads] + FAST, capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
+
     def test_non_finite_result_is_exit_3(self, capsys):
         # a vanishing carrier overflows the amplitudes: gain_db is nan
         sweep = ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "2"]
@@ -191,6 +201,14 @@ class TestExitCodes:
 
     def test_success_is_exit_0(self, capsys):
         code, _, _ = run_cli(["gain"] + FAST, capsys)
+        assert code == 0
+
+    def test_reflector_above_the_mast_is_exit_2(self, capsys):
+        # the BS stands at 25 m: a reflector at its height is valid, above it is not
+        code, out, err = run_cli(["gain", "--h-irs", "30"] + FAST, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "h_irs_m" in err
+        code, _, _ = run_cli(["gain", "--h-irs", "25"] + FAST, capsys)
         assert code == 0
 
 

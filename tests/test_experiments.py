@@ -4,17 +4,20 @@ import subprocess
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
 import irslink
-from irslink import experiments
+from irslink import experiments, rng, simulator
 from irslink.cli import main
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.experiments import (
+    SWEEPABLE,
     SweepSpec,
     _golden_min,
     apply_parameter,
@@ -125,6 +128,66 @@ class TestRunSweep:
             SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0))
 
 
+# values of each sweepable parameter inside the model's valid ranges (the
+# reflector stays at or below the 25 m BS)
+_VALUES = {
+    "k": st.integers(1, 400),
+    "h_uav": st.floats(2.0, 300.0),
+    "l": st.floats(5.0, 150.0),
+    "h_irs": st.floats(1.0, 25.0),
+    "f": st.floats(0.7, 40.0),
+}
+
+
+@st.composite
+def _batched_sweeps(draw):
+    """A sweep spec over any sweepable parameter, with or without an overlay of
+    another one.  Along the grid the sharing keys then change at every point
+    (k, h_irs: the patch; l: the BS side), stay put (h_uav, f), or return to
+    an earlier value at an overlay boundary."""
+    parameter = draw(st.sampled_from(sorted(SWEEPABLE)))
+    values = sorted(draw(st.lists(_VALUES[parameter], min_size=1, max_size=4, unique=True)))
+    overlay = draw(st.none() | st.sampled_from(sorted(set(SWEEPABLE) - {parameter})))
+    overlay_values = () if overlay is None else tuple(
+        draw(st.lists(_VALUES[overlay], min_size=1, max_size=3, unique=True)))
+    mc = MonteCarloConfig(n_runs=draw(st.integers(1, 60)), n_rays=draw(st.integers(1, 8)),
+                          master_seed=draw(st.integers(0, 2**64 - 1)),
+                          ray_phases=draw(st.sampled_from(["geometric", "uniform"])))
+    return SweepSpec(parameter, tuple(values), CFG, mc, overlay, overlay_values)
+
+
+class TestSweepBatches:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(spec=_batched_sweeps(), chunk_paths=st.integers(1, 200), threads=st.sampled_from([1, 2, 3]))
+    def test_each_row_is_its_point_evaluated_alone(self, spec, chunk_paths, threads):
+        # whatever its neighbours in the batch, a point keeps the bits of a
+        # one-point call; ragged blocks make the last block of every point short
+        with mock.patch.object(simulator, "_CHUNK_PATHS", chunk_paths):
+            rows = run_sweep(spec, threads=threads).rows
+            for row in rows:
+                cfg = spec.base
+                if row.overlay_value is not None:
+                    cfg = apply_parameter(cfg, spec.overlay_parameter, row.overlay_value)
+                assert row.result == irs_gain(apply_parameter(cfg, spec.parameter, row.value), spec.mc)
+
+    def test_default_sweep_draws_each_block_once(self, monkeypatch):
+        # 10,000 runs of 20 rays are 7 blocks of 1,638 runs: one draw and one
+        # array pattern evaluation per block for the whole 23-point sweep,
+        # and still one gain call per point with (cfg, mc) first
+        draws, patterns, gains = [], [], []
+        uniform_block, vertical_gain, gain = rng.uniform_block, simulator.vertical_gain, experiments.irs_gain
+        monkeypatch.setattr(rng, "uniform_block", lambda *a, **k: draws.append(a[0].size) or uniform_block(*a, **k))
+        monkeypatch.setattr(simulator, "vertical_gain",
+                            lambda theta, *a, **k: patterns.append(np.ndim(theta)) or vertical_gain(theta, *a, **k))
+        monkeypatch.setattr(experiments, "irs_gain", lambda *a: gains.append(a[:2]) or gain(*a))
+        mc = MonteCarloConfig()
+        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, mc)
+        run_sweep(spec, threads=1)
+        assert draws == [1638] * 6 + [10_000 - 6 * 1638]
+        assert patterns.count(2) == 7  # wall blocks; the lattices' are 1-D, the LoS scalar
+        assert gains == [(apply_parameter(CFG, "h_uav", h), mc) for h in default_h_uav_grid()]
+
+
 class TestComponentAmplitudes:
     def test_matches_gain_result(self):
         first = irs_gain(CFG, MC)
@@ -175,7 +238,7 @@ class TestOptimalDistance:
         # gain rises up to L = 50 and is flat beyond: no bracket, no golden step
         calls = []
 
-        def plateau(cfg, mc):
+        def plateau(cfg, mc, wall=None):
             calls.append(cfg.l_m)
             return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
 
@@ -184,7 +247,7 @@ class TestOptimalDistance:
         assert calls == [40.0, 50.0, 60.0]
 
     def test_refinement_errors_propagate(self, monkeypatch):
-        def on_grid_only(cfg, mc):
+        def on_grid_only(cfg, mc, wall=None):
             if cfg.l_m % 5:
                 raise DegenerateGeometryError("off-grid L")
             return SimpleNamespace(gain_db=-abs(cfg.l_m - 52.0))
@@ -217,9 +280,9 @@ def test_default_grids():
 def _count_gain_calls(monkeypatch) -> list:
     calls = []
 
-    def counted(cfg, mc):
+    def counted(cfg, mc, wall=None):
         calls.append(cfg.l_m)
-        return irs_gain(cfg, mc)
+        return irs_gain(cfg, mc, wall)
 
     monkeypatch.setattr(experiments, "irs_gain", counted)
     return calls

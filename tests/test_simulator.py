@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import simulator
+from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
-from irslink.simulator import irs_gain, wall_power_estimate
+from irslink.simulator import irs_gain, wall_power_estimate, wall_power_estimates
 from scalar_reference import (
     PHASE_GEOMETRIC,
     ChannelCoefficient,
@@ -299,6 +301,38 @@ class TestWallPowerEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestBatches:
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_warm_sweep_allocates_no_block_arrays(self, phases):
+        # the 23 points of the default sweep share one workspace and keep only
+        # scalars per point, so the grid adds no block-sized array either
+        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, MonteCarloConfig(ray_phases=phases))
+        wall_power_estimate(CFG, mc(runs=1, phases=phases))
+        tracemalloc.start()
+        try:
+            run_sweep(spec, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_workspace_has_the_rows_of_the_one_point_kernel(self):
+        # 12 rows of 2**15 float64 (3 MiB) per thread, as before batches: the
+        # phase cos and sin rows are paid for by drawing positions and phases
+        # apart and by putting the unread x plane on a budget row
+        sizes = []
+
+        def first_call_in_a_thread():
+            wall_power_estimates([CFG, replace(CFG, h_irs_m=5.0)], mc(runs=10, phases="uniform"))
+            sizes.append(simulator._local.workspace.nbytes)
+
+        thread = threading.Thread(target=first_call_in_a_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sizes == [12 * 2**15 * 8]
 
 
 class TestIrsGain:
