@@ -222,7 +222,7 @@ def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
     result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads)
-    l_star, gain_star = _best_distance(cfg, mc, *result.series()[None], args.refine)
+    l_star, gain_star = _best_distance(cfg, mc, *result.series()[None], args.refine, args.threads)
     _emit_sweep(args, cfg, mc, result, {"l_grid": list(grid), "refined": bool(args.refine)})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)
@@ -237,7 +237,7 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     for key, typ in _KEY_TYPES.items():
         flag = _flag(key)
         if key == "ray_phases":  # --help lists it after --threads, with its choices
-            p.add_argument("--threads", type=int, default=1, help="parallel sweep-point evaluation")
+            p.add_argument("--threads", type=int, default=1, help="threads for grid points and for the run blocks of one point; never changes a bit")
             p.add_argument(flag, dest=key, choices=RAY_PHASES, help="wall-ray phase model (default: geometric)")
         else:  # of these, --help lists only --seed
             shown = key == "master_seed"

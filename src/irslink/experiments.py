@@ -7,15 +7,21 @@ x = L/2 unless the scenario pins an explicit UAV position.
 
 Every grid point is evaluated with the same master seed, so sweeps are
 deterministic and differences between points are not blurred by independent
-Monte Carlo noise.
+Monte Carlo noise.  With threads > 1 the work runs on one thread pool kept
+across calls: a grid's contiguous slices, or the run blocks of a one-point
+grid.  Results are merged in order on the calling thread, so every bit is
+that of one thread.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +38,13 @@ SWEEPABLE = {
     "f": ("f_ghz", "carrier frequency [GHz]"),
 }
 
-# the pool starts one thread per grid slice, min(threads, grid size), so a
-# large --threads on a large grid would ask the OS for that many threads
+# the pool keeps min(threads, tasks) threads, a task being a grid slice or a
+# run block, so a large --threads on a large grid or n_runs would ask the OS
+# for that many threads
 _MAX_THREADS = 256
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool): made on first need, then kept
+_pool_lock = threading.Lock()
 
 
 def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
@@ -126,22 +136,56 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         for v in spec.values:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
-    def evaluate(items):
+    def evaluate(items, map_blocks=map):
         # one batch: the wall estimates share each run block's draws, then one gain per point
-        walls = wall_power_estimates([cfg for _, _, cfg in items], spec.mc)
+        walls = wall_power_estimates([cfg for _, _, cfg in items], spec.mc, map_blocks=map_blocks)
         return [SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(items, walls)]
 
     n = min(threads, len(grid))
     if n > 1:
-        # each thread evaluates one contiguous slice, in a copy of the caller's
-        # context (numpy error state)
+        # one task per contiguous slice; each runs its batch's blocks on its own
+        # pool thread, so no pool thread waits on the pool
         slices = [grid[i * len(grid) // n:(i + 1) * len(grid) // n] for i in range(n)]
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, evaluate, part) for part in slices]
-            rows = tuple(row for f in futures for row in f.result())
+        rows = tuple(row for part in _pool_map(evaluate, slices, n) for row in part)
     else:
-        rows = tuple(evaluate(grid))
+        # one batch on this thread: its run blocks are the pool's tasks
+        rows = tuple(evaluate(grid, partial(_pool_map, threads=threads)))
     return SweepResult(rows, _sweep_metadata(spec))
+
+
+def _pool_map(fn, items, threads: int):
+    """``map(fn, items)`` for a sized ``items``: on this thread when
+    min(threads, len(items)) is 1, else as tasks of the kept pool of that many
+    threads.  Results come back in the order of ``items`` either way."""
+    global _pool
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return map(fn, items)
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            # the old pool is dropped, not shut down: a caller still using it
+            # keeps it alive until its tasks are done, and once it is garbage
+            # its idle threads exit
+            _pool = (workers, ThreadPoolExecutor(max_workers=workers))
+        pool = _pool[1]
+    return _in_order(pool, fn, items, 2 * workers)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """Yield fn(item) for each item in order, with at most ``ahead`` tasks
+    submitted and not yet yielded, so memory does not grow with len(items)."""
+    pending: collections.deque = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            # each task runs in a copy of the caller's context (numpy error state)
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:  # after an error, drop what has not started
+            future.cancel()
 
 
 def optimal_distance(
@@ -161,15 +205,18 @@ def optimal_distance(
     return _best_distance(base, mc, l_values, gains, refine)
 
 
-def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, refine: bool) -> tuple[float, float]:
+def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, refine: bool,
+                   threads: int = 1) -> tuple[float, float]:
     """The placement search on already evaluated grid gains (see optimal_distance)."""
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties
     l_star, g_star = float(l_grid[best]), gains[best]
     # The left neighbour is strictly lower because the first maximum wins, so
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
-        l_ref, f_ref = _golden_min(lambda l: -irs_gain(apply_parameter(base, "l", l), mc).gain_db,
-                                   l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
+        def loss(l):  # a one-point sweep, so its run blocks share the pool
+            return -run_sweep(SweepSpec("l", (l,), base, mc), threads).rows[0].result.gain_db
+
+        l_ref, f_ref = _golden_min(loss, l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:
             return l_ref, -f_ref
     return l_star, g_star

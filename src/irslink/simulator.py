@@ -41,8 +41,11 @@ the same operation order as the plain expressions, so the bits are those of
 the allocating form.  Each block reduces a point's powers to (count, mean, sum
 of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
 merged into that point's accumulators in run order with Chan et al.'s
-pairwise update.  The block size is a constant, so the merge order, and with
-it every bit of the result, depends only on the configs.
+pairwise update.  A block is a pure function of the batch, the controls and
+its first run (``_wall_block``), so a caller may evaluate the blocks on other
+threads; they are still merged on the calling thread, in run order.  The
+block size is a constant, so the merge order, and with it every bit of the
+result, depends only on the configs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -183,8 +187,8 @@ _CHUNK_PATHS = 1 << 15
 # generator's scratch) and the scatter points' y and z planes.  The x plane,
 # which the budget never reads (every point has x = irs_center.x), lands on
 # the budget's last row.  The workspace is per thread, not passed in, so that
-# the sweep's pool threads and the placement search reuse it across batches
-# without a parameter on irs_gain; its contents never outlive one block.
+# every thread that runs blocks (the caller's, or a kept pool's) reuses it
+# across blocks, batches and calls; its contents never outlive one block.
 _BUDGET_ROWS = 6
 _POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(9, 12)
 _local = threading.local()
@@ -245,10 +249,15 @@ def wall_power_estimates(
     cfgs: list[ScenarioConfig],
     mc: MonteCarloConfig,
     points: list[tuple[ScenarioGeometry, float, float]] | None = None,
+    map_blocks=map,
 ) -> list[WallEstimate]:
     """``wall_power_estimate`` at each of ``cfgs`` with the same Monte Carlo
     controls, in one pass over the run blocks.  ``points`` are the configs'
-    ``_point`` when the caller has already computed them."""
+    ``_point`` when the caller has already computed them.  ``map_blocks(fn,
+    firsts)`` evaluates the block function at each first run of the range
+    ``firsts`` and yields the results in that order, like the builtin ``map``
+    (which runs every block on this thread) or a pool; the blocks are merged
+    here in run order either way, so it does not move a bit."""
     scene = []  # per point: cfg, geometry without the lattice, LoS amplitude and phasor, sharing keys
     for cfg, (geom, a0, phi0) in zip(cfgs, map(_point, cfgs) if points is None else points):
         c = geom.irs_center
@@ -260,60 +269,69 @@ def wall_power_estimates(
     if mc.n_rays == 0:
         return [WallEstimate(a0 * a0, 0.0, 0.0) for _, _, a0, *_ in scene]
 
-    uniform = mc.ray_phases == RAY_PHASES_UNIFORM
-    n_pos = 2 * mc.n_rays
     block = max(1, _CHUNK_PATHS // mc.n_rays)
-    ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
-    for first in range(0, mc.n_runs, block):
-        n = min(block, mc.n_runs - first)
-        shape = (n, mc.n_rays)
-        seeds = rng.run_seeds(mc.master_seed, n, first)
-        u = rng.uniform_block(seeds, n_pos, out=_flat(ws[_POSITIONS], (n, n_pos)),
-                              scratch=_flat(ws[_BUDGET], (n, n_pos)).view(np.uint64))
-        if uniform:  # the ray phases do not depend on the point
-            cos, sin = (_flat(row, shape) for row in ws[_PHASES])
-            rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=_flat(ws[_BUDGET], shape).view(np.uint64))
-            cos *= TWO_PI
-            np.sin(cos, out=sin)
-            np.cos(cos, out=cos)
-        planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)
-        d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
+    for n, block_stats in map_blocks(partial(_wall_block, scene, mc, block), range(0, mc.n_runs, block)):
         count += n
-        mapped = computed = None  # the keys the scatter points and d1, gain were made for
-        for (cfg, geom, _, los_re, los_im, patch, bs_side), acc in zip(scene, stats):
-            if patch != mapped:
-                pts = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
-                y, z = pts[..., 1], pts[..., 2]
-                mapped = patch
-            if bs_side != computed:  # the key holds the patch too
-                _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
-                computed = bs_side
-            amps, phases = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
-            if not uniform:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
-                phases *= -TWO_PI
-                phases /= wavelength_m(cfg.f_ghz)
-                np.remainder(phases, TWO_PI, out=phases)
-            # past the budget only its results are live: d2 holds the products,
-            # and the run sums go to the leading elements of b, s and d2
-            re, im, mag = (_flat(row, (n,)) for row in (b, s, d2))
-            np.sum(np.multiply(amps, cos if uniform else np.cos(phases, out=d2), out=d2), axis=1, out=re)
-            np.sum(np.multiply(amps, sin if uniform else np.sin(phases, out=d2), out=d2), axis=1, out=im)
-            acc[2] += float(np.sum(np.hypot(re, im, out=mag)))
-            re += los_re
-            im += los_im
-            power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-
+        for acc, (block_mean, block_m2, refl) in zip(stats, block_stats):
             # Chan et al.: merge this block's (n, mean, M2) into the point's running one
-            block_mean = float(np.mean(power))
-            power -= block_mean
-            block_m2 = float(np.sum(np.square(power, out=power)))
+            acc[2] += refl
             delta = block_mean - acc[0]
             acc[0] += delta * (n / count)
             acc[1] += block_m2 + delta * delta * ((count - n) * n / count)
 
     return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count)
             for mean, m2, refl in stats]
+
+
+def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tuple[int, list]:
+    """Runs first .. first+n-1 (n = min(block, n_runs - first)) at every point
+    of ``scene``, in this thread's workspace: (n, per point (block mean, block
+    M2, block sum of |ray sum|)).  The result depends only on the arguments."""
+    n = min(block, mc.n_runs - first)
+    uniform = mc.ray_phases == RAY_PHASES_UNIFORM
+    n_pos = 2 * mc.n_rays
+    shape = (n, mc.n_rays)
+    ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
+    seeds = rng.run_seeds(mc.master_seed, n, first)
+    u = rng.uniform_block(seeds, n_pos, out=_flat(ws[_POSITIONS], (n, n_pos)),
+                          scratch=_flat(ws[_BUDGET], (n, n_pos)).view(np.uint64))
+    if uniform:  # the ray phases do not depend on the point
+        cos, sin = (_flat(row, shape) for row in ws[_PHASES])
+        rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=_flat(ws[_BUDGET], shape).view(np.uint64))
+        cos *= TWO_PI
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+    planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)
+    d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
+    mapped = computed = None  # the keys the scatter points and d1, gain were made for
+    stats = []
+    for cfg, geom, _, los_re, los_im, patch, bs_side in scene:
+        if patch != mapped:
+            pts = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
+            y, z = pts[..., 1], pts[..., 2]
+            mapped = patch
+        if bs_side != computed:  # the key holds the patch too
+            _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
+            computed = bs_side
+        amps, phases = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
+        if not uniform:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
+            phases *= -TWO_PI
+            phases /= wavelength_m(cfg.f_ghz)
+            np.remainder(phases, TWO_PI, out=phases)
+        # past the budget only its results are live: d2 holds the products,
+        # and the run sums go to the leading elements of b, s and d2
+        re, im, mag = (_flat(row, (n,)) for row in (b, s, d2))
+        np.sum(np.multiply(amps, cos if uniform else np.cos(phases, out=d2), out=d2), axis=1, out=re)
+        np.sum(np.multiply(amps, sin if uniform else np.sin(phases, out=d2), out=d2), axis=1, out=im)
+        refl = float(np.sum(np.hypot(re, im, out=mag)))
+        re += los_re
+        im += los_im
+        power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+        block_mean = float(np.mean(power))
+        power -= block_mean
+        stats.append((block_mean, float(np.sum(np.square(power, out=power))), refl))
+    return n, stats
 
 
 def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | None = None) -> GainResult:

@@ -114,6 +114,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
 
+    def test_degenerate_point_split_over_threads_is_exit_3(self, capsys):
+        # one point, three run blocks on the pool: the error of a pool task
+        # reaches the caller
+        code, out, err = run_cli(["gain", "--h-uav", "10", "--irs-rows", "1", "--irs-cols", "1", "--uav-x", "50",
+                                  "--n-runs", "4000", "--threads", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
+
     def test_non_finite_result_is_exit_3(self, capsys):
         # a vanishing carrier overflows the amplitudes: gain_db is nan
         sweep = ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "2"]
@@ -125,6 +133,14 @@ class TestExitCodes:
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:")
             assert "non-finite" in err
+
+    def test_non_finite_point_split_over_threads_is_exit_3(self, capsys):
+        # three run blocks on the pool, each in a copy of main()'s numpy error state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["gain", "--f-ghz", "1e-300", "--n-runs", "4000", "--threads", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "non-finite" in err
 
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
         # stands in for any allocation that fails inside the kernel
@@ -357,6 +373,17 @@ class TestSweepCommand:
 
 
 class TestOptimizeCommand:
+    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
+        # 2,000 runs are two run blocks: at --threads 2 the grid's slices and
+        # each golden-section point's blocks run on the pool
+        base = ["optimize", "--refine", "--ray-phases", "uniform", "--n-runs", "2000"]
+        a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        code_a, summary_a, _ = run_cli(base + ["--threads", "1", "--out", str(a)], capsys)
+        code_b, summary_b, _ = run_cli(base + ["--threads", "2", "--out", str(b)], capsys)
+        assert code_a == code_b == 0
+        assert summary_a.startswith("l_star = ") and summary_a == summary_b
+        assert a.read_bytes() == b.read_bytes()
+
     def test_single_point_grid(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["optimize", "--l-grid", "42:42:1", "--out", str(tmp_path / "o.csv")] + FAST, capsys

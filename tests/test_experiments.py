@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -186,6 +188,112 @@ class TestSweepBatches:
         assert draws == [1638] * 6 + [10_000 - 6 * 1638]
         assert patterns.count(2) == 7  # wall blocks; the lattices' are 1-D, the LoS scalar
         assert gains == [(apply_parameter(CFG, "h_uav", h), mc) for h in default_h_uav_grid()]
+
+
+def _record_block_threads(monkeypatch) -> list:
+    """Patch the wall kernel's block function to record (batch, thread) per block."""
+    calls = []
+    block = simulator._wall_block
+
+    def recorded(scene, *args):
+        calls.append((tuple(cfg for cfg, *_ in scene), threading.current_thread()))
+        return block(scene, *args)
+
+    monkeypatch.setattr(simulator, "_wall_block", recorded)
+    return calls
+
+
+class TestThreadPool:
+    def test_pool_is_kept_across_calls(self, monkeypatch):
+        # the second call's tasks run on the first call's threads (Thread
+        # objects, not idents, which the OS may hand to a new thread)
+        calls = _record_block_threads(monkeypatch)
+        spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=50))
+        run_sweep(spec, threads=2)
+        first = {thread for _, thread in calls}
+        calls.clear()
+        run_sweep(spec, threads=2)
+        assert {thread for _, thread in calls} <= first
+        assert threading.main_thread() not in first
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_slices_keep_their_blocks_on_their_own_thread(self, monkeypatch, threads):
+        # a slice's task never waits on the pool, so a multi-slice sweep with
+        # several blocks per slice cannot deadlock
+        calls = _record_block_threads(monkeypatch)
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * MC.n_rays)  # 10 blocks per batch
+        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:7]), CFG, replace(MC, n_runs=50))
+        rows = []
+        worker = threading.Thread(target=lambda: rows.extend(run_sweep(spec, threads=threads).rows), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert rows == list(run_sweep(spec, threads=1).rows)
+        threads_of = {}
+        for batch, thread in calls[:10 * threads]:
+            threads_of.setdefault(batch, set()).add(thread)
+        assert len(threads_of) == threads
+        assert all(len(ts) == 1 for ts in threads_of.values())
+        assert not set().union(*threads_of.values()) & {threading.main_thread(), worker}
+
+    def test_one_block_starts_no_thread(self, monkeypatch, capsys):
+        # workers are min(threads, blocks): 100 runs are one block
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for one block")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        before, count = set(threading.enumerate()), threading.active_count()
+        assert main(["gain", "--threads", "256", "--n-runs", "100"]) == 0
+        capsys.readouterr()
+        # a pool replaced by an earlier test may still be retiring its threads
+        assert threading.active_count() <= count and set(threading.enumerate()) <= before
+
+    def test_at_most_two_tasks_per_thread_in_flight(self, monkeypatch):
+        # blocks are submitted as results are taken, so memory is flat in n_runs
+        submitted = []
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(None)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(experiments, "_pool", None)
+        taken = 0
+        for value in experiments._pool_map(lambda x: x * x, range(100), 3):
+            assert value == taken * taken
+            taken += 1
+            assert len(submitted) - taken <= 6
+        assert len(submitted) == taken == 100
+
+    def test_concurrent_callers_share_and_replace_the_pool(self):
+        # callers that need 2 and 3 workers replace the pool under each other;
+        # a replaced pool still finishes the blocks a caller gave it
+        spec = SweepSpec("h_uav", (50.0,), CFG, replace(MC, n_runs=5000))  # 4 blocks
+        expected = run_sweep(spec, threads=1).rows
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=lambda t=t: results.extend(
+                run_sweep(spec, threads=t).rows for _ in range(3)), daemon=True) for t in (2, 3) * 4]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 24
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_best_distance_is_thread_invariant(self, refine):
+        mc = replace(MC, n_runs=2000)  # two run blocks per golden-section point
+        l_values, gains = run_sweep(SweepSpec("l", tuple(default_l_grid()), CFG, mc)).series()[None]
+        one = experiments._best_distance(CFG, mc, l_values, gains, refine, threads=1)
+        assert experiments._best_distance(CFG, mc, l_values, gains, refine, threads=2) == one
+        assert experiments._best_distance(CFG, mc, l_values, gains, refine, threads=3) == one
+        assert optimal_distance(CFG, default_l_grid(), mc, refine) == one
+        assert (one[0] in l_values) is not refine
 
 
 class TestComponentAmplitudes:

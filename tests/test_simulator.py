@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import simulator
-from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
+from irslink.experiments import SweepSpec, _pool_map, default_h_uav_grid, run_sweep
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
@@ -333,6 +334,31 @@ class TestBatches:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert sizes == [12 * 2**15 * 8]
+
+
+class TestThreads:
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        runs_per_block=st.integers(1, 12),
+        rays=st.integers(1, 9),
+        blocks=st.integers(1, 9),
+        last=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        phases=st.sampled_from(["geometric", "uniform"]),
+        batch=st.sampled_from([[CFG], [CFG, replace(CFG, h_irs_m=5.0)]]),
+    )
+    def test_block_split_is_bit_identical_at_any_thread_count(self, runs_per_block, rays, blocks, last, seed,
+                                                              phases, batch):
+        # blocks of runs_per_block runs, the last one short when last < runs_per_block;
+        # on 2 or 3 pool threads the blocks finish in any order but merge in run order
+        config = mc(runs=(blocks - 1) * runs_per_block + min(last, runs_per_block), rays=rays, seed=seed,
+                    phases=phases)
+        with mock.patch.object(simulator, "_CHUNK_PATHS", runs_per_block * rays):
+            one, two, three = (wall_power_estimates(batch, config, map_blocks=partial(_pool_map, threads=t))
+                               for t in (1, 2, 3))
+            assert one == wall_power_estimates(batch, config)
+        for est in (two, three):
+            assert [[x.hex() for x in e] for e in est] == [[x.hex() for x in e] for e in one]
 
 
 class TestIrsGain:
