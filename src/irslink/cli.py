@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except (InvalidParameterError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError as exc:  # e.g. an element lattice too large to allocate
+    except MemoryError as exc:  # an allocation this host cannot serve, reported like a bad input
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
     except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:

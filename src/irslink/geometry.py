@@ -22,40 +22,41 @@ class Position3D:
     z: float
 
 
-@dataclass(frozen=True, eq=False)  # an array field has no scalar equality
+@dataclass(frozen=True)
 class ScenarioGeometry:
     """Resolved 3D scene (see ``ScenarioConfig.geometry``): BS, UAV, reflector
-    patch centre and element lattice.
-
-    ``elements`` is a read-only (K, 3) array of element positions in lattice
-    order; K = 0 when there is no reflector.
-    """
+    patch centre and the patch half-extents (zero when there is no reflector).
+    The element coordinates are made on demand by ``element_positions``."""
 
     bs: Position3D
     uav: Position3D
     irs_center: Position3D
-    elements: np.ndarray
     patch_half_width_y: float
     patch_half_height_z: float
 
 
-def element_positions(rows: int, cols: int, pitch_m: float, center: Position3D) -> np.ndarray:
-    """Regular rows x cols lattice on the plane x = center.x, centred on ``center``.
+def element_positions(
+    rows: int, cols: int, pitch_m: float, center: Position3D, first: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, z) of elements first .. first+n-1 of a regular rows x cols
+    lattice on the plane x = center.x, centred on ``center``, row by row; like
+    a slice [first:first + n], it stops at the lattice's last element.
 
     Row n, column m (1-based) sits at
         y = center.y + (m - (cols + 1) / 2) * pitch
         z = center.z + (n - (rows + 1) / 2) * pitch
-    so the lattice centroid is exactly the patch centre.  Returns a
-    (rows * cols, 3) array, row by row.
+    so the lattice centroid is exactly the patch centre.
     """
     if rows < 1 or cols < 1:
         raise InvalidParameterError(f"element lattice needs rows >= 1 and cols >= 1, got {rows}x{cols}")
     if pitch_m <= 0:
         raise InvalidParameterError(f"element pitch must be positive, got {pitch_m}")
-    z = center.z + (np.arange(1, rows + 1) - (rows + 1) / 2.0) * pitch_m
-    y = center.y + (np.arange(1, cols + 1) - (cols + 1) / 2.0) * pitch_m
-    zz, yy = np.meshgrid(z, y, indexing="ij")
-    return np.column_stack((np.full(rows * cols, center.x), yy.ravel(), zz.ravel()))
+    if first < 0 or n < 0:
+        raise InvalidParameterError(f"element slice needs first >= 0 and n >= 0, got {first}, {n}")
+    row, col = np.divmod(np.arange(first, min(first + n, rows * cols)), cols)
+    y = center.y + (col + 1 - (cols + 1) / 2.0) * pitch_m
+    z = center.z + (row + 1 - (rows + 1) / 2.0) * pitch_m
+    return y, z
 
 
 def distance(a: Position3D, b: Position3D) -> float:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateGeometryError
-from .geometry import ScenarioGeometry, depression_angle, distance
+from .geometry import ScenarioGeometry, depression_angle, distance, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig
 
@@ -107,21 +107,16 @@ def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, 
 
 
 def _reflected_amps_phases(
-    cfg: ScenarioConfig,
-    geom: ScenarioGeometry,
-    points: np.ndarray,
-    reflection_loss_db: float,
+    cfg: ScenarioConfig, geom: ScenarioGeometry, y: np.ndarray, z: np.ndarray, reflection_loss_db: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised link budget for reflected paths through ``points`` (..., 3)
-    on the wall plane x = irs_center.x: pattern gain at the BS-to-point angle,
+    """Vectorised link budget for reflected paths through the points (y, z) of
+    the wall plane x = irs_center.x: pattern gain at the BS-to-point angle,
     PL_NLoS(d1 + d2) at the UAV height, and ``reflection_loss_db``.  Serves
     the reflector elements; the wall kernel calls its two halves itself.
 
-    Returns (amplitudes, path_lengths), both shaped like points[..., 0].
+    Returns (amplitudes, path_lengths), both shaped like y.
     """
-    shape = points.shape[:-1]
-    d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + shape)
-    y, z = points[..., 1], points[..., 2]
+    d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
     _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
     return _uav_side(cfg, geom, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
 
@@ -184,15 +179,13 @@ _CHUNK_PATHS = 1 << 15
 # the position uniforms (2 per ray), the phase uniforms (uniform mode; their
 # cos in place, then their sin), the link budget's rows (d1 and the BS-side
 # gain, then four per-point rows, the first two of which are also the
-# generator's scratch) and the scatter points' y and z planes.  The x plane,
-# which the budget never reads (every point has x = irs_center.x), lands on
-# the budget's last row.  The workspace is per thread, not passed in, so that
-# every thread that runs blocks (the caller's, or a kept pool's) reuses it
-# across blocks, batches and calls; its contents never outlive one block.
+# generator's scratch) and the scatter points' y and z planes.  The workspace
+# is per thread, not passed in, so that every thread that runs blocks (the
+# caller's, or a kept pool's) reuses it across blocks, batches and calls; its
+# contents never outlive one block.
 _BUDGET_ROWS = 6
-_POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(9, 12)
+_POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
-_NO_LATTICE = np.empty((0, 3))
 
 
 def _workspace(paths: int) -> np.ndarray:
@@ -210,28 +203,28 @@ def _flat(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
-    """Sum of the element amplitudes in sqrt-mW (0.0 for an empty lattice),
-    in slices of ``_CHUNK_PATHS`` elements so that memory beyond the lattice
-    itself stays constant."""
+    """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
+    slices of ``_CHUNK_PATHS`` elements whose coordinates are made one slice at
+    a time, so that memory is flat in k."""
     total = 0.0
-    for first in range(0, len(geom.elements), _CHUNK_PATHS):
-        amps, _ = _reflected_amps_phases(cfg, geom, geom.elements[first:first + _CHUNK_PATHS], cfg.pl_irs_db)
+    for first in range(0, cfg.k, _CHUNK_PATHS):
+        y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, geom.irs_center, first, _CHUNK_PATHS)
+        amps, _ = _reflected_amps_phases(cfg, geom, y, z, cfg.pl_irs_db)
         total += float(np.sum(amps))
     return total
 
 
 def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map uniforms u (..., n_rays, 2) to patch points (..., n_rays, 3), written
-    into ``out`` when it is given."""
+    """Map uniforms u (..., n_rays, 2) to the (y, z) planes (2, ..., n_rays) of
+    points on the patch, written into ``out`` when it is given."""
     c = geom.irs_center
-    pts = np.empty(u.shape[:-1] + (3,)) if out is None else out
-    pts[..., 0] = c.x
-    for axis, centre, half in ((1, c.y, geom.patch_half_width_y), (2, c.z, geom.patch_half_height_z)):
-        coord = np.multiply(u[..., axis - 1], 2.0, out=pts[..., axis])  # c + (2u - 1) * half
+    planes = np.empty((2,) + u.shape[:-1]) if out is None else out
+    for axis, centre, half in ((0, c.y, geom.patch_half_width_y), (1, c.z, geom.patch_half_height_z)):
+        coord = np.multiply(u[..., axis], 2.0, out=planes[axis])  # c + (2u - 1) * half
         coord -= 1.0
         coord *= half
         coord += centre
-    return pts
+    return planes
 
 
 def wall_power_estimate(
@@ -258,13 +251,11 @@ def wall_power_estimates(
     ``firsts`` and yields the results in that order, like the builtin ``map``
     (which runs every block on this thread) or a pool; the blocks are merged
     here in run order either way, so it does not move a bit."""
-    scene = []  # per point: cfg, geometry without the lattice, LoS amplitude and phasor, sharing keys
+    scene = []  # per point: cfg, geometry, LoS amplitude and phasor, sharing keys
     for cfg, (geom, a0, phi0) in zip(cfgs, map(_point, cfgs) if points is None else points):
         c = geom.irs_center
         patch = (c.y, c.z, geom.patch_half_width_y, geom.patch_half_height_z)
         bs_side = (patch, geom.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
-        # the kernel never reads the lattice: dropping it keeps memory flat in the batch size
-        geom = replace(geom, elements=_NO_LATTICE)
         scene.append((cfg, geom, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
     if mc.n_rays == 0:
         return [WallEstimate(a0 * a0, 0.0, 0.0) for _, _, a0, *_ in scene]
@@ -302,14 +293,13 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
         cos *= TWO_PI
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
-    planes = ws[_POINTS, :n * mc.n_rays].reshape(3, n, mc.n_rays)
+    planes = ws[_POINTS, :n * mc.n_rays].reshape(2, n, mc.n_rays)
     d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
     mapped = computed = None  # the keys the scatter points and d1, gain were made for
     stats = []
     for cfg, geom, _, los_re, los_im, patch, bs_side in scene:
         if patch != mapped:
-            pts = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes.transpose(1, 2, 0))
-            y, z = pts[..., 1], pts[..., 2]
+            y, z = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes)
             mapped = patch
         if bs_side != computed:  # the key holds the patch too
             _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))

@@ -10,8 +10,8 @@ built by a loop, and its own scalar splitmix64 counter generator
 in the library's link budget or generator; it shares only the data types
 (positions, the scenario config) and the error classes.
 Each function takes the config as the record its formula reads, ``antenna``
-for the pattern and ``pathloss`` for the carrier; the NLoS breakpoint height
-is its own constant.
+for the pattern, ``pathloss`` for the carrier and ``scene`` for the element
+lattice; the NLoS breakpoint height is its own constant.
 
 A coefficient is an (amplitude, phase) pair.  Amplitudes are in sqrt-milliwatt:
 link budgets are assembled in dBm and converted to the linear domain before
@@ -264,19 +264,21 @@ def _reflected_power_dbm(
 
 def element_coefficient(
     element_index: int,
-    geom: ScenarioGeometry,
+    scene: ScenarioConfig,
     antenna: ScenarioConfig,
     pathloss: ScenarioConfig,
     p_t_dbm: float,
     refl: ReflectionParams,
     phase_mode: str = PHASE_ALIGNED,
 ) -> ChannelCoefficient:
-    """Path through one reflector element.
+    """Path through element ``element_index`` of the reflector of ``scene``,
+    taken from this module's own lattice loop.
 
     "aligned" models ideal phase control: the arrival phase equals the LoS
     phase exactly.  "geometric" uses the raw propagation phase over d1 + d2.
     """
-    element = point(geom.elements[element_index])
+    geom = scene.geometry()
+    element = element_positions(scene.irs_rows, scene.irs_cols, scene.element_pitch_m, geom.irs_center)[element_index]
     p_rx, path_len = _reflected_power_dbm(element, geom, antenna, pathloss, p_t_dbm, refl.pl_irs_db)
     if phase_mode == PHASE_ALIGNED:
         phase = los_coefficient(geom, antenna, pathloss, p_t_dbm).phase

@@ -19,6 +19,7 @@ from scalar_reference import (
     combine,
     dbm_to_amplitude,
     element_coefficient,
+    element_positions,
     los_coefficient,
     wall_ray_coefficient,
     wavelength_m,
@@ -30,8 +31,12 @@ REFL = ReflectionParams()
 TWO_PI = 2.0 * math.pi
 
 
+def default_scene(rows=10, cols=10):
+    return ScenarioConfig(irs_rows=rows, irs_cols=cols)
+
+
 def default_geom(rows=10, cols=10):
-    return ScenarioConfig(irs_rows=rows, irs_cols=cols).geometry()
+    return default_scene(rows, cols).geometry()
 
 
 class TestDbmToAmplitude:
@@ -76,8 +81,7 @@ class TestLosCoefficient:
 class TestElementCoefficient:
     def test_center_element_hand_chain(self):
         # 1x1 lattice puts the element exactly at the patch centre
-        geom = default_geom(rows=1, cols=1)
-        coeff = element_coefficient(0, geom, ANT, PL2, 46.0, REFL)
+        coeff = element_coefficient(0, default_scene(rows=1, cols=1), ANT, PL2, 46.0, REFL)
         d1 = math.sqrt(50.0**2 + 15.0**2)
         d2 = math.sqrt(25.0**2 + 40.0**2)
         theta_k = math.degrees(math.atan2(15.0, 50.0))
@@ -88,28 +92,27 @@ class TestElementCoefficient:
     def test_aligned_phase_equals_los_phase_for_every_element(self):
         geom = default_geom()
         los_phase = los_coefficient(geom, ANT, PL2, 46.0).phase
-        for k in range(len(geom.elements)):
-            assert element_coefficient(k, geom, ANT, PL2, 46.0, REFL, PHASE_ALIGNED).phase == los_phase
+        for k in range(100):
+            assert element_coefficient(k, default_scene(), ANT, PL2, 46.0, REFL, PHASE_ALIGNED).phase == los_phase
 
     def test_lossless_reflection_at_wavelength_multiple(self):
         # d1 + d2 = 39 wavelengths, reflection loss zero: raw link budget, zero phase
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
-                              uav_x_m=0.15).geometry()
+        scene = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0, uav_x_m=0.15)
         refl = ReflectionParams(pl_irs_db=0.0, pl_wall_db=0.0)
-        coeff = element_coefficient(0, geom, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
+        coeff = element_coefficient(0, scene, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
         raw = 46.0 + (-20.0) - pl_nlos(5.85, 5.0, PL2)  # theta_k = 0 is in the side lobe
         assert coeff.amplitude == pytest.approx(dbm_to_amplitude(raw), rel=1e-9)
 
     def test_unknown_phase_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
-            element_coefficient(0, default_geom(), ANT, PL2, 46.0, REFL, "other")
+            element_coefficient(0, default_scene(), ANT, PL2, 46.0, REFL, "other")
 
 
 class TestWallRayCoefficient:
     def test_budget_is_element_budget_with_wall_loss(self):
         geom = default_geom(rows=1, cols=1)
-        elem = element_coefficient(0, geom, ANT, PL2, 46.0, REFL, PHASE_GEOMETRIC)
+        elem = element_coefficient(0, default_scene(rows=1, cols=1), ANT, PL2, 46.0, REFL, PHASE_GEOMETRIC)
         ray = wall_ray_coefficient(geom.irs_center, geom, ANT, PL2, 46.0, REFL)
         # 10 dB wall loss vs 1 dB surface loss: exactly 9 dB apart
         assert ray.amplitude == pytest.approx(elem.amplitude * 10.0 ** (-9.0 / 20.0), rel=1e-12)
@@ -117,10 +120,11 @@ class TestWallRayCoefficient:
 
     def test_equal_losses_reproduce_geometric_element(self):
         geom = default_geom()
+        elements = element_positions(10, 10, 0.02, geom.irs_center)
         refl = ReflectionParams(pl_irs_db=4.0, pl_wall_db=4.0)
         for k in (0, 37, 99):
-            elem = element_coefficient(k, geom, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
-            ray = wall_ray_coefficient(geom.elements[k], geom, ANT, PL2, 46.0, refl)
+            elem = element_coefficient(k, default_scene(), ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
+            ray = wall_ray_coefficient(elements[k], geom, ANT, PL2, 46.0, refl)
             assert ray.amplitude == pytest.approx(elem.amplitude, rel=1e-12)
             assert ray.phase == pytest.approx(elem.phase, rel=1e-12)
 
@@ -183,8 +187,8 @@ class TestFrequencyCovariance:
         pairs = [
             (los_coefficient(geom, ANT, PL2, 46.0), los_coefficient(geom, ANT, pl4, 46.0)),
             (
-                element_coefficient(5, geom, ANT, PL2, 46.0, REFL),
-                element_coefficient(5, geom, ANT, pl4, 46.0, REFL),
+                element_coefficient(5, default_scene(), ANT, PL2, 46.0, REFL),
+                element_coefficient(5, default_scene(), ANT, pl4, 46.0, REFL),
             ),
             (
                 wall_ray_coefficient(geom.irs_center, geom, ANT, PL2, 46.0, REFL),

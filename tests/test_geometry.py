@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import scalar_reference as ref
@@ -14,18 +16,38 @@ from irslink.simulator import _scatter_matrix
 CENTER = Position3D(50.0, 0.0, 10.0)
 
 
+def with_x(x, y, z):
+    """Points (y, z) of the wall plane x as (..., 3) rows (x, y, z)."""
+    return np.stack((np.full_like(y, x), y, z), axis=-1)
+
+
 def scatter(geom, seed, count):
     """The simulator's mapping of one run's first 2 * count draws to patch points."""
     u = uniform_block(np.array([seed], dtype=np.uint64), 2 * count).reshape(count, 2)
-    return _scatter_matrix(geom, u)
+    return with_x(geom.irs_center.x, *_scatter_matrix(geom, u))
+
+
+def lattice(rows, cols, pitch, center):
+    """The whole lattice as (K, 3) rows (x, y, z), made in one slice."""
+    return with_x(center.x, *element_positions(rows, cols, pitch, center, 0, rows * cols))
+
+
+@st.composite
+def lattice_slices(draw):
+    """(rows, cols, first, n): a lattice shape, 1 x k strips included, and a
+    slice [first:first + n] that may cross row ends and run past the end."""
+    rows = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    cols = draw(st.integers(1, 60))
+    return rows, cols, draw(st.integers(0, rows * cols)), draw(st.integers(0, rows * cols + 2))
 
 
 class TestElementPositions:
     def test_single_element_sits_at_center(self):
-        assert element_positions(1, 1, 0.02, CENTER).tolist() == [[50.0, 0.0, 10.0]]
+        y, z = element_positions(1, 1, 0.02, CENTER, 0, 1)
+        assert (y.tolist(), z.tolist()) == ([0.0], [10.0])
 
     def test_2x2_lattice_hand_values(self):
-        pts = element_positions(2, 2, 0.02, CENTER)
+        pts = lattice(2, 2, 0.02, CENTER)
         assert pts.shape == (4, 3)
         assert sorted(set(pts[:, 1])) == pytest.approx([-0.01, 0.01])
         assert sorted(set(pts[:, 2])) == pytest.approx([9.99, 10.01])
@@ -34,12 +56,36 @@ class TestElementPositions:
     @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (3, 7), (10, 10), (100, 100)])
     @pytest.mark.parametrize("pitch", [0.02, 0.0137])
     def test_matches_reference_loop_bit_for_bit(self, rows, cols, pitch):
+        # made 7 elements at a time: slices cross row ends, and the last is partial
+        # unless 7 divides rows * cols
         center = Position3D(37.5, -1.25, 12.3)
+        slices = [element_positions(rows, cols, pitch, center, first, 7) for first in range(0, rows * cols, 7)]
         loop = [[p.x, p.y, p.z] for p in ref.element_positions(rows, cols, pitch, center)]
-        assert element_positions(rows, cols, pitch, center).tolist() == loop
+        assert with_x(center.x, *(np.concatenate(planes) for planes in zip(*slices))).tolist() == loop
+
+    # any slice of any lattice against the same slice of the reference loop,
+    # bit for bit
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        shape=lattice_slices(),
+        pitch=st.one_of(st.sampled_from([0.02, 0.0137]), st.floats(1e-4, 10.0)),
+        y0=st.floats(-100.0, 100.0),
+        z0=st.floats(0.1, 300.0),
+    )
+    @example((1, 4000, 3990, 32), 0.02, -1.25, 12.3)  # the last partial slice of a strip
+    @example((3, 7, 5, 4), 0.0137, 0.0, 10.0)  # crosses the end of the first row
+    @example((7, 11, 70, 7), 0.02, 0.0, 10.0)  # the last partial slice
+    @example((100, 100, 0, 10_000), 0.0137, -1.25, 12.3)  # the whole lattice
+    def test_slice_matches_reference_loop_bit_for_bit(self, shape, pitch, y0, z0):
+        rows, cols, first, n = shape
+        center = Position3D(37.5, y0, z0)
+        y, z = element_positions(rows, cols, pitch, center, first, n)
+        loop = ref.element_positions(rows, cols, pitch, center)[first:first + n]
+        assert y.tolist() == [p.y for p in loop]
+        assert z.tolist() == [p.z for p in loop]
 
     def test_10x10_extent_and_centroid(self):
-        pts = element_positions(10, 10, 0.02, CENTER)
+        pts = lattice(10, 10, 0.02, CENTER)
         ys = pts[:, 1]
         zs = pts[:, 2]
         assert len(pts) == 100
@@ -50,11 +96,11 @@ class TestElementPositions:
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 7), (5, 10), (4, 4)])
     def test_centroid_matches_center_for_any_shape(self, rows, cols):
-        arr = element_positions(rows, cols, 0.02, CENTER)
+        arr = lattice(rows, cols, 0.02, CENTER)
         assert np.allclose(arr.mean(axis=0), [50.0, 0.0, 10.0], atol=1e-12)
 
     def test_pairwise_distinct_at_pitch(self):
-        pts = element_positions(3, 3, 0.02, CENTER)
+        pts = lattice(3, 3, 0.02, CENTER)
         assert len({(y, z) for _, y, z in pts.tolist()}) == 9
         ys = sorted(set(pts[:, 1]))
         assert np.allclose(np.diff(ys), 0.02)
@@ -62,7 +108,12 @@ class TestElementPositions:
     @pytest.mark.parametrize("rows,cols,pitch", [(0, 1, 0.02), (1, 0, 0.02), (1, 1, 0.0), (1, 1, -1.0)])
     def test_invalid_parameters(self, rows, cols, pitch):
         with pytest.raises(InvalidParameterError):
-            element_positions(rows, cols, pitch, CENTER)
+            element_positions(rows, cols, pitch, CENTER, 0, 1)
+
+    @pytest.mark.parametrize("first,n", [(-1, 1), (0, -1)])
+    def test_invalid_slice(self, first, n):
+        with pytest.raises(InvalidParameterError):
+            element_positions(2, 2, 0.02, CENTER, first, n)
 
 
 class TestDistance:
@@ -173,7 +224,12 @@ class TestScenarioGeometry:
         assert geom.bs == Position3D(0.0, 0.0, 25.0)
         assert geom.irs_center == Position3D(50.0, 0.0, 10.0)
         assert geom.uav == Position3D(25.0, 0.0, 50.0)  # midpoint default
-        assert geom.elements.shape == (100, 3)
+        assert geom.patch_half_width_y == geom.patch_half_height_z == pytest.approx(0.09)
+
+    def test_geometry_is_a_value(self):
+        # scalars only, so two resolutions of one config compare equal
+        assert _default_geom() == _default_geom()
+        assert _default_geom() != _default_geom(rows=5)
 
     def test_explicit_uav_position_overrides_midpoint(self):
         geom = ScenarioConfig(uav_x_m=10.0, uav_y_m=2.0).geometry()
@@ -183,13 +239,12 @@ class TestScenarioGeometry:
         geom = ScenarioConfig(irs_rows=5).geometry()
         assert geom.patch_half_height_z == pytest.approx(0.04)
         assert geom.patch_half_width_y == pytest.approx(0.09)
-        for e in geom.elements:
+        for e in lattice(5, 10, 0.02, geom.irs_center):
             assert ref.on_patch(geom, e)
 
     def test_empty_lattice_allowed(self):
         geom = ScenarioConfig(irs_rows=0, irs_cols=0).geometry()
-        assert geom.elements.shape == (0, 3)
-        assert geom.patch_half_width_y == 0.0
+        assert geom.patch_half_width_y == geom.patch_half_height_z == 0.0
 
     def test_bad_heights_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from irslink import simulator
 from irslink.experiments import SweepSpec, _pool_map, default_h_uav_grid, run_sweep
+from irslink.geometry import element_positions
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
@@ -43,11 +44,16 @@ def gamma_irs(cfg):
     return irs_gain(cfg, mc(runs=1)).gamma_irs
 
 
-def pin_scatter_points(monkeypatch, points):
-    """Make every Monte Carlo run use the same scatter points (rows of ``points``)."""
-    fixed = np.asarray(points, dtype=float)
+def lattice_slice(cfg, n):
+    """The (y, z) of cfg's first n reflector elements."""
+    return element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, cfg.geometry().irs_center, 0, n)
+
+
+def pin_scatter_points(monkeypatch, y, z):
+    """Make every Monte Carlo run use the same scatter points (y[i], z[i])."""
+    fixed = np.stack((y, z))[:, None, :]
     monkeypatch.setattr(
-        simulator, "_scatter_matrix", lambda geom, u, out=None: np.broadcast_to(fixed, u.shape[:-1] + (3,))
+        simulator, "_scatter_matrix", lambda geom, u, out=None: np.broadcast_to(fixed, (2,) + u.shape[:-1])
     )
 
 
@@ -58,8 +64,8 @@ def one_shot_estimate(cfg, config):
     geom = cfg.geometry()
     a0, phi0 = simulator._los_amp_phase(cfg, geom)
     seeds = run_seeds(config.master_seed, n)
-    pts = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
-    amps, path_len = simulator._reflected_amps_phases(cfg, geom, pts, cfg.pl_wall_db)
+    y, z = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    amps, path_len = simulator._reflected_amps_phases(cfg, geom, y, z, cfg.pl_wall_db)
     if config.ray_phases == "uniform":
         phases = TWO_PI * uniform_block(seeds, rays, first_draw=2 * rays)
     else:
@@ -119,10 +125,11 @@ class TestLinkBudgetOracle:
         geom = cfg.geometry()
         seeds = run_seeds(7, 300)
         rays = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * 20).reshape(300, 20, 2))
-        for points, loss in ((geom.elements, cfg.pl_irs_db), (rays, cfg.pl_wall_db)):
-            amps, path_len = simulator._reflected_amps_phases(cfg, geom, points, loss)
+        for (y, z), loss in ((lattice_slice(cfg, cfg.k), cfg.pl_irs_db), (rays, cfg.pl_wall_db)):
+            amps, path_len = simulator._reflected_amps_phases(cfg, geom, y, z, loss)
+            points = np.stack((np.full_like(y, geom.irs_center.x), y, z), axis=-1)
             ref_amps, ref_len = vector_form_budget(cfg, geom, points, loss)
-            assert amps.shape == ref_amps.shape == points.shape[:-1]
+            assert amps.shape == ref_amps.shape == y.shape
             assert np.array_equal(amps, ref_amps)
             assert np.array_equal(path_len, ref_len)
 
@@ -139,7 +146,7 @@ class TestIrsAmplitude:
         geom = CFG.geometry()
         los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         total = los.amplitude + sum(
-            element_coefficient(k, geom, CFG, CFG, CFG.p_t_dbm, REFL).amplitude
+            element_coefficient(k, CFG, CFG, CFG, CFG.p_t_dbm, REFL).amplitude
             for k in range(100)
         )
         assert gamma_irs(CFG) == pytest.approx(total, rel=1e-12)
@@ -148,9 +155,8 @@ class TestIrsAmplitude:
         # patch is small relative to the path lengths, so the brute-force sum
         # stays within 0.1% of 100x the centre-element amplitude
         centre = replace(CFG, irs_rows=1, irs_cols=1)
-        geom_c = centre.geometry()
         centre_amp = element_coefficient(
-            0, geom_c, CFG, CFG, CFG.p_t_dbm, REFL
+            0, centre, CFG, CFG, CFG.p_t_dbm, REFL
         ).amplitude
         total = gamma_irs(CFG) - irs_gain(CFG, mc(runs=1)).los_amplitude
         assert total == pytest.approx(100.0 * centre_amp, rel=1e-3)
@@ -167,16 +173,17 @@ class TestIrsAmplitude:
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7)  # 15 slices, the last holds 2 elements
         assert gamma_irs(CFG) == pytest.approx(whole, rel=1e-12)
 
-    def test_element_sum_memory_is_the_lattice_plus_one_slice(self):
-        # 250,000 elements: a 6 MB lattice; summed in one piece the link
-        # budget's temporaries would add ~128 bytes per element
+    def test_element_sum_memory_is_flat_in_k(self):
+        # 4,000,000 elements: a (K, 3) lattice alone would take 92 MiB (with it
+        # the peak was 183 MiB); made and summed one 2**15-element slice at a
+        # time they peak at about 3.5 MiB, whatever k
         tracemalloc.start()
         try:
-            irs_gain(replace(CFG, irs_rows=500, irs_cols=500), mc(runs=100, rays=1))
+            irs_gain(replace(CFG, irs_rows=2000, irs_cols=2000), mc(runs=100, rays=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestWallPowerEstimate:
@@ -240,8 +247,7 @@ class TestWallPowerEstimate:
         assert est.mean_power_mw == pytest.approx(np.mean(per_run_reference_powers(cfg, config)), rel=1e-12)
 
     def test_fixed_scatter_points_freeze_the_geometry(self, monkeypatch):
-        geom = CFG.geometry()
-        pin_scatter_points(monkeypatch, geom.elements[:20])
+        pin_scatter_points(monkeypatch, *lattice_slice(CFG, 20))
         est = wall_power_estimate(CFG, mc(runs=50))
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
         # and across blocks: 7 runs per block, the last one holds a single run
@@ -322,7 +328,7 @@ class TestBatches:
     def test_workspace_has_the_rows_of_the_one_point_kernel(self):
         # 12 rows of 2**15 float64 (3 MiB) per thread, as before batches: the
         # phase cos and sin rows are paid for by drawing positions and phases
-        # apart and by putting the unread x plane on a budget row
+        # apart and by mapping scatter points to their (y, z) planes alone
         sizes = []
 
         def first_call_in_a_thread():
@@ -390,11 +396,11 @@ class TestIrsGain:
         # phases on both sides: numerator and denominator coincide
         cfg = replace(CFG, pl_wall_db=CFG.pl_irs_db)
         geom = cfg.geometry()
-        pin_scatter_points(monkeypatch, geom.elements)
+        pin_scatter_points(monkeypatch, *lattice_slice(cfg, cfg.k))
         est = wall_power_estimate(cfg, mc(runs=10, rays=100))
         refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
         coeffs = [los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)] + [
-            element_coefficient(k, geom, cfg, cfg, cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
+            element_coefficient(k, cfg, cfg, cfg, cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
             for k in range(100)
         ]
         assert 10.0 * math.log10(combine(coeffs) ** 2 / est.mean_power_mw) == pytest.approx(0.0, abs=1e-9)
