@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
-from .simulator import GainResult, irs_gain, wall_power_estimates
+from .simulator import GainResult, _point, irs_gain, wall_power_estimates
 
 # sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
 SWEEPABLE = {
@@ -137,9 +137,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
     def evaluate(items, map_blocks=map):
-        # one batch: the wall estimates share each run block's draws, then one gain per point
-        walls = wall_power_estimates([cfg for _, _, cfg in items], spec.mc, map_blocks=map_blocks)
-        return [SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(items, walls)]
+        # one batch: each point's scene and LoS budget resolved once, the wall
+        # estimates sharing each run block's draws, then one gain per point
+        cfgs = [cfg for _, _, cfg in items]
+        points = [_point(cfg) for cfg in cfgs]
+        walls = wall_power_estimates(cfgs, spec.mc, points, map_blocks)
+        return [SweepRow(v, ov, irs_gain(cfg, spec.mc, wall, point))
+                for (v, ov, cfg), wall, point in zip(items, walls, points)]
 
     n = min(threads, len(grid))
     if n > 1:

@@ -18,6 +18,11 @@ Draw layout within run r (seeded by rng.run_seeds(master_seed, 1, r)):
 Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
 
+A ray's phase is taken in turns, -d/lambda or its phase uniform, reduced to
+[-1/2, 1/2] by subtracting its nearest integer (exact in floating point) and
+only then scaled to radians, so cos and sin see [-pi, pi].  Amplitudes
+10^(p/20) are computed as exp(p ln(10)/20).
+
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
 memory does not grow with ``n_runs``.  ``wall_power_estimates`` evaluates a
@@ -68,14 +73,21 @@ SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss m
 
 TWO_PI = 2.0 * math.pi
 
+# 10^(p/20) = exp(p * ln(10)/20): numpy's float64 exp has a SIMD loop, while
+# its power calls libm element by element
+_DB_TO_LN_AMPLITUDE = math.log(10.0) / 20.0
+
 
 def wavelength_m(f_ghz: float) -> float:
     return SPEED_OF_LIGHT / (f_ghz * 1e9)
 
 
 def dbm_to_amplitude(p_dbm):
-    """sqrt of the linear power: sqrt(10^(p/10)) mW^0.5, for scalars or arrays."""
-    return 10.0 ** (p_dbm / 20.0)
+    """sqrt of the linear power: sqrt(10^(p/10)) = exp(p ln(10)/20) mW^0.5, a
+    float for a scalar, else an array."""
+    if np.ndim(p_dbm) == 0:
+        return math.exp(p_dbm * _DB_TO_LN_AMPLITUDE)
+    return np.exp(np.multiply(p_dbm, _DB_TO_LN_AMPLITUDE))
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,7 @@ def _uav_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, refle
     np.add(d1, d2, out=s)
     np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=b), out=amps)
     amps -= reflection_loss_db
-    np.power(10.0, np.divide(amps, 20.0, out=amps), out=amps)  # dbm_to_amplitude
+    np.exp(np.multiply(amps, _DB_TO_LN_AMPLITUDE, out=amps), out=amps)  # dbm_to_amplitude
     return amps, s
 
 
@@ -290,6 +302,7 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
     if uniform:  # the ray phases do not depend on the point
         cos, sin = (_flat(row, shape) for row in ws[_PHASES])
         rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=_flat(ws[_BUDGET], shape).view(np.uint64))
+        cos -= np.rint(cos, out=sin)  # u in turns, to [-1/2, 1/2] (exact), so cos and sin see [-pi, pi]
         cos *= TWO_PI
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
@@ -305,10 +318,10 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
             _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
             computed = bs_side
         amps, phases = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
-        if not uniform:  # (-2 pi d / lambda) mod 2 pi, over the path lengths in place
-            phases *= -TWO_PI
-            phases /= wavelength_m(cfg.f_ghz)
-            np.remainder(phases, TWO_PI, out=phases)
+        if not uniform:  # -d / lambda turns, to [-1/2, 1/2] (exact), then radians, in place
+            phases /= -wavelength_m(cfg.f_ghz)
+            phases -= np.rint(phases, out=d2)
+            phases *= TWO_PI
         # past the budget only its results are live: d2 holds the products,
         # and the run sums go to the leading elements of b, s and d2
         re, im, mag = (_flat(row, (n,)) for row in (b, s, d2))
@@ -324,10 +337,17 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
     return n, stats
 
 
-def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | None = None) -> GainResult:
+def irs_gain(
+    cfg: ScenarioConfig,
+    mc: MonteCarloConfig,
+    wall: WallEstimate | None = None,
+    point: tuple[ScenarioGeometry, float, float] | None = None,
+) -> GainResult:
     """Full gain evaluation at one scenario point; ``wall`` is its baseline
-    estimate when a batch (``wall_power_estimates``) has already made it."""
-    point = _point(cfg)
+    estimate when a batch (``wall_power_estimates``) has already made it, and
+    ``point`` is ``_point(cfg)`` when the caller has already computed it."""
+    if point is None:
+        point = _point(cfg)
     geom, a0, _ = point
     irs_sum = _irs_sum(cfg, geom)
     gamma = a0 + irs_sum

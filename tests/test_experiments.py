@@ -189,6 +189,16 @@ class TestSweepBatches:
         assert patterns.count(2) == 7  # wall blocks; the lattices' are 1-D, the LoS scalar
         assert gains == [(apply_parameter(CFG, "h_uav", h), mc) for h in default_h_uav_grid()]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_point_builds_one_geometry(self, monkeypatch, threads):
+        # the batch and the gain share one resolved scene and LoS budget per point
+        built = []
+        geometry = ScenarioConfig.geometry
+        monkeypatch.setattr(ScenarioConfig, "geometry", lambda cfg: built.append(cfg.h_uav_m) or geometry(cfg))
+        grid = tuple(default_h_uav_grid())
+        run_sweep(SweepSpec("h_uav", grid, CFG, replace(MC, n_runs=50)), threads=threads)
+        assert sorted(built) == list(grid)
+
 
 def _record_block_threads(monkeypatch) -> list:
     """Patch the wall kernel's block function to record (batch, thread) per block."""
@@ -205,16 +215,18 @@ def _record_block_threads(monkeypatch) -> list:
 
 class TestThreadPool:
     def test_pool_is_kept_across_calls(self, monkeypatch):
-        # the second call's tasks run on the first call's threads (Thread
-        # objects, not idents, which the OS may hand to a new thread)
+        # the second call uses the first call's pool, and every block runs on
+        # one of its threads (Thread objects, not idents, which the OS may hand
+        # to a new thread).  The pool starts its threads lazily, so the first
+        # call may have run both slices on one of them.
         calls = _record_block_threads(monkeypatch)
         spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=50))
         run_sweep(spec, threads=2)
-        first = {thread for _, thread in calls}
-        calls.clear()
+        pool = experiments._pool
         run_sweep(spec, threads=2)
-        assert {thread for _, thread in calls} <= first
-        assert threading.main_thread() not in first
+        assert experiments._pool is pool
+        assert len(calls) == 4 and {thread for _, thread in calls} <= pool[1]._threads  # a block per slice
+        assert threading.main_thread() not in pool[1]._threads
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_slices_keep_their_blocks_on_their_own_thread(self, monkeypatch, threads):
@@ -346,7 +358,7 @@ class TestOptimalDistance:
         # gain rises up to L = 50 and is flat beyond: no bracket, no golden step
         calls = []
 
-        def plateau(cfg, mc, wall=None):
+        def plateau(cfg, mc, wall=None, point=None):
             calls.append(cfg.l_m)
             return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
 
@@ -355,7 +367,7 @@ class TestOptimalDistance:
         assert calls == [40.0, 50.0, 60.0]
 
     def test_refinement_errors_propagate(self, monkeypatch):
-        def on_grid_only(cfg, mc, wall=None):
+        def on_grid_only(cfg, mc, wall=None, point=None):
             if cfg.l_m % 5:
                 raise DegenerateGeometryError("off-grid L")
             return SimpleNamespace(gain_db=-abs(cfg.l_m - 52.0))
@@ -388,9 +400,9 @@ def test_default_grids():
 def _count_gain_calls(monkeypatch) -> list:
     calls = []
 
-    def counted(cfg, mc, wall=None):
+    def counted(cfg, mc, wall=None, point=None):
         calls.append(cfg.l_m)
-        return irs_gain(cfg, mc, wall)
+        return irs_gain(cfg, mc, wall, point)
 
     monkeypatch.setattr(experiments, "irs_gain", counted)
     return calls

@@ -1,7 +1,9 @@
+import itertools
 import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from irslink import simulator
 from irslink.experiments import SweepSpec, _pool_map, default_h_uav_grid, run_sweep
-from irslink.geometry import element_positions
+from irslink.geometry import distance, element_positions
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
@@ -92,6 +94,33 @@ def per_run_reference_powers(cfg, config):
             rays = [ChannelCoefficient(c.amplitude, float(TWO_PI * ui) % TWO_PI) for c, ui in zip(rays, u)]
         powers.append(combine([los] + rays) ** 2)
     return powers
+
+
+def exact_phase_mean_power(cfg, config):
+    """The mean baseline power with every phase reduced exactly: the kernel's
+    own float path lengths (and uniforms) taken to turns as ``Fraction``s,
+    reduced modulo one turn, and only then rounded to float for cos and sin.
+    The LoS path is reduced the same way."""
+    n, rays = config.n_runs, config.n_rays
+    geom = cfg.geometry()
+    lam = Fraction(simulator.wavelength_m(cfg.f_ghz))
+
+    def phasor(turns):  # exp(2 pi i turns)
+        phase = TWO_PI * float(turns - math.floor(turns))
+        return complex(math.cos(phase), math.sin(phase))
+
+    a0, _ = simulator._los_amp_phase(cfg, geom)
+    los = a0 * phasor(-Fraction(distance(geom.bs, geom.uav)) / lam)
+    seeds = run_seeds(config.master_seed, n)
+    y, z = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    amps, path_len = simulator._reflected_amps_phases(cfg, geom, y, z, cfg.pl_wall_db)
+    if config.ray_phases == "uniform":
+        turns = [[Fraction(u) for u in row] for row in uniform_block(seeds, rays, first_draw=2 * rays).tolist()]
+    else:
+        turns = [[-Fraction(d) / lam for d in row] for row in path_len.tolist()]
+    powers = [abs(los + sum(a * phasor(t) for a, t in zip(run_amps, run_turns))) ** 2
+              for run_amps, run_turns in zip(amps.tolist(), turns)]
+    return math.fsum(powers) / n
 
 
 def vector_form_budget(cfg, geom, points, reflection_loss_db):
@@ -308,6 +337,20 @@ class TestWallPowerEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestPhaseAccuracy:
+    # carriers 2 to 40 GHz, near and far walls, both NLoS branches; at 40 GHz
+    # the paths are 10,000 to 60,000 wavelengths long.  A float32 cos and sin
+    # is off by 4e-10 to 4e-9 here.  abs=0: the powers are 5e-9 to 1e-2 mW,
+    # where approx's default abs of 1e-12 would be the looser bound
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("f_ghz,l_m,h_uav", list(itertools.product((2.0, 28.0, 40.0), (50.0, 150.0), (20.0, 300.0))))
+    def test_mean_power_matches_exact_phase_reduction(self, f_ghz, l_m, h_uav, phases):
+        cfg = replace(CFG, f_ghz=f_ghz, l_m=l_m, h_uav_m=h_uav, irs_rows=40, irs_cols=40)
+        config = mc(runs=200, rays=20, phases=phases)
+        est = wall_power_estimate(cfg, config)
+        assert est.mean_power_mw == pytest.approx(exact_phase_mean_power(cfg, config), rel=1e-10, abs=0.0)
 
 
 class TestBatches:
