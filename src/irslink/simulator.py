@@ -18,10 +18,22 @@ Draw layout within run r (seeded by rng.run_seeds(master_seed, 1, r)):
 Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
 
-A ray's phase is taken in turns, -d/lambda or its phase uniform, reduced to
-[-1/2, 1/2] by subtracting its nearest integer (exact in floating point) and
-only then scaled to radians, so cos and sin see [-pi, pi].  Amplitudes
-10^(p/20) are computed as exp(p ln(10)/20).
+A ray's phase t is taken in turns, -d/lambda or its phase uniform, and
+reduced to [-1/2, 1/2] by subtracting its nearest integer (exact in floating
+point).  Its cos and sin are made from numpy's multiply, add and rint alone,
+which round correctly on every SIMD target, so unlike libm's cos and sin they
+give the same bits everywhere.  ``_quarter_turn`` folds t to the nearest half
+turn: q = rint(2t) in {-1, 0, 1} and u = t - q/2 in [-1/4, 1/4], exact
+(Sterbenz).  Then cos 2 pi t = (1 - 2q^2) C(u^2) and sin 2 pi t =
+(1 - 2q^2) u S(u^2), where C and S are degree-8 polynomials (``_COS_TURNS``,
+``_SIN_TURNS``) with 2 pi folded into their coefficients, within 3.3e-16 of
+the exact values.  In uniform mode the block's cos and sin are made once, in
+place in the two phase rows.  In geometric mode they are made per point in
+the link budget's four point rows: the path length row s turns into t and
+then u, d2 holds q, then the sign 1 - 2q^2 (folded into the amplitudes in c,
+so the polynomials need no sign), then u^2, and b accumulates u S and then C,
+each multiplied by the amplitudes and summed over the rays before the next
+is made.  Amplitudes 10^(p/20) are computed as exp(p ln(10)/20).
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
@@ -188,10 +200,11 @@ def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
 _CHUNK_PATHS = 1 << 15
 
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
-# the position uniforms (2 per ray), the phase uniforms (uniform mode; their
-# cos in place, then their sin), the link budget's rows (d1 and the BS-side
-# gain, then four per-point rows, the first two of which are also the
-# generator's scratch) and the scatter points' y and z planes.  The workspace
+# the position uniforms (2 per ray), the phase rows (uniform mode only: the
+# phase uniforms, then their cos in place and their sin beside them), the
+# link budget's rows (d1 and the BS-side gain, then four per-point rows d2,
+# b, s and c, the first two of which are also the generator's scratch and the
+# uniform phasor stage's) and the scatter points' y and z planes.  The workspace
 # is per thread, not passed in, so that every thread that runs blocks (the
 # caller's, or a kept pool's) reuses it across blocks, batches and calls; its
 # contents never outlive one block.
@@ -212,6 +225,41 @@ def _workspace(paths: int) -> np.ndarray:
 def _flat(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The leading elements of consecutive workspace rows, viewed as ``shape``."""
     return rows.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+# cos(2 pi u) = C(u^2) and sin(2 pi u) = u S(u^2) for |u| <= 1/4, lowest
+# power first: the Chebyshev fits of degree 8 in x = u^2 on [0, 1/16], made by
+# mpmath.chebyfit(f, [0, 1/16], 9) at 50 digits and rounded to float.  With
+# the rounding of numpy's float64 evaluation they are within 3.3e-16 of the
+# exact values; degree 7 would not be within 1e-15.
+_COS_TURNS = (1.0, -19.739208802178705, 64.93939402266395, -85.45681720598061, 60.24464131316041,
+              -26.426254066690255, 7.903462492085097, -1.7132184107005932, 0.2719458494999813)
+_SIN_TURNS = (6.283185307179586, -41.341702240399755, 81.60524927607362, -76.70585975282492, 42.058693925428685,
+              -15.0946416761179, 3.8199280942271643, -0.7177337921413454, 0.10089695501646812)
+
+
+def _quarter_turn(t: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Fold phases ``t`` in turns, in [-1/2, 1/2], to the nearest half turn:
+    with q = rint(2t) in {-1, 0, 1}, ``t`` becomes u = t - q/2 in [-1/4, 1/4]
+    in place (exact by Sterbenz's lemma) and ``sign`` gets 1 - 2q^2, so that
+    cos 2 pi t = sign C(u^2) and sin 2 pi t = sign u S(u^2).  Returns ``sign``."""
+    half = np.rint(np.add(t, t, out=sign), out=sign)
+    half *= 0.5
+    t -= half
+    np.square(half, out=sign)  # q^2 / 4
+    sign *= -8.0
+    sign += 1.0
+    return sign
+
+
+def _poly(x: np.ndarray, coeffs: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule, written into ``out`` (not ``x``)."""
+    np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
+    for coeff in coeffs[-3::-1]:
+        out *= x
+        out += coeff
+    return out
 
 
 def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
@@ -299,15 +347,16 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
     seeds = rng.run_seeds(mc.master_seed, n, first)
     u = rng.uniform_block(seeds, n_pos, out=_flat(ws[_POSITIONS], (n, n_pos)),
                           scratch=_flat(ws[_BUDGET], (n, n_pos)).view(np.uint64))
+    d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
     if uniform:  # the ray phases do not depend on the point
         cos, sin = (_flat(row, shape) for row in ws[_PHASES])
-        rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=_flat(ws[_BUDGET], shape).view(np.uint64))
-        cos -= np.rint(cos, out=sin)  # u in turns, to [-1/2, 1/2] (exact), so cos and sin see [-pi, pi]
-        cos *= TWO_PI
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
+        rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=d1.view(np.uint64))
+        cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
+        sign = _quarter_turn(cos, d2)
+        x = np.square(cos, out=b)
+        np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
+        np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
     planes = ws[_POINTS, :n * mc.n_rays].reshape(2, n, mc.n_rays)
-    d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
     mapped = computed = None  # the keys the scatter points and d1, gain were made for
     stats = []
     for cfg, geom, _, los_re, los_im, patch, bs_side in scene:
@@ -317,16 +366,20 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
         if bs_side != computed:  # the key holds the patch too
             _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
             computed = bs_side
-        amps, phases = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
-        if not uniform:  # -d / lambda turns, to [-1/2, 1/2] (exact), then radians, in place
-            phases /= -wavelength_m(cfg.f_ghz)
-            phases -= np.rint(phases, out=d2)
-            phases *= TWO_PI
-        # past the budget only its results are live: d2 holds the products,
-        # and the run sums go to the leading elements of b, s and d2
-        re, im, mag = (_flat(row, (n,)) for row in (b, s, d2))
-        np.sum(np.multiply(amps, cos if uniform else np.cos(phases, out=d2), out=d2), axis=1, out=re)
-        np.sum(np.multiply(amps, sin if uniform else np.sin(phases, out=d2), out=d2), axis=1, out=im)
+        amps, turns = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
+        # b holds the products; each run sum goes to the leading elements of a
+        # row that is dead by then: im to s, re to d2, |ray sum| to b
+        re, im, mag = (_flat(row, (n,)) for row in (d2, s, b))
+        if uniform:
+            np.sum(np.multiply(amps, sin, out=b), axis=1, out=im)
+            np.sum(np.multiply(amps, cos, out=b), axis=1, out=re)
+        else:  # -d / lambda turns, to [-1/2, 1/2] (exact), in place
+            turns /= -wavelength_m(cfg.f_ghz)
+            turns -= np.rint(turns, out=d2)
+            amps *= _quarter_turn(turns, d2)
+            x = np.square(turns, out=d2)
+            np.sum(np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=b), turns, out=b), amps, out=b), axis=1, out=im)
+            np.sum(np.multiply(_poly(x, _COS_TURNS, out=b), amps, out=b), axis=1, out=re)
         refl = float(np.sum(np.hypot(re, im, out=mag)))
         re += los_re
         im += los_im

@@ -42,13 +42,13 @@ def default_geom(rows=10, cols=10):
 class TestDbmToAmplitude:
     def test_reference_points(self):
         assert dbm_to_amplitude(0.0) == 1.0
-        assert dbm_to_amplitude(20.0) == pytest.approx(10.0, rel=1e-12)
-        assert dbm_to_amplitude(-42.1) == pytest.approx(0.007852356346100719, rel=1e-12)
+        assert dbm_to_amplitude(20.0) == pytest.approx(10.0, rel=1e-12, abs=0.0)
+        assert dbm_to_amplitude(-42.1) == pytest.approx(0.007852356346100719, rel=1e-12, abs=0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for p in rng.uniform(-120, 60, 200):
-            assert 20.0 * math.log10(dbm_to_amplitude(p)) == pytest.approx(p, rel=1e-9)
+            assert 20.0 * math.log10(dbm_to_amplitude(p)) == pytest.approx(p, rel=1e-9, abs=0.0)
 
     def test_strictly_increasing(self):
         assert dbm_to_amplitude(-50.0) < dbm_to_amplitude(-49.9)
@@ -61,9 +61,9 @@ class TestLosCoefficient:
         coeff = los_coefficient(geom, ANT, PL2, 46.0)
         d = 25.0 * math.sqrt(2.0)
         expected_p = 46.0 - 20.0 - pl_los(d, PL2)
-        assert expected_p == pytest.approx(-42.086610056368244, rel=1e-12)
-        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(expected_p), rel=1e-12)
-        assert coeff.phase == pytest.approx((-TWO_PI * d / 0.15) % TWO_PI, rel=1e-9)
+        assert expected_p == pytest.approx(-42.086610056368244, rel=1e-12, abs=0.0)
+        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(expected_p), rel=1e-12, abs=0.0)
+        assert coeff.phase == pytest.approx((-TWO_PI * d / 0.15) % TWO_PI, rel=1e-9, abs=0.0)
 
     def test_wavelength_multiple_gives_zero_phase(self):
         # colinear scene: path length 39 wavelengths at 2 GHz
@@ -86,8 +86,8 @@ class TestElementCoefficient:
         d2 = math.sqrt(25.0**2 + 40.0**2)
         theta_k = math.degrees(math.atan2(15.0, 50.0))
         expected_p = 46.0 - 12.0 * ((theta_k - 15.0) / 10.0) ** 2 - pl_nlos(d1 + d2, 50.0, PL2) - 1.0
-        assert expected_p == pytest.approx(-44.42988373244507, rel=1e-12)
-        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(expected_p), rel=1e-12)
+        assert expected_p == pytest.approx(-44.42988373244507, rel=1e-12, abs=0.0)
+        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(expected_p), rel=1e-12, abs=0.0)
 
     def test_aligned_phase_equals_los_phase_for_every_element(self):
         geom = default_geom()
@@ -102,7 +102,7 @@ class TestElementCoefficient:
         coeff = element_coefficient(0, scene, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
         raw = 46.0 + (-20.0) - pl_nlos(5.85, 5.0, PL2)  # theta_k = 0 is in the side lobe
-        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(raw), rel=1e-9)
+        assert coeff.amplitude == pytest.approx(dbm_to_amplitude(raw), rel=1e-9, abs=0.0)
 
     def test_unknown_phase_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -115,7 +115,7 @@ class TestWallRayCoefficient:
         elem = element_coefficient(0, default_scene(rows=1, cols=1), ANT, PL2, 46.0, REFL, PHASE_GEOMETRIC)
         ray = wall_ray_coefficient(geom.irs_center, geom, ANT, PL2, 46.0, REFL)
         # 10 dB wall loss vs 1 dB surface loss: exactly 9 dB apart
-        assert ray.amplitude == pytest.approx(elem.amplitude * 10.0 ** (-9.0 / 20.0), rel=1e-12)
+        assert ray.amplitude == pytest.approx(elem.amplitude * 10.0 ** (-9.0 / 20.0), rel=1e-12, abs=0.0)
         assert ray.phase == elem.phase
 
     def test_equal_losses_reproduce_geometric_element(self):
@@ -125,8 +125,8 @@ class TestWallRayCoefficient:
         for k in (0, 37, 99):
             elem = element_coefficient(k, default_scene(), ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
             ray = wall_ray_coefficient(elements[k], geom, ANT, PL2, 46.0, refl)
-            assert ray.amplitude == pytest.approx(elem.amplitude, rel=1e-12)
-            assert ray.phase == pytest.approx(elem.phase, rel=1e-12)
+            assert ray.amplitude == pytest.approx(elem.amplitude, rel=1e-12, abs=0.0)
+            assert ray.phase == pytest.approx(elem.phase, rel=1e-12, abs=0.0)
 
     def test_half_wavelength_offset_flips_phase(self):
         # second scatter point solved so its path is lambda/2 longer
@@ -160,7 +160,7 @@ class TestCombine:
 
     def test_quadrature_pair(self):
         got = combine([ChannelCoefficient(3.0, 0.0), ChannelCoefficient(4.0, math.pi / 2.0)])
-        assert got == pytest.approx(5.0, rel=1e-12)
+        assert got == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
     def test_never_exceeds_amplitude_sum(self):
         rng = np.random.default_rng(17)
@@ -172,7 +172,7 @@ class TestCombine:
 
     def test_identical_phases_add_linearly(self):
         coeffs = [ChannelCoefficient(a, 1.3) for a in (0.5, 1.5, 2.25)]
-        assert combine(coeffs) == pytest.approx(4.25, rel=1e-12)
+        assert combine(coeffs) == pytest.approx(4.25, rel=1e-12, abs=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -196,7 +196,7 @@ class TestFrequencyCovariance:
             ),
         ]
         for low, high in pairs:
-            assert high.amplitude / low.amplitude == pytest.approx(0.5, rel=1e-12)
+            assert high.amplitude / low.amplitude == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 class TestValidation:

@@ -121,7 +121,8 @@ class TestDistance:
         assert distance(Position3D(0, 0, 0), Position3D(3, 4, 0)) == 5.0
 
     def test_bs_to_wall_center(self):
-        assert distance(Position3D(0, 0, 25), Position3D(50, 0, 10)) == pytest.approx(52.20153254455275, rel=1e-12)
+        d = distance(Position3D(0, 0, 25), Position3D(50, 0, 10))
+        assert d == pytest.approx(52.20153254455275, rel=1e-12, abs=0.0)
 
     def test_identity(self):
         p = Position3D(1.5, -2.0, 7.0)
@@ -138,7 +139,7 @@ class TestDistance:
 class TestDepressionAngle:
     def test_bs_to_wall_center(self):
         got = depression_angle(Position3D(0, 0, 25), Position3D(50, 0, 10))
-        assert got == pytest.approx(math.degrees(math.atan2(15.0, 50.0)), rel=1e-12)
+        assert got == pytest.approx(math.degrees(math.atan2(15.0, 50.0)), rel=1e-12, abs=0.0)
         assert got == pytest.approx(16.6992, abs=1e-4)
 
     def test_target_above_is_negative(self):
@@ -157,7 +158,7 @@ class TestDepressionAngle:
             dx, dy, dz = rng.uniform(0.5, 30, 3)
             up = depression_angle(frm, Position3D(dx, dy, 40 + dz))
             down = depression_angle(frm, Position3D(dx, dy, 40 - dz))
-            assert up == pytest.approx(-down, rel=1e-12)
+            assert up == pytest.approx(-down, rel=1e-12, abs=0.0)
 
     def test_coincident_points_raise(self):
         p = Position3D(1, 2, 3)

@@ -25,7 +25,7 @@ class TestVerticalGain:
     def test_even_about_downtilt(self):
         rng = np.random.default_rng(1)
         for x in rng.uniform(0, 60, 100):
-            assert vertical_gain(15.0 + x, ANT) == pytest.approx(vertical_gain(15.0 - x, ANT), rel=1e-12)
+            assert vertical_gain(15.0 + x, ANT) == pytest.approx(vertical_gain(15.0 - x, ANT), rel=1e-12, abs=0.0)
 
     def test_floor_reached_at_edge_angle(self):
         # pattern hits -SLA exactly theta3db*sqrt(SLA/12) off boresight
@@ -52,8 +52,8 @@ class TestEffectiveTxPower:
         # depression angle of the default BS-to-wall-centre ray
         theta = math.degrees(math.atan2(15.0, 50.0))
         expected = 46.0 - 12.0 * ((theta - 15.0) / 10.0) ** 2
-        assert effective_tx_power(46.0, theta, ANT) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(45.653508283988735, rel=1e-12)
+        assert effective_tx_power(46.0, theta, ANT) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert expected == pytest.approx(45.653508283988735, rel=1e-12, abs=0.0)
 
     def test_never_exceeds_pt_nor_drops_below_pt_minus_sla(self):
         for theta in np.linspace(-90, 90, 181):
@@ -69,7 +69,7 @@ class TestPlLos:
         assert pl_los(100.0, PL2) == pytest.approx(78.0205999133, abs=1e-9)
 
     def test_default_los_distance(self):
-        assert pl_los(math.sqrt(2 * 25.0**2), PL2) == pytest.approx(68.08661005636824, rel=1e-12)
+        assert pl_los(math.sqrt(2 * 25.0**2), PL2) == pytest.approx(68.08661005636824, rel=1e-12, abs=0.0)
 
     def test_strictly_increasing_in_d_and_f(self):
         d = np.linspace(1.0, 500.0, 200)
@@ -89,7 +89,7 @@ class TestPlNlos:
         assert pl_nlos(100.0, 20.0, PL2) == pytest.approx(86.6205999133, abs=1e-9)
 
     def test_high_receiver_uses_pl1(self):
-        assert pl_nlos(100.0, 50.0, PL2) == pytest.approx(89.17679203862403, rel=1e-12)
+        assert pl_nlos(100.0, 50.0, PL2) == pytest.approx(89.17679203862403, rel=1e-12, abs=0.0)
 
     def test_los_clamp_binds_at_short_distance(self):
         # at 1 m PL_0 = 8.46 dB, so max() returns the LoS value
@@ -117,14 +117,14 @@ class TestPlNlos:
 class TestSegmentComposition:
     def test_bs_to_element_equals_nlos(self):
         assert pl_bs_to_element(52.2015, 50.0, PL2) == pl_nlos(52.2015, 50.0, PL2)
-        assert pl_bs_to_element(1.0, 50.0, PL2) == pytest.approx(20.9623720993283, rel=1e-12)
+        assert pl_bs_to_element(1.0, 50.0, PL2) == pytest.approx(20.9623720993283, rel=1e-12, abs=0.0)
 
     def test_second_segment_hand_values(self):
         d1 = math.sqrt(2725.0)
         d2 = math.sqrt(2225.0)
         expected = pl_nlos(d1 + d2, 50.0, PL2) - pl_nlos(d1, 50.0, PL2)
         assert pl_element_to_uav(d1, d2, 50.0, PL2) == pytest.approx(expected, abs=1e-12)
-        assert pl_element_to_uav(50.0, 50.0, 50.0, PL2) == pytest.approx(10.26729326927358, rel=1e-10)
+        assert pl_element_to_uav(50.0, 50.0, 50.0, PL2) == pytest.approx(10.26729326927358, rel=1e-10, abs=0.0)
 
     def test_vanishing_second_segment(self):
         assert pl_element_to_uav(80.0, 1e-12, 50.0, PL2) == pytest.approx(0.0, abs=1e-9)
