@@ -80,6 +80,10 @@ class ScenarioConfig:
             raise InvalidParameterError(f"h_uav_m must be in [{low:g}, {high:g}] m, got {self.h_uav_m}")
         if self.h_irs_m > self.h_bs_m:  # the reflector is mounted below the BS mast top
             raise InvalidParameterError(f"h_irs_m must be <= h_bs_m = {self.h_bs_m}, got {self.h_irs_m}")
+        # a UAV behind the wall plane x = l_m sees no reflection off its front;
+        # one on the plane is valid here, and the kernel rejects a coincidence
+        if self.uav_x_m is not None and self.uav_x_m > self.l_m:
+            raise InvalidParameterError(f"uav_x_m must be <= l_m = {self.l_m}, got {self.uav_x_m}")
 
     @property
     def k(self) -> int:

@@ -31,9 +31,18 @@ the exact values.  In uniform mode the block's cos and sin are made once, in
 place in the two phase rows.  In geometric mode they are made per point in
 the link budget's four point rows: the path length row s turns into t and
 then u, d2 holds q, then the sign 1 - 2q^2 (folded into the amplitudes in c,
-so the polynomials need no sign), then u^2, and b accumulates u S and then C,
-each multiplied by the amplitudes and summed over the rays before the next
-is made.  Amplitudes 10^(p/20) are computed as exp(p ln(10)/20).
+so the polynomials need no sign), then u^2, and b holds u S and then C.  Each
+per-run phasor sum, the amplitudes times a sin or cos row summed over a run's
+rays, is one ``einsum("ij,ij->i")`` contraction, with no product row written;
+einsum gives the same bits on every SIMD target.  Amplitudes 10^(p/20) are
+computed as exp(p ln(10)/20).
+
+The BS-to-point angle needs the horizontal distance sqrt(dx^2 + dy^2): it is
+the root of the partial sum from which d1 = sqrt((dy^2 + dx^2) + dz^2) is
+built, and the angle goes to degrees by one multiply by 180/pi, so neither
+libm's hypot nor np.degrees (each several times slower than numpy's SIMD
+sqrt and multiply) runs per path.  A run's ``|sum of rays|`` is likewise
+sqrt(re^2 + im^2).
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
@@ -89,6 +98,8 @@ TWO_PI = 2.0 * math.pi
 # its power calls libm element by element
 _DB_TO_LN_AMPLITUDE = math.log(10.0) / 20.0
 
+_RAD_TO_DEG = 180.0 / math.pi  # the factor np.degrees multiplies by
+
 
 def wavelength_m(f_ghz: float) -> float:
     return SPEED_OF_LIGHT / (f_ghz * 1e9)
@@ -141,25 +152,30 @@ def _reflected_amps_phases(
     Returns (amplitudes, path_lengths), both shaped like y.
     """
     d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
-    _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
+    _bs_side(cfg, geom, y, z, d1, gain, (b, c))
     return _uav_side(cfg, geom, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
 
 
 def _bs_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, work) -> None:
     """The BS half of the budget for points (y, z) on the wall plane: writes the
     BS-to-point distance into ``d1`` and p_t + G(angle) into ``gain``.  ``work``
-    is three scratch arrays of the points' shape."""
-    a, b, c = work
+    is two scratch arrays of the points' shape."""
+    b, c = work
     bs, dx1 = geom.bs, geom.irs_center.x - geom.bs.x  # every point has x = irs_center.x
-    # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum
-    np.square(np.subtract(y, bs.y, out=a), out=d1)  # a keeps dy1 for the angle
+    # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum; the
+    # horizontal distance is the root of its partial sum, numpy's SIMD sqrt in
+    # place of libm's hypot element by element
+    np.square(np.subtract(y, bs.y, out=d1), out=d1)
     d1 += dx1 * dx1
+    np.sqrt(d1, out=c)
     np.square(np.subtract(z, bs.z, out=b), out=b)
     d1 += b
     np.sqrt(d1, out=d1)
     if not d1.all():
         raise DegenerateGeometryError("reflection point coincides with BS or UAV")
-    theta = np.degrees(np.arctan2(np.subtract(bs.z, z, out=b), np.hypot(dx1, a, out=c), out=b), out=b)
+    # the angle in degrees by one multiply, the same bits as np.degrees at a
+    # fifth of its time
+    theta = np.multiply(np.arctan2(np.subtract(bs.z, z, out=b), c, out=b), _RAD_TO_DEG, out=b)
     vertical_gain(theta, cfg, out=gain, scratch=theta)
     gain += cfg.p_t_dbm
 
@@ -364,23 +380,26 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
             y, z = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes)
             mapped = patch
         if bs_side != computed:  # the key holds the patch too
-            _bs_side(cfg, geom, y, z, d1, gain, (d2, b, c))
+            _bs_side(cfg, geom, y, z, d1, gain, (b, c))
             computed = bs_side
         amps, turns = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
-        # b holds the products; each run sum goes to the leading elements of a
-        # row that is dead by then: im to s, re to d2, |ray sum| to b
-        re, im, mag = (_flat(row, (n,)) for row in (d2, s, b))
+        # each run sum is one einsum contraction into the leading elements of a
+        # row that is dead by then: im to s, re to d2; |ray sum| goes to b, with
+        # the amplitude row c (dead after the sums) as its scratch
+        re, im, mag, im2 = (_flat(row, (n,)) for row in (d2, s, b, c))
         if uniform:
-            np.sum(np.multiply(amps, sin, out=b), axis=1, out=im)
-            np.sum(np.multiply(amps, cos, out=b), axis=1, out=re)
+            np.einsum("ij,ij->i", amps, sin, out=im)
+            np.einsum("ij,ij->i", amps, cos, out=re)
         else:  # -d / lambda turns, to [-1/2, 1/2] (exact), in place
             turns /= -wavelength_m(cfg.f_ghz)
             turns -= np.rint(turns, out=d2)
             amps *= _quarter_turn(turns, d2)
             x = np.square(turns, out=d2)
-            np.sum(np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=b), turns, out=b), amps, out=b), axis=1, out=im)
-            np.sum(np.multiply(_poly(x, _COS_TURNS, out=b), amps, out=b), axis=1, out=re)
-        refl = float(np.sum(np.hypot(re, im, out=mag)))
+            np.einsum("ij,ij->i", np.multiply(_poly(x, _SIN_TURNS, out=b), turns, out=b), amps, out=im)
+            np.einsum("ij,ij->i", _poly(x, _COS_TURNS, out=b), amps, out=re)
+        np.square(re, out=mag)  # sqrt(re^2 + im^2): numpy's SIMD sqrt, not libm's hypot
+        mag += np.square(im, out=im2)
+        refl = float(np.sum(np.sqrt(mag, out=mag)))
         re += los_re
         im += los_im
         power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)

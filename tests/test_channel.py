@@ -66,8 +66,9 @@ class TestLosCoefficient:
         assert coeff.phase == pytest.approx((-TWO_PI * d / 0.15) % TWO_PI, rel=1e-9, abs=0.0)
 
     def test_wavelength_multiple_gives_zero_phase(self):
-        # colinear scene: path length 39 wavelengths at 2 GHz
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+        # colinear scene: path length 39 wavelengths at 2 GHz, the UAV in front
+        # of the wall
+        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=6.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
                               uav_x_m=5.85).geometry()
         coeff = los_coefficient(geom, ANT, PL2, 46.0)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8

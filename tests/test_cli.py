@@ -227,6 +227,22 @@ class TestExitCodes:
         code, _, _ = run_cli(["gain", "--h-irs", "25"] + FAST, capsys)
         assert code == 0
 
+    def test_uav_behind_the_wall_is_exit_2(self, capsys):
+        # the wall stands at x = 50 m: a UAV at 80 m sees no reflection off its front
+        code, out, err = run_cli(["gain", "--uav-x", "80"] + FAST, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "uav_x_m" in err
+
+    def test_sweep_with_walls_in_front_of_the_uav_is_exit_2(self, tmp_path, capsys):
+        # the base point (L = 100 m) is valid, but the default L grid starts at
+        # 10 m, before the UAV at 60 m: rejected before any point is evaluated
+        out_csv = tmp_path / "l.csv"
+        code, out, err = run_cli(["sweep", "--sweep", "l", "--l", "100", "--uav-x", "60", "--out", str(out_csv)]
+                                 + FAST, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "uav_x_m" in err
+        assert not out_csv.exists()
+
 
 class TestGainCommand:
     def test_header_and_single_row(self, capsys):

@@ -147,7 +147,7 @@ def vector_form_budget(cfg, geom, points, reflection_loss_db):
     v2 = uav - points
     d1 = np.sqrt(np.sum(v1 * v1, axis=-1))
     d2 = np.sqrt(np.sum(v2 * v2, axis=-1))
-    theta = np.degrees(np.arctan2(bs[2] - points[..., 2], np.hypot(v1[..., 0], v1[..., 1])))
+    theta = np.degrees(np.arctan2(bs[2] - points[..., 2], np.sqrt(v1[..., 1] * v1[..., 1] + v1[..., 0] * v1[..., 0])))
     p_rx = (
         cfg.p_t_dbm
         + vertical_gain(theta, cfg)
@@ -435,6 +435,59 @@ class TestPhasorTrig:
         ws[simulator._PHASES] = -7.0
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=3000))
         assert (ws[simulator._PHASES] == -7.0).all()
+
+
+def scalar_bs_gain(cfg, geom, y, z):
+    """p_t + G(angle) at one wall-plane point (y, z), its angle from libm's
+    hypot, atan2 and degrees, one value at a time: (gain, angle in degrees)."""
+    bs = geom.bs
+    theta = math.degrees(math.atan2(bs.z - z, math.hypot(geom.irs_center.x - bs.x, y - bs.y)))
+    return cfg.p_t_dbm + vertical_gain(theta, cfg), theta
+
+
+class TestBsSideAngle:
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_kernel_calls_no_hypot_or_degrees(self, monkeypatch, phases):
+        calls = []
+        for name in ("hypot", "degrees"):
+            monkeypatch.setattr(np, name, partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), getattr(np, name)))
+        wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=100, phases=phases))
+        simulator._irs_sum(CFG, CFG.geometry())
+        assert calls == []
+
+    # a 20 m patch 30 m from the BS spans the down-tilted main lobe and the
+    # side-lobe floor on both sides of it; the default patch and a near wall
+    @pytest.mark.parametrize("cfg", [
+        replace(CFG, l_m=30.0, irs_rows=200, irs_cols=200, element_pitch_m=0.1),
+        CFG,
+        replace(CFG, l_m=10.0, irs_rows=40, irs_cols=40),
+    ])
+    def test_bs_side_gain_matches_scalar_libm_within_its_roundings(self, cfg):
+        geom = cfg.geometry()
+        y, z = lattice_slice(cfg, min(cfg.k, 2**15))
+        d1, gain, b, c = np.empty((4,) + y.shape)
+        simulator._bs_side(cfg, geom, y, z, d1, gain, (b, c))
+        ref, theta = map(np.array, zip(*(scalar_bs_gain(cfg, geom, yi, zi) for yi, zi in zip(y.tolist(), z.tolist()))))
+        # The bound counts roundings, u = eps / 2 each.  The kernel's horizontal
+        # distance rounds dy^2, dx^2, their sum and the root: 2.5 u relative at
+        # first order (the root halves its argument's 3 u and adds u), against
+        # math.hypot's 1 ulp (2 u).  atan2(dz, h) moves by at most half the
+        # relative change of h, since |dz h / (dz^2 + h^2)| <= 1/2.  numpy's
+        # arctan2 is within 4 ulp (8 u; on AVX-512 it is SVML's, documented at
+        # 4 ulp), libm's atan2 within 1 ulp (2 u), and each side's product by
+        # 180/pi rounds once more (u).
+        u = np.finfo(float).eps / 2
+        d_theta = 0.5 * (2.5 + 2.0) * u * math.degrees(1.0) + (8.0 + 2.0 + 2.0 * 1.0) * u * np.abs(theta)
+        # G = -min(12 dev^2, SLA) with dev = (theta - tilt) / theta3dB has slope
+        # 24 |dev| / theta3dB below the floor.  Each side rounds dev twice (2 u)
+        # and 12 dev dev twice more (6 u of G in all), then adding p_t (u of the
+        # gain).
+        dev = np.abs(theta - cfg.theta_etilt_deg) / cfg.theta3db_deg + d_theta / cfg.theta3db_deg
+        g = np.minimum(12.0 * dev * dev, cfg.sla_db)
+        bound = 24.0 * dev / cfg.theta3db_deg * d_theta + 2.0 * (6.0 * u * g + u * np.abs(ref))
+        assert (np.abs(gain - ref) <= bound).all()
+        if cfg.l_m == 30.0:  # both regimes are on the grid
+            assert (ref > cfg.p_t_dbm - cfg.sla_db).any() and (ref == cfg.p_t_dbm - cfg.sla_db).any()
 
 
 class TestBatches:
