@@ -11,7 +11,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import Position3D, ScenarioGeometry, depression_angle, distance, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
-from .simulator import GainResult, dbm_to_amplitude, irs_gain, wall_power_estimate
+from .simulator import GainResult, dbm_to_amplitude, irs_gain
 from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "pl_nlos",
     "run_sweep",
     "vertical_gain",
-    "wall_power_estimate",
 ]

@@ -154,7 +154,7 @@ def _result_cells(res) -> str:
 
 
 def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: dict) -> None:
-    """Write a command's CSV, manifest and (with --svg) plot, once every cell is checked."""
+    """Write a command's plot (with --svg), then its CSV and manifest, once every cell is checked."""
     parameter, overlay = result.metadata["parameter"], result.metadata["overlay_parameter"]
     lines = [("param,overlay," if overlay else "param,") + _HEADER_BASE]
     for row in result.rows:
@@ -173,6 +173,12 @@ def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: 
         "config": asdict(cfg),
         **extra,
     }
+    if args.svg:  # first, so that a failed plot write leaves no results behind
+        label = SWEEPABLE[parameter][1]
+        series = [(f"{overlay.replace('_', '-')}={_fmt(ov)}" if overlay else "gain", xs, gains)
+                  for ov, (xs, gains) in result.series().items()]
+        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(render_line_plot(series, label, "gain [dB]", title=f"gain vs {label}"))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
@@ -182,12 +188,6 @@ def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: 
     else:
         sys.stdout.write(csv_text)
         sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
-    if args.svg:
-        label = SWEEPABLE[parameter][1]
-        series = [(f"{overlay.replace('_', '-')}={_fmt(ov)}" if overlay else "gain", xs, gains)
-                  for ov, (xs, gains) in result.series().items()]
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_line_plot(series, label, "gain [dB]", title=f"gain vs {label}"))
 
 
 def cmd_gain(args) -> int:
@@ -237,7 +237,7 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     for key, typ in _KEY_TYPES.items():
         flag = _flag(key)
         if key == "ray_phases":  # --help lists it after --threads, with its choices
-            p.add_argument("--threads", type=int, default=1, help="threads for grid points and for the run blocks of one point; never changes a bit")
+            p.add_argument("--threads", type=int, default=1, help="threads for the run blocks of a sweep's one batch; never changes a bit")
             p.add_argument(flag, dest=key, choices=RAY_PHASES, help="wall-ray phase model (default: geometric)")
         else:  # of these, --help lists only --seed
             shown = key == "master_seed"
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an allocation this host cannot serve, reported like a bad input
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
-    except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:
+    except (DegenerateGeometryError, ArithmeticError) as exc:  # overflow, division by zero, non-finite cells
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -7,10 +7,10 @@ x = L/2 unless the scenario pins an explicit UAV position.
 
 Every grid point is evaluated with the same master seed, so sweeps are
 deterministic and differences between points are not blurred by independent
-Monte Carlo noise.  With threads > 1 the work runs on one thread pool kept
-across calls: a grid's contiguous slices, or the run blocks of a one-point
-grid.  Results are merged in order on the calling thread, so every bit is
-that of one thread.
+Monte Carlo noise.  A sweep is one batch: every point, overlays included,
+shares each run block's draws.  With threads > 1 the batch's run blocks are
+the tasks of one thread pool kept across calls; they are merged in run order
+on the calling thread, so every bit is that of one thread.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ SWEEPABLE = {
     "f": ("f_ghz", "carrier frequency [GHz]"),
 }
 
-# the pool keeps min(threads, tasks) threads, a task being a grid slice or a
-# run block, so a large --threads on a large grid or n_runs would ask the OS
-# for that many threads
+# the pool keeps min(threads, tasks) threads, a task being a run block, so a
+# large --threads on a large n_runs would ask the OS for that many threads
 _MAX_THREADS = 256
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool): made on first need, then kept
@@ -136,24 +135,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         for v in spec.values:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
-    def evaluate(items, map_blocks=map):
-        # one batch: each point's scene and LoS budget resolved once, the wall
-        # estimates sharing each run block's draws, then one gain per point
-        cfgs = [cfg for _, _, cfg in items]
-        points = [_point(cfg) for cfg in cfgs]
-        walls = wall_power_estimates(cfgs, spec.mc, points, map_blocks)
-        return [SweepRow(v, ov, irs_gain(cfg, spec.mc, wall, point))
-                for (v, ov, cfg), wall, point in zip(items, walls, points)]
-
-    n = min(threads, len(grid))
-    if n > 1:
-        # one task per contiguous slice; each runs its batch's blocks on its own
-        # pool thread, so no pool thread waits on the pool
-        slices = [grid[i * len(grid) // n:(i + 1) * len(grid) // n] for i in range(n)]
-        rows = tuple(row for part in _pool_map(evaluate, slices, n) for row in part)
-    else:
-        # one batch on this thread: its run blocks are the pool's tasks
-        rows = tuple(evaluate(grid, partial(_pool_map, threads=threads)))
+    # one batch: each point's scene and LoS budget resolved once, the wall
+    # estimates sharing each run block (a pool task), then one gain per point
+    cfgs = [cfg for _, _, cfg in grid]
+    points = [_point(cfg) for cfg in cfgs]
+    walls = wall_power_estimates(cfgs, spec.mc, points, partial(_pool_map, threads=threads))
+    rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall, point))
+                 for (v, ov, cfg), wall, point in zip(grid, walls, points))
     return SweepResult(rows, _sweep_metadata(spec))
 
 

@@ -46,10 +46,11 @@ sqrt(re^2 + im^2).
 
 Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
-memory does not grow with ``n_runs``.  ``wall_power_estimates`` evaluates a
-batch of points that share one MonteCarloConfig (a sweep's grid, or one
-point) in one loop: the blocks are outermost and the points inner, so each
-block is drawn once for the whole batch.  Within a block the batch shares
+memory does not grow with ``n_runs``.  ``wall_power_estimates``, the one
+entry point to the kernel, evaluates a batch of points that share one
+MonteCarloConfig (a sweep's whole grid, or one point) in one loop: the
+blocks are outermost and the points inner, so each block is drawn once for
+the whole batch.  Within a block the batch shares
   - the uniforms, and in uniform mode the cos and sin of the ray phases;
   - the scatter points, remapped only when a point's patch (centre y and z,
     half sizes) differs from the previous point's;
@@ -69,9 +70,9 @@ of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
 merged into that point's accumulators in run order with Chan et al.'s
 pairwise update.  A block is a pure function of the batch, the controls and
 its first run (``_wall_block``), so a caller may evaluate the blocks on other
-threads; they are still merged on the calling thread, in run order.  The
-block size is a constant, so the merge order, and with it every bit of the
-result, depends only on the configs.
+threads, as a sweep does at threads > 1; they are still merged on the calling
+thread, in run order.  The block size is a constant, so the merge order, and
+with it every bit of the result, depends only on the configs.
 """
 
 from __future__ import annotations
@@ -303,30 +304,20 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | Non
     return planes
 
 
-def wall_power_estimate(
-    cfg: ScenarioConfig,
-    mc: MonteCarloConfig,
-    point: tuple[ScenarioGeometry, float, float] | None = None,
-) -> WallEstimate:
-    """Mean and standard error of the baseline received power over ``n_runs``:
-    a batch of one.  ``point`` is ``_point(cfg)`` when the caller has already
-    computed it."""
-    return wall_power_estimates([cfg], mc, None if point is None else [point])[0]
-
-
 def wall_power_estimates(
     cfgs: list[ScenarioConfig],
     mc: MonteCarloConfig,
     points: list[tuple[ScenarioGeometry, float, float]] | None = None,
     map_blocks=map,
 ) -> list[WallEstimate]:
-    """``wall_power_estimate`` at each of ``cfgs`` with the same Monte Carlo
-    controls, in one pass over the run blocks.  ``points`` are the configs'
-    ``_point`` when the caller has already computed them.  ``map_blocks(fn,
-    firsts)`` evaluates the block function at each first run of the range
-    ``firsts`` and yields the results in that order, like the builtin ``map``
-    (which runs every block on this thread) or a pool; the blocks are merged
-    here in run order either way, so it does not move a bit."""
+    """Mean and standard error of the baseline received power over ``n_runs``
+    at each of ``cfgs`` with the same Monte Carlo controls, in one pass over
+    the run blocks.  ``points`` are the configs' ``_point`` when the caller
+    has already computed them.  ``map_blocks(fn, firsts)`` evaluates the block
+    function at each first run of the range ``firsts`` and yields the results
+    in that order, like the builtin ``map`` (which runs every block on this
+    thread) or a pool; the blocks are merged here in run order either way, so
+    it does not move a bit."""
     scene = []  # per point: cfg, geometry, LoS amplitude and phasor, sharing keys
     for cfg, (geom, a0, phi0) in zip(cfgs, map(_point, cfgs) if points is None else points):
         c = geom.irs_center
@@ -424,7 +415,7 @@ def irs_gain(
     irs_sum = _irs_sum(cfg, geom)
     gamma = a0 + irs_sum
     if wall is None:
-        wall = wall_power_estimate(cfg, mc, point)
+        wall = wall_power_estimates([cfg], mc, [point])[0]
     gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(

@@ -108,7 +108,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_degenerate_point_in_a_sweep_is_exit_3(self, phases, threads, capsys):
         # a one-element patch in front of the UAV at 10 m: the wall rays of
-        # that point end on the UAV, whichever batch slice it falls in
+        # that point end on the UAV, at any thread count
         code, out, err = run_cli(["sweep", "--sweep", "h-uav", "--values", "9:11:1", "--irs-rows", "1", "--irs-cols",
                                   "1", "--uav-x", "50", "--ray-phases", phases, "--threads", threads] + FAST, capsys)
         assert (code, out) == (3, "")
@@ -141,6 +141,32 @@ class TestExitCodes:
             code, out, err = run_cli(["gain", "--f-ghz", "1e-300", "--n-runs", "4000", "--threads", "2"], capsys)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gain", "--l", "1e160"],  # the path lengths' squares overflow
+        ["gain", "--uav-y", "1e160"],
+        ["gain", "--h-bs", "1e300"],
+        ["sweep", "--sweep", "l", "--values", "1e300:1e300:1"],
+        ["gain", "--p-t-dbm", "1e4"],  # the LoS amplitude's exp overflows
+    ])
+    def test_overflow_is_exit_3(self, argv, tmp_path, capsys):
+        out_csv = tmp_path / "out.csv"
+        for extra in ([], ["--out", str(out_csv)]):
+            code, out, err = run_cli(argv + FAST + extra, capsys)
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_svg_write_leaves_no_results(self, tmp_path, capsys):
+        # the plot is written first, so a failed plot write leaves no CSV,
+        # manifest or stdout behind
+        out_csv = tmp_path / "out.csv"
+        sweep = ["sweep", "--sweep", "h-uav", "--values", "20:30:5", "--svg", str(tmp_path / "missing" / "x.svg")]
+        for extra in ([], ["--out", str(out_csv)]):
+            code, out, err = run_cli(sweep + FAST + extra, capsys)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
         # stands in for any allocation that fails inside the kernel
@@ -305,7 +331,7 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):
-        base = ["sweep", "--sweep", "h-uav", "--values", "20:60:10"] + FAST
+        base = ["sweep", "--sweep", "h-uav", "--values", "20:60:10", "--n-runs", "5000"]  # 4 run blocks
         a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
         run_cli(base + ["--threads", "1", "--out", str(a)], capsys)
         run_cli(base + ["--threads", "4", "--out", str(b)], capsys)
@@ -390,8 +416,8 @@ class TestSweepCommand:
 
 class TestOptimizeCommand:
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):
-        # 2,000 runs are two run blocks: at --threads 2 the grid's slices and
-        # each golden-section point's blocks run on the pool
+        # 2,000 runs are two run blocks: at --threads 2 the grid's and each
+        # golden-section point's blocks run on the pool
         base = ["optimize", "--refine", "--ray-phases", "uniform", "--n-runs", "2000"]
         a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
         code_a, summary_a, _ = run_cli(base + ["--threads", "1", "--out", str(a)], capsys)

@@ -76,7 +76,7 @@ class TestRunSweep:
         assert run_sweep(spec) == run_sweep(spec)
 
     def test_threads_do_not_change_results(self):
-        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:6]), CFG, MC)
+        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:6]), CFG, replace(MC, n_runs=5000))  # 4 blocks
         assert run_sweep(spec, threads=4).rows == run_sweep(spec, threads=1).rows
 
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
@@ -94,7 +94,8 @@ class TestRunSweep:
         parameter, values = sweep
         mc = MonteCarloConfig(n_runs=runs, master_seed=seed, ray_phases=phases)
         spec = SweepSpec(parameter, tuple(sorted(values)), CFG, mc)
-        assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
+        with mock.patch.object(simulator, "_CHUNK_PATHS", 16 * mc.n_rays):  # up to 19 blocks on the pool
+            assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
 
     def test_metadata_records_k_factorisations(self):
         spec = SweepSpec("k", (25, 50), CFG, MC)
@@ -172,22 +173,34 @@ class TestSweepBatches:
                     cfg = apply_parameter(cfg, spec.overlay_parameter, row.overlay_value)
                 assert row.result == irs_gain(apply_parameter(cfg, spec.parameter, row.value), spec.mc)
 
-    def test_default_sweep_draws_each_block_once(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_default_sweep_draws_each_block_once(self, monkeypatch, threads):
         # 10,000 runs of 20 rays are 7 blocks of 1,638 runs: one draw and one
-        # array pattern evaluation per block for the whole 23-point sweep,
-        # and still one gain call per point with (cfg, mc) first
-        draws, patterns, gains = [], [], []
+        # array pattern evaluation per block for the whole 23-point sweep at
+        # any thread count, every pool task a block, and still one gain call
+        # per point with (cfg, mc) first
+        draws, patterns, gains, tasks = [], [], [], []
         uniform_block, vertical_gain, gain = rng.uniform_block, simulator.vertical_gain, experiments.irs_gain
         monkeypatch.setattr(rng, "uniform_block", lambda *a, **k: draws.append(a[0].size) or uniform_block(*a, **k))
         monkeypatch.setattr(simulator, "vertical_gain",
                             lambda theta, *a, **k: patterns.append(np.ndim(theta)) or vertical_gain(theta, *a, **k))
         monkeypatch.setattr(experiments, "irs_gain", lambda *a: gains.append(a[:2]) or gain(*a))
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):  # fn is a context's run, args[0] the task
+                tasks.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(experiments, "_pool", None)
         mc = MonteCarloConfig()
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, mc)
-        run_sweep(spec, threads=1)
-        assert draws == [1638] * 6 + [10_000 - 6 * 1638]
+        run_sweep(spec, threads=threads)
+        assert sorted(draws) == sorted([1638] * 6 + [10_000 - 6 * 1638])  # blocks finish in any order
         assert patterns.count(2) == 7  # wall blocks; the lattices' are 1-D, the LoS scalar
         assert gains == [(apply_parameter(CFG, "h_uav", h), mc) for h in default_h_uav_grid()]
+        assert len(tasks) == (7 if threads > 1 else 0)
+        assert all(task.func is simulator._wall_block for task in tasks)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_point_builds_one_geometry(self, monkeypatch, threads):
@@ -201,16 +214,12 @@ class TestSweepBatches:
 
 
 def _record_block_threads(monkeypatch) -> list:
-    """Patch the wall kernel's block function to record (batch, thread) per block."""
-    calls = []
+    """Patch the wall kernel's block function to record the thread of each block."""
+    threads = []
     block = simulator._wall_block
-
-    def recorded(scene, *args):
-        calls.append((tuple(cfg for cfg, *_ in scene), threading.current_thread()))
-        return block(scene, *args)
-
-    monkeypatch.setattr(simulator, "_wall_block", recorded)
-    return calls
+    monkeypatch.setattr(simulator, "_wall_block",
+                        lambda *args: threads.append(threading.current_thread()) or block(*args))
+    return threads
 
 
 class TestThreadPool:
@@ -218,21 +227,21 @@ class TestThreadPool:
         # the second call uses the first call's pool, and every block runs on
         # one of its threads (Thread objects, not idents, which the OS may hand
         # to a new thread).  The pool starts its threads lazily, so the first
-        # call may have run both slices on one of them.
-        calls = _record_block_threads(monkeypatch)
-        spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=50))
+        # call may have run both blocks on one of them.
+        threads = _record_block_threads(monkeypatch)
+        spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=2000))  # 2 blocks
         run_sweep(spec, threads=2)
         pool = experiments._pool
         run_sweep(spec, threads=2)
         assert experiments._pool is pool
-        assert len(calls) == 4 and {thread for _, thread in calls} <= pool[1]._threads  # a block per slice
+        assert len(threads) == 4 and set(threads) <= pool[1]._threads  # 2 blocks per call
         assert threading.main_thread() not in pool[1]._threads
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_slices_keep_their_blocks_on_their_own_thread(self, monkeypatch, threads):
-        # a slice's task never waits on the pool, so a multi-slice sweep with
-        # several blocks per slice cannot deadlock
-        calls = _record_block_threads(monkeypatch)
+    def test_sweep_started_off_the_main_thread_finishes(self, monkeypatch, threads):
+        # a sweep's blocks are the pool's only tasks and none waits on the
+        # pool, so a sweep of many blocks started from a thread that is not
+        # main cannot deadlock, and gives the rows of one thread
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * MC.n_rays)  # 10 blocks per batch
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:7]), CFG, replace(MC, n_runs=50))
         rows = []
@@ -241,12 +250,6 @@ class TestThreadPool:
         worker.join(timeout=60)
         assert not worker.is_alive()
         assert rows == list(run_sweep(spec, threads=1).rows)
-        threads_of = {}
-        for batch, thread in calls[:10 * threads]:
-            threads_of.setdefault(batch, set()).add(thread)
-        assert len(threads_of) == threads
-        assert all(len(ts) == 1 for ts in threads_of.values())
-        assert not set().union(*threads_of.values()) & {threading.main_thread(), worker}
 
     def test_one_block_starts_no_thread(self, monkeypatch, capsys):
         # workers are min(threads, blocks): 100 runs are one block

@@ -19,7 +19,7 @@ from irslink.geometry import Position3D, distance, element_positions
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, ScenarioConfig
-from irslink.simulator import irs_gain, wall_power_estimate, wall_power_estimates
+from irslink.simulator import irs_gain, wall_power_estimates
 from scalar_reference import (
     PHASE_GEOMETRIC,
     ChannelCoefficient,
@@ -232,7 +232,7 @@ class TestIrsAmplitude:
 
 class TestWallPowerEstimate:
     def test_no_rays_is_los_power_exactly(self):
-        est = wall_power_estimate(CFG, mc(runs=50, rays=0))
+        est = wall_power_estimates([CFG], mc(runs=50, rays=0))[0]
         geom = CFG.geometry()
         los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         assert est.mean_power_mw == pytest.approx(los.amplitude**2, rel=1e-12, abs=0.0)
@@ -241,32 +241,32 @@ class TestWallPowerEstimate:
 
     def test_zero_extent_patch_makes_runs_identical(self):
         cfg = replace(CFG, irs_rows=1, irs_cols=1)
-        est = wall_power_estimate(cfg, mc(runs=100))
+        est = wall_power_estimates([cfg], mc(runs=100))[0]
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
 
     def test_single_run_has_zero_std_error(self):
-        assert wall_power_estimate(CFG, mc(runs=1)).std_error_mw == 0.0
+        assert wall_power_estimates([CFG], mc(runs=1))[0].std_error_mw == 0.0
 
     def test_same_seed_bit_reproducible(self):
-        a = wall_power_estimate(CFG, mc(runs=500))
-        b = wall_power_estimate(CFG, mc(runs=500))
+        a = wall_power_estimates([CFG], mc(runs=500))[0]
+        b = wall_power_estimates([CFG], mc(runs=500))[0]
         assert a == b
 
     def test_different_seeds_agree_within_3_standard_errors(self):
-        a = wall_power_estimate(CFG, mc(runs=4000, seed=1))
-        b = wall_power_estimate(CFG, mc(runs=4000, seed=2))
+        a = wall_power_estimates([CFG], mc(runs=4000, seed=1))[0]
+        b = wall_power_estimates([CFG], mc(runs=4000, seed=2))[0]
         tol = 3.0 * math.hypot(a.std_error_mw, b.std_error_mw)
         assert abs(a.mean_power_mw - b.mean_power_mw) < tol
 
     def test_std_error_below_tenth_db_at_defaults(self):
-        est = wall_power_estimate(CFG, MonteCarloConfig())
+        est = wall_power_estimates([CFG], MonteCarloConfig())[0]
         se_db = 10.0 / math.log(10.0) * est.std_error_mw / est.mean_power_mw
         assert se_db < 0.1
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_vectorised_matches_per_run_reference(self, phases):
         config = mc(runs=40, rays=7, seed=777, phases=phases)
-        est = wall_power_estimate(CFG, config)
+        est = wall_power_estimates([CFG], config)[0]
         assert est.mean_power_mw == pytest.approx(np.mean(per_run_reference_powers(CFG, config)), rel=1e-12, abs=0.0)
 
     # the library against the scalar chain on random valid scenarios: both
@@ -287,17 +287,17 @@ class TestWallPowerEstimate:
     def test_random_scenarios_match_per_run_reference(self, h_uav, l_m, f_ghz, rows, cols, runs, rays, seed, phases):
         cfg = replace(CFG, h_uav_m=h_uav, l_m=l_m, f_ghz=f_ghz, irs_rows=rows, irs_cols=cols)
         config = mc(runs=runs, rays=rays, seed=seed, phases=phases)
-        est = wall_power_estimate(cfg, config)
+        est = wall_power_estimates([cfg], config)[0]
         rel = 1e-12 if phases == "uniform" else max(1e-12, turns_vs_radians_rel(cfg))
         assert est.mean_power_mw == pytest.approx(np.mean(per_run_reference_powers(cfg, config)), rel=rel, abs=0.0)
 
     def test_fixed_scatter_points_freeze_the_geometry(self, monkeypatch):
         pin_scatter_points(monkeypatch, *lattice_slice(CFG, 20))
-        est = wall_power_estimate(CFG, mc(runs=50))
+        est = wall_power_estimates([CFG], mc(runs=50))[0]
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
         # and across blocks: 7 runs per block, the last one holds a single run
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7 * 20)
-        blocked = wall_power_estimate(CFG, mc(runs=50))
+        blocked = wall_power_estimates([CFG], mc(runs=50))[0]
         assert blocked.std_error_mw == pytest.approx(0.0, abs=1e-18)
         assert blocked.mean_power_mw == pytest.approx(est.mean_power_mw, rel=1e-12, abs=0.0)
 
@@ -307,7 +307,7 @@ class TestWallPowerEstimate:
     def test_blocks_match_one_shot_estimate(self, monkeypatch, phases, runs, chunk_paths):
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", chunk_paths)
         config = mc(runs=runs, rays=7, seed=2**64 - 5, phases=phases)
-        est = wall_power_estimate(CFG, config)
+        est = wall_power_estimates([CFG], config)[0]
         mean, se, refl = one_shot_estimate(CFG, config)
         assert est.mean_power_mw == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert est.std_error_mw == pytest.approx(se, rel=1e-12, abs=0.0)
@@ -324,9 +324,9 @@ class TestWallPowerEstimate:
     def test_any_block_size_matches_one_block(self, runs, rays, chunk_paths, seed, phases):
         config = mc(runs=runs, rays=rays, seed=seed, phases=phases)
         with mock.patch.object(simulator, "_CHUNK_PATHS", runs * rays):
-            whole = wall_power_estimate(CFG, config)
+            whole = wall_power_estimates([CFG], config)[0]
         with mock.patch.object(simulator, "_CHUNK_PATHS", chunk_paths):
-            blocked = wall_power_estimate(CFG, config)
+            blocked = wall_power_estimates([CFG], config)[0]
         assert blocked.mean_power_mw == pytest.approx(whole.mean_power_mw, rel=1e-12, abs=0.0)
         assert blocked.std_error_mw == pytest.approx(whole.std_error_mw, rel=1e-12, abs=0.0)
         assert blocked.mean_reflection_amplitude == pytest.approx(whole.mean_reflection_amplitude, rel=1e-12, abs=0.0)
@@ -335,7 +335,7 @@ class TestWallPowerEstimate:
     def test_memory_is_flat_in_n_runs(self, phases):
         tracemalloc.start()
         try:
-            wall_power_estimate(CFG, MonteCarloConfig(n_runs=200_000, ray_phases=phases))
+            wall_power_estimates([CFG], MonteCarloConfig(n_runs=200_000, ray_phases=phases))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -345,10 +345,10 @@ class TestWallPowerEstimate:
     def test_warm_call_allocates_no_block_arrays(self, phases):
         # every block-sized float array lives in this thread's workspace, made by
         # the first call; a later call allocates only run-sized and scalar values
-        wall_power_estimate(CFG, mc(runs=1, phases=phases))
+        wall_power_estimates([CFG], mc(runs=1, phases=phases))
         tracemalloc.start()
         try:
-            wall_power_estimate(CFG, MonteCarloConfig(n_runs=200_000, ray_phases=phases))
+            wall_power_estimates([CFG], MonteCarloConfig(n_runs=200_000, ray_phases=phases))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -365,7 +365,7 @@ class TestPhaseAccuracy:
     def test_mean_power_matches_exact_phase_reduction(self, f_ghz, l_m, h_uav, phases):
         cfg = replace(CFG, f_ghz=f_ghz, l_m=l_m, h_uav_m=h_uav, irs_rows=40, irs_cols=40)
         config = mc(runs=200, rays=20, phases=phases)
-        est = wall_power_estimate(cfg, config)
+        est = wall_power_estimates([cfg], config)[0]
         assert est.mean_power_mw == pytest.approx(exact_phase_mean_power(cfg, config), rel=1e-10, abs=0.0)
 
 
@@ -430,7 +430,7 @@ class TestPhasorTrig:
     def test_geometric_phases_leave_the_phase_rows_untouched(self):
         # geometric mode makes its cos and sin in the link budget's rows, so the
         # phase rows' pages are never written and cost no memory
-        wall_power_estimate(CFG, mc(runs=1))
+        wall_power_estimates([CFG], mc(runs=1))
         ws = simulator._local.workspace
         ws[simulator._PHASES] = -7.0
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=3000))
@@ -496,7 +496,7 @@ class TestBatches:
         # the 23 points of the default sweep share one workspace and keep only
         # scalars per point, so the grid adds no block-sized array either
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, MonteCarloConfig(ray_phases=phases))
-        wall_power_estimate(CFG, mc(runs=1, phases=phases))
+        wall_power_estimates([CFG], mc(runs=1, phases=phases))
         tracemalloc.start()
         try:
             run_sweep(spec, threads=1)
@@ -551,17 +551,17 @@ class TestThreads:
 class TestIrsGain:
     def test_one_geometry_per_point(self, monkeypatch):
         # the geometry and LoS budget are built once and handed to the wall
-        # estimate, which is still called through the module with (cfg, mc)
+        # estimate, a batch of one called through the module with ([cfg], mc)
         built, walls = [], []
-        geometry, wall = ScenarioConfig.geometry, simulator.wall_power_estimate
+        geometry, wall = ScenarioConfig.geometry, simulator.wall_power_estimates
         monkeypatch.setattr(ScenarioConfig, "geometry", lambda cfg: built.append(cfg) or geometry(cfg))
         monkeypatch.setattr(
-            simulator, "wall_power_estimate", lambda *args: walls.append(args[:2]) or wall(*args)
+            simulator, "wall_power_estimates", lambda *args: walls.append(args[:2]) or wall(*args)
         )
         config = mc(runs=10)
         irs_gain(CFG, config)
         assert built == [CFG]
-        assert walls == [(CFG, config)]
+        assert walls == [([CFG], config)]
 
     def test_gain_result_invariants(self):
         res = irs_gain(CFG, mc(runs=500))
@@ -578,7 +578,7 @@ class TestIrsGain:
         cfg = replace(CFG, pl_wall_db=CFG.pl_irs_db)
         geom = cfg.geometry()
         pin_scatter_points(monkeypatch, *lattice_slice(cfg, cfg.k))
-        est = wall_power_estimate(cfg, mc(runs=10, rays=100))
+        est = wall_power_estimates([cfg], mc(runs=10, rays=100))[0]
         refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
         coeffs = [los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)] + [
             element_coefficient(k, cfg, cfg, cfg, cfg.p_t_dbm, refl, PHASE_GEOMETRIC)
