@@ -7,6 +7,7 @@ distance (the 15 degree boresight from a 25 m mast crosses 10 m height at
 optimum, which makes building selection independent of the served altitude.
 """
 
+import functools
 import pathlib
 from dataclasses import replace
 
@@ -18,26 +19,31 @@ OUT = pathlib.Path(__file__).resolve().parent / "out"
 
 mc = MonteCarloConfig(ray_phases="uniform")
 base = ScenarioConfig()
-grid = default_l_grid()
+grid = tuple(default_l_grid())
+
+
+@functools.cache
+def l_sweep(cfg: ScenarioConfig):
+    """The gain over the L grid, evaluated once per scenario."""
+    return run_sweep(SweepSpec("l", grid, cfg, mc))
+
 
 print("optimal BS-wall distance by reflector mounting height:")
 for h_irs in (15.0, 10.0, 5.0):
-    l_star, gain = optimal_distance(replace(base, h_irs_m=h_irs), grid, mc)
+    l_star, gain = optimal_distance(l_sweep(replace(base, h_irs_m=h_irs)))
     print(f"  h_irs = {h_irs:4g} m  ->  L* = {l_star:5g} m  (gain {gain:.2f} dB)")
 
 print("\noptimal distance barely depends on the UAV height (h_irs = 10 m):")
 for h_uav in (30.0, 50.0, 100.0):
-    l_star, gain = optimal_distance(replace(base, h_uav_m=h_uav), grid, mc)
+    l_star, gain = optimal_distance(l_sweep(replace(base, h_uav_m=h_uav)))
     print(f"  h_uav = {h_uav:4g} m  ->  L* = {l_star:5g} m  (gain {gain:.2f} dB)")
 
-l_star, gain = optimal_distance(base, grid, mc, refine=True)
+l_star, gain = optimal_distance(l_sweep(base), refine=True)
 print(f"\ngolden-section refinement at defaults: L* = {l_star:.2f} m, gain {gain:.2f} dB")
 
-spec = SweepSpec("l", tuple(grid), base, mc, "h_irs", (5.0, 10.0, 15.0))
-result = run_sweep(spec)
 OUT.mkdir(exist_ok=True)
 (OUT / "gain_vs_distance.svg").write_text(render_line_plot(
-    [(f"h_irs={h:g} m", xs, ys) for h, (xs, ys) in result.series().items()],
+    [(f"h_irs={h:g} m", *l_sweep(replace(base, h_irs_m=h)).series()[None]) for h in (5.0, 10.0, 15.0)],
     "BS-wall distance [m]", "gain [dB]", title="placement sweet spot",
 ))
 print(f"wrote {OUT / 'gain_vs_distance.svg'}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .experiments import SWEEPABLE, SweepSpec, _best_distance, default_h_uav_grid, default_l_grid, run_sweep
+from .experiments import SWEEPABLE, SweepSpec, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
 from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
 from .svgplot import render_line_plot
@@ -153,9 +153,10 @@ def _result_cells(res) -> str:
     return text
 
 
-def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: dict) -> None:
+def _emit_sweep(args, result, extra: dict) -> None:
     """Write a command's plot (with --svg), then its CSV and manifest, once every cell is checked."""
-    parameter, overlay = result.metadata["parameter"], result.metadata["overlay_parameter"]
+    spec = result.spec
+    parameter, overlay = spec.parameter, spec.overlay_parameter
     lines = [("param,overlay," if overlay else "param,") + _HEADER_BASE]
     for row in result.rows:
         prefix = _fmt(row.value) + ("," + _fmt(row.overlay_value) if overlay else "")
@@ -166,11 +167,8 @@ def _emit_sweep(args, cfg: ScenarioConfig, mc: MonteCarloConfig, result, extra: 
         "generator": GENERATOR_ID,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "command": list(getattr(args, "_argv", [])),
-        "master_seed": mc.master_seed,
-        "ray_phases": mc.ray_phases,
-        "n_runs": mc.n_runs,
-        "n_rays": mc.n_rays,
-        "config": asdict(cfg),
+        **asdict(spec.mc),  # n_runs, n_rays, master_seed, ray_phases
+        "config": asdict(spec.base),
         **extra,
     }
     if args.svg:  # first, so that a failed plot write leaves no results behind
@@ -194,7 +192,7 @@ def cmd_gain(args) -> int:
     """One gain point: a one-point sweep over the UAV height, so param is that height."""
     cfg, mc = build_configs(args)
     result = run_sweep(SweepSpec("h_uav", (cfg.h_uav_m,), cfg, mc), threads=args.threads)
-    _emit_sweep(args, cfg, mc, result, {})
+    _emit_sweep(args, result, {})
     return 0
 
 
@@ -214,7 +212,7 @@ def cmd_sweep(args) -> int:
         overlay_param, overlay_values = _parse_overlay(args.overlay)
     spec = SweepSpec(parameter, tuple(values), cfg, mc, overlay_param, tuple(overlay_values))
     result = run_sweep(spec, threads=args.threads)
-    _emit_sweep(args, cfg, mc, result, {"sweep": result.metadata})
+    _emit_sweep(args, result, {"sweep": result.metadata})
     return 0
 
 
@@ -222,8 +220,8 @@ def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
     result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads)
-    l_star, gain_star = _best_distance(cfg, mc, *result.series()[None], args.refine, args.threads)
-    _emit_sweep(args, cfg, mc, result, {"l_grid": list(grid), "refined": bool(args.refine)})
+    l_star, gain_star = optimal_distance(result, args.refine, args.threads)
+    _emit_sweep(args, result, {"l_grid": list(grid), "refined": bool(args.refine)})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)
     return 0

@@ -1,4 +1,4 @@
-"""Parameter sweeps and the one-dimensional placement search.
+"""Parameter sweeps and the placement search over an evaluated "l" sweep.
 
 Sweepable parameters: element count "k" (mapped to a near-square lattice),
 UAV height "h_uav", BS-wall distance "l", reflector height "h_irs", and the
@@ -98,7 +98,21 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    metadata: dict
+    spec: SweepSpec
+
+    @property
+    def metadata(self) -> dict:
+        """The swept grid only: a run manifest records the configs beside it."""
+        meta = {
+            "parameter": self.spec.parameter,
+            "values": list(self.spec.values),
+            "overlay_parameter": self.spec.overlay_parameter,
+            "overlay_values": list(self.spec.overlay_values),
+        }
+        if self.spec.parameter == "k":
+            # non-square counts silently become rectangular lattices; record them
+            meta["k_factorizations"] = {int(v): list(near_square_factors(int(v))) for v in self.spec.values}
+        return meta
 
     def series(self) -> dict:
         """{overlay value (None without one): (swept values, gains in dB)}."""
@@ -108,20 +122,6 @@ class SweepResult:
             xs.append(row.value)
             gains.append(row.result.gain_db)
         return out
-
-
-def _sweep_metadata(spec: SweepSpec) -> dict:
-    """The swept grid only: a run manifest records the configs beside it."""
-    meta = {
-        "parameter": spec.parameter,
-        "values": list(spec.values),
-        "overlay_parameter": spec.overlay_parameter,
-        "overlay_values": list(spec.overlay_values),
-    }
-    if spec.parameter == "k":
-        # non-square counts silently become rectangular lattices; record them
-        meta["k_factorizations"] = {int(v): list(near_square_factors(int(v))) for v in spec.values}
-    return meta
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -142,7 +142,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     walls = wall_power_estimates(cfgs, spec.mc, points, partial(_pool_map, threads=threads))
     rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall, point))
                  for (v, ov, cfg), wall, point in zip(grid, walls, points))
-    return SweepResult(rows, _sweep_metadata(spec))
+    return SweepResult(rows, spec)
 
 
 def _pool_map(fn, items, threads: int):
@@ -180,33 +180,27 @@ def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
             future.cancel()
 
 
-def optimal_distance(
-    base: ScenarioConfig,
-    l_grid,
-    mc: MonteCarloConfig,
-    refine: bool = False,
-) -> tuple[float, float]:
-    """Gain-maximising BS-wall distance over an ascending grid of L values.
+def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1) -> tuple[float, float]:
+    """Gain-maximising BS-wall distance of an evaluated ``l`` sweep without overlay.
 
     Ties break toward the smaller L.  With refine=True the in-tree
     golden-section search (a port of scipy.optimize.golden) runs between the
-    grid neighbours of the argmax; the objective is a pure function of L
-    because the Monte Carlo seed is fixed.
+    grid neighbours of the argmax.  Each golden point is a one-point sweep of
+    ``grid.spec`` on ``threads`` threads, a pure function of L because the
+    Monte Carlo seed is fixed.
     """
-    l_values, gains = run_sweep(SweepSpec("l", tuple(l_grid), base, mc)).series()[None]
-    return _best_distance(base, mc, l_values, gains, refine)
-
-
-def _best_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_grid, gains, refine: bool,
-                   threads: int = 1) -> tuple[float, float]:
-    """The placement search on already evaluated grid gains (see optimal_distance)."""
+    spec = grid.spec
+    if spec.parameter != "l" or spec.overlay_parameter is not None:
+        raise InvalidParameterError("the placement search needs an l sweep without overlay, "
+                                    f"got {spec.parameter!r} with overlay {spec.overlay_parameter!r}")
+    l_grid, gains = grid.series()[None]
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties
     l_star, g_star = float(l_grid[best]), gains[best]
     # The left neighbour is strictly lower because the first maximum wins, so
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
-        def loss(l):  # a one-point sweep, so its run blocks share the pool
-            return -run_sweep(SweepSpec("l", (l,), base, mc), threads).rows[0].result.gain_db
+        def loss(l):
+            return -run_sweep(replace(spec, values=(l,)), threads).rows[0].result.gain_db
 
         l_ref, f_ref = _golden_min(loss, l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:

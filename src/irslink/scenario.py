@@ -75,6 +75,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
+        if not -90.0 <= self.theta_etilt_deg <= 90.0:  # a depression angle; below 0 is an uptilt
+            raise InvalidParameterError(f"theta_etilt_deg must be in [-90, 90], got {self.theta_etilt_deg}")
+        span = 180.0 / self.theta3db_deg  # 12*span^2: the pattern's largest deviation, angles in [-90, 90]
+        if self.theta3db_deg > 180.0 or not math.isfinite(12.0 * span * span):  # span ** 2 raises on overflow
+            raise InvalidParameterError(f"theta3db_deg must be in (0, 180] with 12*(180/theta3db_deg)^2 finite, "
+                                        f"got {self.theta3db_deg}")
         low, high = _H_UAV_RANGE_M
         if not low <= self.h_uav_m <= high:
             raise InvalidParameterError(f"h_uav_m must be in [{low:g}, {high:g}] m, got {self.h_uav_m}")

@@ -188,6 +188,10 @@ class TestExitCodes:
         ["optimize", "--l-grid", "40:50:10", "--threads", "-5"],
         ["sweep", "--sweep", "h-uav", "--values", "20:20:1", "--threads", "257"],  # before any thread starts
         ["gain", "--theta3db-deg", "0"],
+        ["gain", "--theta3db-deg", "400"],  # the beamwidth lies in (0, 180]
+        ["gain", "--theta3db-deg", "1e-320"],  # 12*(180/theta3db)^2 overflows
+        ["gain", "--theta-etilt-deg", "370"],  # the tilt lies in [-90, 90]
+        ["gain", "--theta-etilt-deg", "1e308"],
         ["gain", "--threads", "0"],  # gain evaluates one point but checks the flag like sweep
         ["gain", "--threads", "100000"],
         ["gain", "--n-rays", "32769"],

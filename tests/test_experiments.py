@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import irslink
-from irslink import experiments, rng, simulator
+from irslink import cli, experiments, rng, simulator
 from irslink.cli import main
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.experiments import (
@@ -33,6 +33,11 @@ from irslink.simulator import irs_gain
 
 CFG = ScenarioConfig()
 MC = MonteCarloConfig(n_runs=400, ray_phases="uniform")
+
+
+def l_sweep(cfg, grid, mc, threads=1):
+    """The evaluated l sweep that optimal_distance searches."""
+    return run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads)
 
 
 class TestApplyParameter:
@@ -99,7 +104,9 @@ class TestRunSweep:
 
     def test_metadata_records_k_factorisations(self):
         spec = SweepSpec("k", (25, 50), CFG, MC)
-        meta = run_sweep(spec).metadata
+        result = run_sweep(spec)
+        assert result.spec is spec
+        meta = result.metadata
         assert meta["k_factorizations"] == {25: [5, 5], 50: [5, 10]}
         # the grid only: the configs are recorded once, by the run manifest
         assert set(meta) == {"parameter", "values", "overlay_parameter", "overlay_values", "k_factorizations"}
@@ -301,14 +308,14 @@ class TestThreadPool:
         assert results == [expected] * 24
 
     @pytest.mark.parametrize("refine", [False, True])
-    def test_best_distance_is_thread_invariant(self, refine):
+    def test_optimal_distance_is_thread_invariant(self, refine):
         mc = replace(MC, n_runs=2000)  # two run blocks per golden-section point
-        l_values, gains = run_sweep(SweepSpec("l", tuple(default_l_grid()), CFG, mc)).series()[None]
-        one = experiments._best_distance(CFG, mc, l_values, gains, refine, threads=1)
-        assert experiments._best_distance(CFG, mc, l_values, gains, refine, threads=2) == one
-        assert experiments._best_distance(CFG, mc, l_values, gains, refine, threads=3) == one
-        assert optimal_distance(CFG, default_l_grid(), mc, refine) == one
-        assert (one[0] in l_values) is not refine
+        grid = l_sweep(CFG, default_l_grid(), mc)
+        one = optimal_distance(grid, refine, threads=1)
+        assert optimal_distance(grid, refine, threads=2) == one
+        assert optimal_distance(grid, refine, threads=3) == one
+        assert optimal_distance(l_sweep(CFG, default_l_grid(), mc, threads=3), refine) == one
+        assert (one[0] in grid.spec.values) is not refine
 
 
 class TestComponentAmplitudes:
@@ -331,7 +338,7 @@ class TestComponentAmplitudes:
 
 class TestOptimalDistance:
     def test_single_point_grid(self):
-        l_star, gain = optimal_distance(CFG, [42.0], MC)
+        l_star, gain = optimal_distance(l_sweep(CFG, [42.0], MC))
         assert l_star == 42.0
         assert gain == pytest.approx(irs_gain(apply_parameter(CFG, "l", 42.0), MC).gain_db)
 
@@ -340,20 +347,20 @@ class TestOptimalDistance:
         base = replace(CFG, irs_rows=0, irs_cols=0, uav_x_m=25.0)
         flat_mc = MonteCarloConfig(n_runs=1, n_rays=0)
         for refine in (False, True):
-            l_star, gain = optimal_distance(base, [40.0, 50.0, 60.0], flat_mc, refine=refine)
+            l_star, gain = optimal_distance(l_sweep(base, [40.0, 50.0, 60.0], flat_mc), refine=refine)
             assert l_star == 40.0
             assert gain == 0.0
 
     def test_default_grid_argmax_near_55_boresight(self):
         # boresight from the BS (25 m) meets a 10 m wall centre near L = 56;
         # the distance terms pull the optimum slightly lower
-        l_star, _ = optimal_distance(CFG, default_l_grid(), MC)
+        l_star, _ = optimal_distance(l_sweep(CFG, default_l_grid(), MC))
         assert abs(l_star - 50.0) <= 5.0
 
     def test_refinement_stays_inside_bracket_and_improves(self):
         grid = [40.0, 45.0, 50.0, 55.0, 60.0]
-        l_coarse, g_coarse = optimal_distance(CFG, grid, MC)
-        l_fine, g_fine = optimal_distance(CFG, grid, MC, refine=True)
+        l_coarse, g_coarse = optimal_distance(l_sweep(CFG, grid, MC))
+        l_fine, g_fine = optimal_distance(l_sweep(CFG, grid, MC), refine=True)
         assert grid[0] <= l_fine <= grid[-1]
         assert g_fine >= g_coarse
 
@@ -366,7 +373,7 @@ class TestOptimalDistance:
             return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
 
         monkeypatch.setattr(experiments, "irs_gain", plateau)
-        assert optimal_distance(CFG, [40.0, 50.0, 60.0], MC, refine=True) == (50.0, 50.0)
+        assert optimal_distance(l_sweep(CFG, [40.0, 50.0, 60.0], MC), refine=True) == (50.0, 50.0)
         assert calls == [40.0, 50.0, 60.0]
 
     def test_refinement_errors_propagate(self, monkeypatch):
@@ -377,10 +384,11 @@ class TestOptimalDistance:
 
         monkeypatch.setattr(experiments, "irs_gain", on_grid_only)
         with pytest.raises(DegenerateGeometryError):
-            optimal_distance(CFG, [45.0, 50.0, 55.0], MC, refine=True)
+            optimal_distance(l_sweep(CFG, [45.0, 50.0, 55.0], MC), refine=True)
 
     def test_refined_search_matches_cli_summary(self, tmp_path, capsys):
-        l_star, gain = optimal_distance(CFG, default_l_grid(), replace(MC, n_runs=200, master_seed=3), refine=True)
+        grid = l_sweep(CFG, default_l_grid(), replace(MC, n_runs=200, master_seed=3))
+        l_star, gain = optimal_distance(grid, refine=True)
         code = main(["optimize", "--refine", "--ray-phases", "uniform", "--n-runs", "200", "--seed", "3",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 0
@@ -388,9 +396,31 @@ class TestOptimalDistance:
 
     def test_empty_and_unsorted_grids_rejected(self):
         with pytest.raises(InvalidParameterError):
-            optimal_distance(CFG, [], MC)
+            optimal_distance(l_sweep(CFG, [], MC))
         with pytest.raises(InvalidParameterError):
-            optimal_distance(CFG, [50.0, 40.0], MC)
+            optimal_distance(l_sweep(CFG, [50.0, 40.0], MC))
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("h_uav", (40.0, 50.0, 60.0), CFG, MC),
+        SweepSpec("l", (40.0, 50.0, 60.0), CFG, MC, "h_irs", (5.0, 10.0)),
+    ])
+    def test_only_an_l_sweep_without_overlay_is_searched(self, spec):
+        grid = run_sweep(spec)
+        for refine in (False, True):
+            with pytest.raises(InvalidParameterError, match="l sweep without overlay"):
+                optimal_distance(grid, refine)
+
+    def test_cli_optimize_runs_the_one_search(self, monkeypatch, tmp_path):
+        searched = []
+
+        def search(grid, refine=False, threads=1):
+            searched.append((grid.spec.values, refine, threads))
+            return optimal_distance(grid, refine, threads)
+
+        monkeypatch.setattr(cli, "optimal_distance", search)
+        code = main(["optimize", "--refine", "--n-runs", "200", "--threads", "2", "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert searched == [(tuple(default_l_grid()), True, 2)]
 
 
 def test_default_grids():
@@ -439,7 +469,7 @@ class TestGoldenSection:
 
     def test_optimal_distance_evaluates_each_l_once(self, monkeypatch):
         calls = _count_gain_calls(monkeypatch)
-        l_star, gain = optimal_distance(CFG, default_l_grid(), MC, refine=True)
+        l_star, gain = optimal_distance(l_sweep(CFG, default_l_grid(), MC), refine=True)
         assert len(calls) == len(set(calls)) > len(default_l_grid())
         assert l_star in calls and l_star not in default_l_grid()
 

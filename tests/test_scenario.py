@@ -64,6 +64,21 @@ def test_uav_behind_the_wall_is_rejected():
         replace(ScenarioConfig(uav_x_m=40.0), l_m=30.0)
 
 
+def test_antenna_angles_are_bounded():
+    # the tilt is a depression angle in [-90, 90] (an uptilt below 0 is valid),
+    # the beamwidth lies in (0, 180] and keeps the pattern's largest deviation finite
+    for tilt in (-90.0, -5.0, 90.0):
+        assert ScenarioConfig(theta_etilt_deg=tilt).theta_etilt_deg == tilt
+    for tilt in (math.nextafter(90.0, math.inf), -90.5, 370.0, 1e308):
+        with pytest.raises(InvalidParameterError, match="theta_etilt_deg"):
+            ScenarioConfig(theta_etilt_deg=tilt)
+    for width in (1e-150, 180.0):
+        assert ScenarioConfig(theta3db_deg=width).theta3db_deg == width
+    for width in (math.nextafter(180.0, math.inf), 400.0, 1e-160, 1e-320):
+        with pytest.raises(InvalidParameterError, match="theta3db_deg"):
+            ScenarioConfig(theta3db_deg=width)
+
+
 def test_geometry_resolution_tracks_midpoint():
     geom = ScenarioConfig(l_m=80.0).geometry()
     assert geom.uav.x == 40.0
