@@ -7,27 +7,21 @@ x = L/2 unless the scenario pins an explicit UAV position.
 
 Every grid point is evaluated with the same master seed, so sweeps are
 deterministic and differences between points are not blurred by independent
-Monte Carlo noise.  A sweep is one batch: every point, overlays included,
-shares each run block's draws.  With threads > 1 the batch's run blocks are
-the tasks of one thread pool kept across calls; they are merged in run order
-on the calling thread, so every bit is that of one thread.
+Monte Carlo noise.  A sweep is one batch: one ``wall_power_estimates`` call
+over every point, overlays included, which shares each run block's draws and
+runs the blocks on ``threads`` threads, then one gain per point.
 """
 
 from __future__ import annotations
 
-import collections
-import contextvars
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
-from .simulator import GainResult, _point, irs_gain, wall_power_estimates
+from .simulator import GainResult, check_threads, irs_gain, wall_power_estimates
 
 # sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
 SWEEPABLE = {
@@ -37,13 +31,6 @@ SWEEPABLE = {
     "h_irs": ("h_irs_m", "reflector height [m]"),
     "f": ("f_ghz", "carrier frequency [GHz]"),
 }
-
-# the pool keeps min(threads, tasks) threads, a task being a run block, so a
-# large --threads on a large n_runs would ask the OS for that many threads
-_MAX_THREADS = 256
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool): made on first need, then kept
-_pool_lock = threading.Lock()
 
 
 def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
@@ -86,6 +73,8 @@ class SweepSpec:
             if self.overlay_parameter == self.parameter:
                 # apply_parameter would overwrite every overlay value with the swept one
                 raise InvalidParameterError(f"overlay parameter {self.overlay_parameter!r} is the swept parameter")
+        elif self.overlay_values:  # run_sweep would ignore them, and metadata would record them
+            raise InvalidParameterError("overlay values need an overlay parameter")
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,6 @@ class SweepResult:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order."""
-    if not 1 <= threads <= _MAX_THREADS:
-        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:
@@ -135,49 +122,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         for v in spec.values:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
-    # one batch: each point's scene and LoS budget resolved once, the wall
-    # estimates sharing each run block (a pool task), then one gain per point
-    cfgs = [cfg for _, _, cfg in grid]
-    points = [_point(cfg) for cfg in cfgs]
-    walls = wall_power_estimates(cfgs, spec.mc, points, partial(_pool_map, threads=threads))
-    rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall, point))
-                 for (v, ov, cfg), wall, point in zip(grid, walls, points))
+    # one batch: the wall estimates share each run block, then one gain per point
+    walls = wall_power_estimates([cfg for _, _, cfg in grid], spec.mc, threads)
+    rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(grid, walls))
     return SweepResult(rows, spec)
-
-
-def _pool_map(fn, items, threads: int):
-    """``map(fn, items)`` for a sized ``items``: on this thread when
-    min(threads, len(items)) is 1, else as tasks of the kept pool of that many
-    threads.  Results come back in the order of ``items`` either way."""
-    global _pool
-    workers = min(threads, len(items))
-    if workers <= 1:
-        return map(fn, items)
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # the old pool is dropped, not shut down: a caller still using it
-            # keeps it alive until its tasks are done, and once it is garbage
-            # its idle threads exit
-            _pool = (workers, ThreadPoolExecutor(max_workers=workers))
-        pool = _pool[1]
-    return _in_order(pool, fn, items, 2 * workers)
-
-
-def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
-    """Yield fn(item) for each item in order, with at most ``ahead`` tasks
-    submitted and not yet yielded, so memory does not grow with len(items)."""
-    pending: collections.deque = collections.deque()
-    try:
-        for item in items:
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-            # each task runs in a copy of the caller's context (numpy error state)
-            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:  # after an error, drop what has not started
-            future.cancel()
 
 
 def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1) -> tuple[float, float]:
@@ -189,6 +137,7 @@ def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1) 
     ``grid.spec`` on ``threads`` threads, a pure function of L because the
     Monte Carlo seed is fixed.
     """
+    check_threads(threads)
     spec = grid.spec
     if spec.parameter != "l" or spec.overlay_parameter is not None:
         raise InvalidParameterError("the placement search needs an l sweep without overlay, "

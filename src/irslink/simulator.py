@@ -69,16 +69,20 @@ the allocating form.  Each block reduces a point's powers to (count, mean, sum
 of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
 merged into that point's accumulators in run order with Chan et al.'s
 pairwise update.  A block is a pure function of the batch, the controls and
-its first run (``_wall_block``), so a caller may evaluate the blocks on other
-threads, as a sweep does at threads > 1; they are still merged on the calling
-thread, in run order.  The block size is a constant, so the merge order, and
-with it every bit of the result, depends only on the configs.
+its first run (``_wall_block``), so at ``threads`` > 1 the blocks are the
+tasks of a thread pool kept across calls (its threads keep their workspaces);
+they are still merged on the calling thread, in run order.  The block size is
+a constant, so the merge order, and with it every bit of the result, depends
+only on the configs.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -86,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import ScenarioGeometry, depression_angle, distance, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig
@@ -131,6 +135,7 @@ class WallEstimate(NamedTuple):
     mean_power_mw: float
     std_error_mw: float
     mean_reflection_amplitude: float
+    los_amplitude: float  # the LoS term the mean power includes
 
 
 def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
@@ -204,12 +209,6 @@ def _uav_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, refle
     return amps, s
 
 
-def _point(cfg: ScenarioConfig) -> tuple[ScenarioGeometry, float, float]:
-    """Build cfg's geometry and LoS budget once: (geometry, LoS amplitude, LoS phase)."""
-    geom = cfg.geometry()
-    return (geom, *_los_amp_phase(cfg, geom))
-
-
 # Paths per link-budget call (elements, or wall runs x rays): big enough to
 # amortise numpy's per-call cost, small enough that one block's work arrays
 # stay in cache.  MonteCarloConfig bounds n_rays by the same 2**15, so a
@@ -228,6 +227,19 @@ _CHUNK_PATHS = 1 << 15
 _BUDGET_ROWS = 6
 _POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
+
+# the pool keeps min(threads, blocks) threads, so a large threads on a large
+# n_runs would ask the OS for that many threads
+_MAX_THREADS = 256
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool): made on first need, then kept
+_pool_lock = threading.Lock()
+
+
+def check_threads(threads: int) -> None:
+    """The one rule for a thread count: 1 .. 256."""
+    if not 1 <= threads <= _MAX_THREADS:
+        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
 
 
 def _workspace(paths: int) -> np.ndarray:
@@ -304,32 +316,28 @@ def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | Non
     return planes
 
 
-def wall_power_estimates(
-    cfgs: list[ScenarioConfig],
-    mc: MonteCarloConfig,
-    points: list[tuple[ScenarioGeometry, float, float]] | None = None,
-    map_blocks=map,
-) -> list[WallEstimate]:
+def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threads: int = 1) -> list[WallEstimate]:
     """Mean and standard error of the baseline received power over ``n_runs``
     at each of ``cfgs`` with the same Monte Carlo controls, in one pass over
-    the run blocks.  ``points`` are the configs' ``_point`` when the caller
-    has already computed them.  ``map_blocks(fn, firsts)`` evaluates the block
-    function at each first run of the range ``firsts`` and yields the results
-    in that order, like the builtin ``map`` (which runs every block on this
-    thread) or a pool; the blocks are merged here in run order either way, so
-    it does not move a bit."""
+    the run blocks, each with the LoS amplitude its mean includes.  The blocks
+    run on this thread, or on up to ``threads`` threads of the kept pool; they
+    are merged here in run order either way, so ``threads`` moves no bit."""
+    check_threads(threads)
     scene = []  # per point: cfg, geometry, LoS amplitude and phasor, sharing keys
-    for cfg, (geom, a0, phi0) in zip(cfgs, map(_point, cfgs) if points is None else points):
+    for cfg in cfgs:
+        geom = cfg.geometry()
+        a0, phi0 = _los_amp_phase(cfg, geom)
+        _check_path_lengths(geom)
         c = geom.irs_center
         patch = (c.y, c.z, geom.patch_half_width_y, geom.patch_half_height_z)
         bs_side = (patch, geom.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
         scene.append((cfg, geom, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
     if mc.n_rays == 0:
-        return [WallEstimate(a0 * a0, 0.0, 0.0) for _, _, a0, *_ in scene]
+        return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, _, a0, *_ in scene]
 
     block = max(1, _CHUNK_PATHS // mc.n_rays)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
-    for n, block_stats in map_blocks(partial(_wall_block, scene, mc, block), range(0, mc.n_runs, block)):
+    for n, block_stats in _pool_map(partial(_wall_block, scene, mc, block), range(0, mc.n_runs, block), threads):
         count += n
         for acc, (block_mean, block_m2, refl) in zip(stats, block_stats):
             # Chan et al.: merge this block's (n, mean, M2) into the point's running one
@@ -338,8 +346,56 @@ def wall_power_estimates(
             acc[0] += delta * (n / count)
             acc[1] += block_m2 + delta * delta * ((count - n) * n / count)
 
-    return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count)
-            for mean, m2, refl in stats]
+    return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count, a0)
+            for (mean, m2, refl), (_, _, a0, *_) in zip(stats, scene)]
+
+
+def _check_path_lengths(geom: ScenarioGeometry) -> None:
+    """Raise OverflowError when a reflected path's d1 + d2 can overflow.  Every
+    element and scatter point lies in the patch, where each squared coordinate
+    difference, and so d1 + d2, is largest at one of its corners: one scalar
+    bound, in the kernel's operation order, covers every path of the point."""
+    c = geom.irs_center
+    ys = (c.y - geom.patch_half_width_y, c.y + geom.patch_half_width_y)
+    zs = (c.z - geom.patch_half_height_z, c.z + geom.patch_half_height_z)
+
+    def longest(end, dx):
+        dy, dz = max(abs(y - end.y) for y in ys), max(abs(z - end.z) for z in zs)
+        return math.sqrt((dy * dy + dx * dx) + dz * dz)
+
+    if not math.isfinite(longest(geom.bs, c.x - geom.bs.x) + longest(geom.uav, geom.uav.x - c.x)):
+        raise OverflowError("a reflected path length overflows")
+
+
+def _pool_map(fn, firsts: range, threads: int):
+    """Yield fn(first) for each first in order: on this thread when
+    min(threads, len(firsts)) is 1, else as tasks of the kept pool of that
+    many threads, with at most 2 per thread submitted and not yet yielded, so
+    memory does not grow with n_runs."""
+    global _pool
+    workers = min(threads, len(firsts))
+    if workers <= 1:
+        yield from map(fn, firsts)
+        return
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            # the old pool is dropped, not shut down: a caller still using it
+            # keeps it alive until its tasks are done, and once it is garbage
+            # its idle threads exit
+            _pool = (workers, ThreadPoolExecutor(max_workers=workers))
+        pool = _pool[1]
+    pending: collections.deque = collections.deque()
+    try:
+        for first in firsts:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            # each task runs in a copy of the caller's context (numpy error state)
+            pending.append(pool.submit(contextvars.copy_context().run, fn, first))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:  # after an error, drop what has not started
+            future.cancel()
 
 
 def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tuple[int, list]:
@@ -400,22 +456,14 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
     return n, stats
 
 
-def irs_gain(
-    cfg: ScenarioConfig,
-    mc: MonteCarloConfig,
-    wall: WallEstimate | None = None,
-    point: tuple[ScenarioGeometry, float, float] | None = None,
-) -> GainResult:
+def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | None = None) -> GainResult:
     """Full gain evaluation at one scenario point; ``wall`` is its baseline
-    estimate when a batch (``wall_power_estimates``) has already made it, and
-    ``point`` is ``_point(cfg)`` when the caller has already computed it."""
-    if point is None:
-        point = _point(cfg)
-    geom, a0, _ = point
-    irs_sum = _irs_sum(cfg, geom)
-    gamma = a0 + irs_sum
+    estimate when a batch (``wall_power_estimates``) has already made it."""
     if wall is None:
-        wall = wall_power_estimates([cfg], mc, [point])[0]
+        wall = wall_power_estimates([cfg], mc)[0]
+    a0 = wall.los_amplitude
+    irs_sum = _irs_sum(cfg, cfg.geometry())
+    gamma = a0 + irs_sum
     gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(

@@ -148,6 +148,10 @@ class TestExitCodes:
         ["gain", "--h-bs", "1e300"],
         ["sweep", "--sweep", "l", "--values", "1e300:1e300:1"],
         ["gain", "--p-t-dbm", "1e4"],  # the LoS amplitude's exp overflows
+        ["gain", "--element-pitch", "1e160"],  # the reflected paths' squares overflow
+        ["gain", "--element-pitch", "1e160", "--n-rays", "0"],  # in the reflector sum alone
+        ["sweep", "--sweep", "h-uav", "--values", "50:60:10", "--element-pitch", "1e160"],
+        ["optimize", "--l-grid", "10:20:10", "--element-pitch", "1e160"],
     ])
     def test_overflow_is_exit_3(self, argv, tmp_path, capsys):
         out_csv = tmp_path / "out.csv"
@@ -156,6 +160,12 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--n-rays", "0"], ["--n-runs", "4000", "--threads", "2"]])
+    def test_reflected_path_overflow_is_named(self, extra, capsys):
+        # not the path loss's check of its distance argument (exit 2)
+        code, out, err = run_cli(["gain", "--element-pitch", "1e160"] + FAST + extra, capsys)
+        assert (code, out, err) == (3, "", "error: a reflected path length overflows\n")
 
     def test_failed_svg_write_leaves_no_results(self, tmp_path, capsys):
         # the plot is written first, so a failed plot write leaves no CSV,

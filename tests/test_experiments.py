@@ -137,6 +137,11 @@ class TestRunSweep:
         with pytest.raises(InvalidParameterError):
             SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0))
 
+    def test_overlay_values_need_an_overlay_parameter(self):
+        # run_sweep would ignore them, and metadata would record them beside no parameter
+        with pytest.raises(InvalidParameterError, match="overlay parameter"):
+            SweepSpec("l", (10.0, 20.0), CFG, MC, None, (1.0, 2.0))
+
 
 # values of each sweepable parameter inside the model's valid ranges (the
 # reflector stays at or below the 25 m BS)
@@ -198,8 +203,8 @@ class TestSweepBatches:
                 tasks.append(args[0])
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(experiments, "_pool", None)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulator, "_pool", None)
         mc = MonteCarloConfig()
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, mc)
         run_sweep(spec, threads=threads)
@@ -210,11 +215,12 @@ class TestSweepBatches:
         assert all(task.func is simulator._wall_block for task in tasks)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_point_builds_one_geometry(self, monkeypatch, threads):
-        # the batch and the gain share one resolved scene and LoS budget per point
+    def test_each_point_builds_one_los_budget(self, monkeypatch, threads):
+        # the batch resolves each point's LoS budget once, and the gain takes
+        # its amplitude from the point's wall estimate
         built = []
-        geometry = ScenarioConfig.geometry
-        monkeypatch.setattr(ScenarioConfig, "geometry", lambda cfg: built.append(cfg.h_uav_m) or geometry(cfg))
+        los = simulator._los_amp_phase
+        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg, geom: built.append(cfg.h_uav_m) or los(cfg, geom))
         grid = tuple(default_h_uav_grid())
         run_sweep(SweepSpec("h_uav", grid, CFG, replace(MC, n_runs=50)), threads=threads)
         assert sorted(built) == list(grid)
@@ -238,9 +244,9 @@ class TestThreadPool:
         threads = _record_block_threads(monkeypatch)
         spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=2000))  # 2 blocks
         run_sweep(spec, threads=2)
-        pool = experiments._pool
+        pool = simulator._pool
         run_sweep(spec, threads=2)
-        assert experiments._pool is pool
+        assert simulator._pool is pool
         assert len(threads) == 4 and set(threads) <= pool[1]._threads  # 2 blocks per call
         assert threading.main_thread() not in pool[1]._threads
 
@@ -263,7 +269,7 @@ class TestThreadPool:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was made for one block")
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
         before, count = set(threading.enumerate()), threading.active_count()
         assert main(["gain", "--threads", "256", "--n-runs", "100"]) == 0
         capsys.readouterr()
@@ -279,10 +285,10 @@ class TestThreadPool:
                 submitted.append(None)
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Counting)
-        monkeypatch.setattr(experiments, "_pool", None)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(simulator, "_pool", None)
         taken = 0
-        for value in experiments._pool_map(lambda x: x * x, range(100), 3):
+        for value in simulator._pool_map(lambda x: x * x, range(100), 3):
             assert value == taken * taken
             taken += 1
             assert len(submitted) - taken <= 6
@@ -368,7 +374,7 @@ class TestOptimalDistance:
         # gain rises up to L = 50 and is flat beyond: no bracket, no golden step
         calls = []
 
-        def plateau(cfg, mc, wall=None, point=None):
+        def plateau(cfg, mc, wall=None):
             calls.append(cfg.l_m)
             return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
 
@@ -377,7 +383,7 @@ class TestOptimalDistance:
         assert calls == [40.0, 50.0, 60.0]
 
     def test_refinement_errors_propagate(self, monkeypatch):
-        def on_grid_only(cfg, mc, wall=None, point=None):
+        def on_grid_only(cfg, mc, wall=None):
             if cfg.l_m % 5:
                 raise DegenerateGeometryError("off-grid L")
             return SimpleNamespace(gain_db=-abs(cfg.l_m - 52.0))
@@ -410,6 +416,14 @@ class TestOptimalDistance:
             with pytest.raises(InvalidParameterError, match="l sweep without overlay"):
                 optimal_distance(grid, refine)
 
+    @pytest.mark.parametrize("threads", [0, 257])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_threads_are_checked_on_entry(self, refine, threads):
+        # the argmax of this grid is its last point, so nothing else would see threads
+        grid = l_sweep(CFG, [10.0, 20.0, 30.0], replace(MC, n_runs=200))
+        with pytest.raises(InvalidParameterError, match="threads must be in 1..256"):
+            optimal_distance(grid, refine, threads)
+
     def test_cli_optimize_runs_the_one_search(self, monkeypatch, tmp_path):
         searched = []
 
@@ -433,9 +447,9 @@ def test_default_grids():
 def _count_gain_calls(monkeypatch) -> list:
     calls = []
 
-    def counted(cfg, mc, wall=None, point=None):
+    def counted(cfg, mc, wall=None):
         calls.append(cfg.l_m)
-        return irs_gain(cfg, mc, wall, point)
+        return irs_gain(cfg, mc, wall)
 
     monkeypatch.setattr(experiments, "irs_gain", counted)
     return calls

@@ -2,7 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import simulator
-from irslink.experiments import SweepSpec, _pool_map, default_h_uav_grid, run_sweep
+from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
 from irslink.geometry import Position3D, distance, element_positions
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
@@ -523,6 +523,32 @@ class TestBatches:
         assert sizes == [12 * 2**15 * 8]
 
 
+# a value of every ScenarioConfig field other than CFG's, each valid beside
+# CFG's other fields and each but pl_irs_db moving a wall estimate (sla_db 0.2
+# puts the pattern floor under the patch)
+_OTHER_VALUES = {
+    "f_ghz": 3.5, "p_t_dbm": 40.0, "theta_etilt_deg": 5.0, "theta3db_deg": 4.0, "sla_db": 0.2,
+    "pl_irs_db": 3.0, "pl_wall_db": 6.0, "h_bs_m": 30.0, "h_uav_m": 60.0, "h_irs_m": 5.0,
+    "irs_rows": 4, "irs_cols": 30, "l_m": 40.0, "element_pitch_m": 0.05, "uav_x_m": 10.0, "uav_y_m": 3.0,
+}
+
+
+class TestSharingKeys:
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_a_changed_field_shares_no_stale_array(self, monkeypatch, name, phases):
+        # a batch reuses the scatter points and the BS half of the budget while
+        # its hand-kept keys are equal: a field they miss would reuse stale rows
+        other = replace(CFG, **{name: _OTHER_VALUES[name]})
+        config = mc(runs=23, rays=7, phases=phases)
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * 7)  # blocks of 5 runs, the last one short
+        alone = {cfg: wall_power_estimates([cfg], config)[0] for cfg in (CFG, other)}
+        assert (alone[CFG] == alone[other]) is (name == "pl_irs_db")  # the reflector's loss alone
+        for batch in ([CFG, other], [other, CFG]):
+            for cfg, est in zip(batch, wall_power_estimates(batch, config)):
+                assert [x.hex() for x in est] == [x.hex() for x in alone[cfg]]
+
+
 class TestThreads:
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(
@@ -541,20 +567,19 @@ class TestThreads:
         config = mc(runs=(blocks - 1) * runs_per_block + min(last, runs_per_block), rays=rays, seed=seed,
                     phases=phases)
         with mock.patch.object(simulator, "_CHUNK_PATHS", runs_per_block * rays):
-            one, two, three = (wall_power_estimates(batch, config, map_blocks=partial(_pool_map, threads=t))
-                               for t in (1, 2, 3))
+            one, two, three = (wall_power_estimates(batch, config, threads=t) for t in (1, 2, 3))
             assert one == wall_power_estimates(batch, config)
         for est in (two, three):
             assert [[x.hex() for x in e] for e in est] == [[x.hex() for x in e] for e in one]
 
 
 class TestIrsGain:
-    def test_one_geometry_per_point(self, monkeypatch):
-        # the geometry and LoS budget are built once and handed to the wall
-        # estimate, a batch of one called through the module with ([cfg], mc)
+    def test_one_los_budget_per_point(self, monkeypatch):
+        # the LoS budget is built once, by the wall estimate, a batch of one
+        # called through the module with ([cfg], mc)
         built, walls = [], []
-        geometry, wall = ScenarioConfig.geometry, simulator.wall_power_estimates
-        monkeypatch.setattr(ScenarioConfig, "geometry", lambda cfg: built.append(cfg) or geometry(cfg))
+        los, wall = simulator._los_amp_phase, simulator.wall_power_estimates
+        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg, geom: built.append(cfg) or los(cfg, geom))
         monkeypatch.setattr(
             simulator, "wall_power_estimates", lambda *args: walls.append(args[:2]) or wall(*args)
         )
