@@ -8,7 +8,7 @@ for the gain-maximising reflector placement.
 __version__ = "0.1.0"
 
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .geometry import Position3D, ScenarioGeometry, depression_angle, distance, element_positions
+from .geometry import Position3D, ScenarioGeometry, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
 from .simulator import GainResult, dbm_to_amplitude, irs_gain
@@ -26,8 +26,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "dbm_to_amplitude",
-    "depression_angle",
-    "distance",
     "element_positions",
     "irs_gain",
     "optimal_distance",

@@ -3,16 +3,18 @@
 Axes: x runs horizontally from the base station toward the reflector wall,
 y runs along the wall, z is height above ground (all metres).  The wall is
 the plane x = L; the BS sits at the origin at height H_BS.
+
+This module only places things.  Every distance and angle of a path, the
+LoS included, is the link budget's (``simulator``), computed on arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -57,22 +59,3 @@ def element_positions(
     y = center.y + (col + 1 - (cols + 1) / 2.0) * pitch_m
     z = center.z + (row + 1 - (rows + 1) / 2.0) * pitch_m
     return y, z
-
-
-def distance(a: Position3D, b: Position3D) -> float:
-    """Euclidean distance in metres."""
-    return math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2 + (b.z - a.z) ** 2)
-
-
-def depression_angle(frm: Position3D, to: Position3D) -> float:
-    """Angle of the ray below the horizontal plane through ``frm``, in degrees.
-
-    Positive when the target is lower, negative when higher; +90 for straight
-    down.  This matches the down-tilt convention: the antenna boresight is at
-    a positive depression angle.
-    """
-    if frm == to:
-        raise DegenerateGeometryError("depression angle undefined for coincident points")
-    horiz = math.hypot(to.x - frm.x, to.y - frm.y)
-    return math.degrees(math.atan2(frm.z - to.z, horiz))
-

@@ -37,6 +37,16 @@ rays, is one ``einsum("ij,ij->i")`` contraction, with no product row written;
 einsum gives the same bits on every SIMD target.  Amplitudes 10^(p/20) are
 computed as exp(p ln(10)/20).
 
+One link budget serves every path.  Its BS half (``_bs_side``: d1 and
+p_t + G(angle)) takes the plane x of its points: the wall plane for the
+reflector elements and the wall rays, to which the UAV half (``_uav_side``)
+adds PL_NLoS(d1 + d2) and the reflection loss, and the UAV's own plane for
+the LoS, evaluated as a one-point array, to which ``_los_amp_phase`` adds
+PL_LoS(d).  The scalar forms of the distance and the angle live only in the
+tests' scalar reference.  Before any budget of a point runs, one scalar check
+(``_check_path_lengths``) bounds the LoS length and, at the patch corners,
+every reflected path length, so an overflowing path is named, not computed.
+
 The BS-to-point angle needs the horizontal distance sqrt(dx^2 + dy^2): it is
 the root of the partial sum from which d1 = sqrt((dy^2 + dx^2) + dz^2) is
 built, and the angle goes to degrees by one multiply by 180/pi, so neither
@@ -91,7 +101,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .geometry import ScenarioGeometry, depression_angle, distance, element_positions
+from .geometry import Position3D, ScenarioGeometry, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig
 
@@ -139,35 +149,24 @@ class WallEstimate(NamedTuple):
 
 
 def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
+    """The LoS amplitude and phase: the BS half of the budget at the UAV, as a
+    one-point array, less PL_LoS(d)."""
     if geom.bs == geom.uav:
         raise DegenerateGeometryError("BS and UAV coincide")
-    d = distance(geom.bs, geom.uav)
-    theta0 = depression_angle(geom.bs, geom.uav)
-    p_rx = cfg.p_t_dbm + vertical_gain(theta0, cfg) - pl_los(d, cfg)
-    return dbm_to_amplitude(p_rx), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
+    uav = geom.uav
+    d1, gain, b, c = np.empty((4, 1))
+    _bs_side(cfg, geom.bs, uav.x, np.array([uav.y]), np.array([uav.z]), d1, gain, (b, c))
+    d = float(d1[0])
+    return dbm_to_amplitude(float(gain[0]) - pl_los(d, cfg)), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
 
 
-def _reflected_amps_phases(
-    cfg: ScenarioConfig, geom: ScenarioGeometry, y: np.ndarray, z: np.ndarray, reflection_loss_db: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised link budget for reflected paths through the points (y, z) of
-    the wall plane x = irs_center.x: pattern gain at the BS-to-point angle,
-    PL_NLoS(d1 + d2) at the UAV height, and ``reflection_loss_db``.  Serves
-    the reflector elements; the wall kernel calls its two halves itself.
-
-    Returns (amplitudes, path_lengths), both shaped like y.
-    """
-    d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
-    _bs_side(cfg, geom, y, z, d1, gain, (b, c))
-    return _uav_side(cfg, geom, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
-
-
-def _bs_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, work) -> None:
-    """The BS half of the budget for points (y, z) on the wall plane: writes the
-    BS-to-point distance into ``d1`` and p_t + G(angle) into ``gain``.  ``work``
-    is two scratch arrays of the points' shape."""
+def _bs_side(cfg: ScenarioConfig, bs: Position3D, x: float, y, z, d1, gain, work) -> None:
+    """The BS half of the budget for points (y, z) on the plane ``x`` (the wall
+    for elements and rays, the UAV's for the LoS): writes the BS-to-point
+    distance into ``d1`` and p_t + G(angle) into ``gain``.  ``work`` is two
+    scratch arrays of the points' shape."""
     b, c = work
-    bs, dx1 = geom.bs, geom.irs_center.x - geom.bs.x  # every point has x = irs_center.x
+    dx1 = x - bs.x
     # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum; the
     # horizontal distance is the root of its partial sum, numpy's SIMD sqrt in
     # place of libm's hypot element by element
@@ -178,7 +177,7 @@ def _bs_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, work) 
     d1 += b
     np.sqrt(d1, out=d1)
     if not d1.all():
-        raise DegenerateGeometryError("reflection point coincides with BS or UAV")
+        raise DegenerateGeometryError("a path point coincides with the BS")
     # the angle in degrees by one multiply, the same bits as np.degrees at a
     # fifth of its time
     theta = np.multiply(np.arctan2(np.subtract(bs.z, z, out=b), c, out=b), _RAD_TO_DEG, out=b)
@@ -298,7 +297,9 @@ def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
     total = 0.0
     for first in range(0, cfg.k, _CHUNK_PATHS):
         y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, geom.irs_center, first, _CHUNK_PATHS)
-        amps, _ = _reflected_amps_phases(cfg, geom, y, z, cfg.pl_irs_db)
+        d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
+        _bs_side(cfg, geom.bs, geom.irs_center.x, y, z, d1, gain, (b, c))
+        amps, _ = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_irs_db, (d2, b, s, c))
         total += float(np.sum(amps))
     return total
 
@@ -326,8 +327,8 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     scene = []  # per point: cfg, geometry, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
         geom = cfg.geometry()
-        a0, phi0 = _los_amp_phase(cfg, geom)
         _check_path_lengths(geom)
+        a0, phi0 = _los_amp_phase(cfg, geom)
         c = geom.irs_center
         patch = (c.y, c.z, geom.patch_half_width_y, geom.patch_half_height_z)
         bs_side = (patch, geom.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
@@ -351,20 +352,22 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
 
 
 def _check_path_lengths(geom: ScenarioGeometry) -> None:
-    """Raise OverflowError when a reflected path's d1 + d2 can overflow.  Every
-    element and scatter point lies in the patch, where each squared coordinate
-    difference, and so d1 + d2, is largest at one of its corners: one scalar
-    bound, in the kernel's operation order, covers every path of the point."""
-    c = geom.irs_center
-    ys = (c.y - geom.patch_half_width_y, c.y + geom.patch_half_width_y)
-    zs = (c.z - geom.patch_half_height_z, c.z + geom.patch_half_height_z)
+    """Raise OverflowError when a path length can overflow: the LoS d or a
+    reflected path's d1 + d2.  Every element and scatter point lies in the
+    patch, where each squared coordinate difference, and so d1 + d2, is
+    largest at one of its corners: one scalar check, in the kernel's operation
+    order, covers every path of the point."""
+    bs, uav, c = geom.bs, geom.uav, geom.irs_center
+    patch = ((c.y - geom.patch_half_width_y, c.y + geom.patch_half_width_y),
+             (c.z - geom.patch_half_height_z, c.z + geom.patch_half_height_z))
 
-    def longest(end, dx):
+    def longest(end, dx, ys, zs):
         dy, dz = max(abs(y - end.y) for y in ys), max(abs(z - end.z) for z in zs)
         return math.sqrt((dy * dy + dx * dx) + dz * dz)
 
-    if not math.isfinite(longest(geom.bs, c.x - geom.bs.x) + longest(geom.uav, geom.uav.x - c.x)):
-        raise OverflowError("a reflected path length overflows")
+    los = longest(bs, uav.x - bs.x, (uav.y,), (uav.z,))
+    if not math.isfinite(max(los, longest(bs, c.x - bs.x, *patch) + longest(uav, uav.x - c.x, *patch))):
+        raise OverflowError("a path length overflows")
 
 
 def _pool_map(fn, firsts: range, threads: int):
@@ -427,7 +430,7 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
             y, z = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes)
             mapped = patch
         if bs_side != computed:  # the key holds the patch too
-            _bs_side(cfg, geom, y, z, d1, gain, (b, c))
+            _bs_side(cfg, geom.bs, geom.irs_center.x, y, z, d1, gain, (b, c))
             computed = bs_side
         amps, turns = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
         # each run sum is one einsum contraction into the leading elements of a

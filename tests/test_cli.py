@@ -104,6 +104,13 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_uav_within_underflow_of_the_bs_is_exit_3(self, capsys):
+        # 1e-200 m from the BS the LoS length's square underflows to 0: the
+        # kernel's BS half names the coincidence, where the path loss's check
+        # of its distance argument would exit 2
+        code, out, err = run_cli(["gain", "--uav-x", "1e-200", "--h-bs", "50", "--h-uav", "50"] + FAST, capsys)
+        assert (code, out, err) == (3, "", "error: a path point coincides with the BS\n")
+
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_degenerate_point_in_a_sweep_is_exit_3(self, phases, threads, capsys):
@@ -161,11 +168,21 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("extra", [[], ["--n-rays", "0"], ["--n-runs", "4000", "--threads", "2"]])
-    def test_reflected_path_overflow_is_named(self, extra, capsys):
-        # not the path loss's check of its distance argument (exit 2)
-        code, out, err = run_cli(["gain", "--element-pitch", "1e160"] + FAST + extra, capsys)
-        assert (code, out, err) == (3, "", "error: a reflected path length overflows\n")
+    @pytest.mark.parametrize("argv", [
+        ["gain", "--element-pitch", "1e160"] + FAST,  # the reflected paths
+        ["gain", "--element-pitch", "1e160", "--n-rays", "0"] + FAST,
+        ["gain", "--element-pitch", "1e160", "--n-runs", "4000", "--threads", "2"],
+        ["gain", "--uav-y", "1e155", "--n-runs", "10"],  # the LoS path
+        ["gain", "--h-bs", "1e300", "--h-uav", "300", "--n-runs", "10"],
+        ["gain", "--l", "1e160"] + FAST,
+    ])
+    def test_path_overflow_is_named(self, argv, tmp_path, capsys):
+        # every path length is checked before any budget runs: not the path
+        # loss's check of its distance argument (exit 2), nor the errno tuple
+        # of a float power's OverflowError
+        for extra in ([], ["--out", str(tmp_path / "out.csv")]):
+            assert run_cli(argv + extra, capsys) == (3, "", "error: a path length overflows\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_svg_write_leaves_no_results(self, tmp_path, capsys):
         # the plot is written first, so a failed plot write leaves no CSV,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import scalar_reference as ref
-from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D, depression_angle, distance, element_positions
+from irslink.errors import InvalidParameterError
+from irslink.geometry import Position3D, element_positions
 from irslink.rng import uniform_block
 from irslink.scenario import ScenarioConfig
 from irslink.simulator import _scatter_matrix
@@ -117,53 +117,50 @@ class TestElementPositions:
 
 
 class TestDistance:
+    # the scalar reference's distance, the oracle of the kernel's d1 and d2
     def test_3_4_5_triangle(self):
-        assert distance(Position3D(0, 0, 0), Position3D(3, 4, 0)) == 5.0
+        assert ref.distance(Position3D(0, 0, 0), Position3D(3, 4, 0)) == 5.0
 
     def test_bs_to_wall_center(self):
-        d = distance(Position3D(0, 0, 25), Position3D(50, 0, 10))
+        d = ref.distance(Position3D(0, 0, 25), Position3D(50, 0, 10))
         assert d == pytest.approx(52.20153254455275, rel=1e-12, abs=0.0)
 
     def test_identity(self):
         p = Position3D(1.5, -2.0, 7.0)
-        assert distance(p, p) == 0.0
+        assert ref.distance(p, p) == 0.0
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = (Position3D(*rng.uniform(-100, 100, 3)) for _ in range(3))
-            assert distance(a, b) == distance(b, a)
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+            assert ref.distance(a, b) == ref.distance(b, a)
+            assert ref.distance(a, c) <= ref.distance(a, b) + ref.distance(b, c) + 1e-12
 
 
 class TestDepressionAngle:
+    # the scalar reference's angle, the oracle of the kernel's BS-to-point angle
     def test_bs_to_wall_center(self):
-        got = depression_angle(Position3D(0, 0, 25), Position3D(50, 0, 10))
+        got = ref.depression_angle(Position3D(0, 0, 25), Position3D(50, 0, 10))
         assert got == pytest.approx(math.degrees(math.atan2(15.0, 50.0)), rel=1e-12, abs=0.0)
         assert got == pytest.approx(16.6992, abs=1e-4)
 
     def test_target_above_is_negative(self):
-        assert depression_angle(Position3D(0, 0, 25), Position3D(25, 0, 50)) == pytest.approx(-45.0)
+        assert ref.depression_angle(Position3D(0, 0, 25), Position3D(25, 0, 50)) == pytest.approx(-45.0)
 
     def test_level_target_is_zero(self):
-        assert depression_angle(Position3D(0, 0, 25), Position3D(10, 0, 25)) == 0.0
+        assert ref.depression_angle(Position3D(0, 0, 25), Position3D(10, 0, 25)) == 0.0
 
     def test_straight_down_is_plus_90(self):
-        assert depression_angle(Position3D(0, 0, 25), Position3D(0, 0, 1)) == 90.0
+        assert ref.depression_angle(Position3D(0, 0, 25), Position3D(0, 0, 1)) == 90.0
 
     def test_odd_symmetry_in_height_offset(self):
         rng = np.random.default_rng(11)
         frm = Position3D(0, 0, 40)
         for _ in range(100):
             dx, dy, dz = rng.uniform(0.5, 30, 3)
-            up = depression_angle(frm, Position3D(dx, dy, 40 + dz))
-            down = depression_angle(frm, Position3D(dx, dy, 40 - dz))
+            up = ref.depression_angle(frm, Position3D(dx, dy, 40 + dz))
+            down = ref.depression_angle(frm, Position3D(dx, dy, 40 - dz))
             assert up == pytest.approx(-down, rel=1e-12, abs=0.0)
-
-    def test_coincident_points_raise(self):
-        p = Position3D(1, 2, 3)
-        with pytest.raises(DegenerateGeometryError):
-            depression_angle(p, p)
 
 
 def _default_geom(rows=10, cols=10):
