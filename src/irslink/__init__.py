@@ -8,9 +8,8 @@ for the gain-maximising reflector placement.
 __version__ = "0.1.0"
 
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .geometry import Position3D, ScenarioGeometry, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
-from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, ScenarioConfig
+from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, Position3D, ScenarioConfig, element_positions
 from .simulator import GainResult, dbm_to_amplitude, irs_gain
 from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
@@ -22,7 +21,6 @@ __all__ = [
     "MonteCarloConfig",
     "Position3D",
     "ScenarioConfig",
-    "ScenarioGeometry",
     "SweepResult",
     "SweepSpec",
     "dbm_to_amplitude",

@@ -6,6 +6,12 @@ centre at 10 m, a 10x10 element lattice at 2 cm pitch, and 50 m BS-wall
 separation.  The UAV hovers at the midpoint (x = L/2) unless an explicit
 position is given.
 
+The config is the scene.  Axes: x runs horizontally from the BS, at the
+origin at height H_BS, to the reflector wall, the plane x = L; y runs along
+the wall and z is height (all metres).  The properties ``bs``, ``uav``,
+``irs_center`` and the patch half sizes place things, and
+``element_positions`` makes the lattice's coordinates on demand.
+
 Both configs check themselves when they are made, also through
 ``dataclasses.replace``, so every config that exists is valid.  Their fields
 are the model's whole parameter set: the propagation model reads them
@@ -17,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import InvalidParameterError
-from .geometry import Position3D, ScenarioGeometry
 
 DEFAULT_MASTER_SEED = 42  # used whenever no seed is given; recorded in every manifest
 
@@ -38,6 +45,13 @@ _MAX_RAYS = 2**15
 _MAX_ELEMENTS = 10**8
 # UAV heights where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777
 _H_UAV_RANGE_M = (1.5, 300.0)
+
+
+@dataclass(frozen=True)
+class Position3D:
+    x: float
+    y: float
+    z: float
 
 
 @dataclass(frozen=True)
@@ -95,16 +109,27 @@ class ScenarioConfig:
     def k(self) -> int:
         return self.irs_rows * self.irs_cols
 
-    def geometry(self) -> ScenarioGeometry:
-        """Resolve the scene: BS at the origin, wall at x = L, UAV midway unless pinned.
+    # the scene: BS at the origin, wall at x = L, UAV midway unless pinned;
+    # k = 0 (no reflector) gives a zero-extent patch
+    @property
+    def bs(self) -> Position3D:
+        return Position3D(0.0, 0.0, self.h_bs_m)
 
-        k = 0 (no reflector) gives a zero-extent patch.
-        """
-        center = Position3D(self.l_m, 0.0, self.h_irs_m)
-        uav = Position3D(self.l_m / 2.0 if self.uav_x_m is None else self.uav_x_m, self.uav_y_m, self.h_uav_m)
-        half_w = (self.irs_cols - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
-        half_h = (self.irs_rows - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
-        return ScenarioGeometry(Position3D(0.0, 0.0, self.h_bs_m), uav, center, half_w, half_h)
+    @property
+    def uav(self) -> Position3D:
+        return Position3D(self.l_m / 2.0 if self.uav_x_m is None else self.uav_x_m, self.uav_y_m, self.h_uav_m)
+
+    @property
+    def irs_center(self) -> Position3D:
+        return Position3D(self.l_m, 0.0, self.h_irs_m)
+
+    @property
+    def patch_half_width_y(self) -> float:
+        return (self.irs_cols - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
+
+    @property
+    def patch_half_height_z(self) -> float:
+        return (self.irs_rows - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,3 +173,26 @@ def near_square_factors(k: int) -> tuple[int, int]:
             return rows, k // rows
     raise AssertionError("unreachable")
 
+
+def element_positions(
+    rows: int, cols: int, pitch_m: float, center: Position3D, first: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, z) of elements first .. first+n-1 of a regular rows x cols
+    lattice on the plane x = center.x, centred on ``center``, row by row; like
+    a slice [first:first + n], it stops at the lattice's last element.
+
+    Row n, column m (1-based) sits at
+        y = center.y + (m - (cols + 1) / 2) * pitch
+        z = center.z + (n - (rows + 1) / 2) * pitch
+    so the lattice centroid is exactly the patch centre.
+    """
+    if rows < 1 or cols < 1:
+        raise InvalidParameterError(f"element lattice needs rows >= 1 and cols >= 1, got {rows}x{cols}")
+    if pitch_m <= 0:
+        raise InvalidParameterError(f"element pitch must be positive, got {pitch_m}")
+    if first < 0 or n < 0:
+        raise InvalidParameterError(f"element slice needs first >= 0 and n >= 0, got {first}, {n}")
+    row, col = np.divmod(np.arange(first, min(first + n, rows * cols)), cols)
+    y = center.y + (col + 1 - (cols + 1) / 2.0) * pitch_m
+    z = center.z + (row + 1 - (rows + 1) / 2.0) * pitch_m
+    return y, z

@@ -37,15 +37,18 @@ rays, is one ``einsum("ij,ij->i")`` contraction, with no product row written;
 einsum gives the same bits on every SIMD target.  Amplitudes 10^(p/20) are
 computed as exp(p ln(10)/20).
 
-One link budget serves every path.  Its BS half (``_bs_side``: d1 and
-p_t + G(angle)) takes the plane x of its points: the wall plane for the
-reflector elements and the wall rays, to which the UAV half (``_uav_side``)
-adds PL_NLoS(d1 + d2) and the reflection loss, and the UAV's own plane for
-the LoS, evaluated as a one-point array, to which ``_los_amp_phase`` adds
-PL_LoS(d).  The scalar forms of the distance and the angle live only in the
-tests' scalar reference.  Before any budget of a point runs, one scalar check
-(``_check_path_lengths``) bounds the LoS length and, at the patch corners,
-every reflected path length, so an overflowing path is named, not computed.
+One link budget serves every path.  Its functions take the config alone and
+read each of its placement properties (``ScenarioConfig.bs``, ``uav``,
+``irs_center``, the patch half sizes) at most once per call.  Its BS half
+(``_bs_side``: d1 and p_t + G(angle)) takes the plane x of its points: the
+wall plane for the reflector elements and the wall rays, to which the UAV
+half (``_uav_side``) adds PL_NLoS(d1 + d2) and the reflection loss, and the
+UAV's own plane for the LoS, evaluated as a one-point array, to which
+``_los_amp_phase`` adds PL_LoS(d).  The scalar forms of the distance and the
+angle live only in the tests' scalar reference.  Before any budget of a
+point runs, one scalar check (``_check_path_lengths``) bounds the LoS length
+and, at the patch corners, every reflected path length, so an overflowing
+path is named, not computed.
 
 The BS-to-point angle needs the horizontal distance sqrt(dx^2 + dy^2): it is
 the root of the partial sum from which d1 = sqrt((dy^2 + dx^2) + dz^2) is
@@ -101,9 +104,8 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .geometry import Position3D, ScenarioGeometry, element_positions
 from .propagation import pl_los, pl_nlos, vertical_gain
-from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig
+from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, element_positions
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
 
@@ -148,24 +150,25 @@ class WallEstimate(NamedTuple):
     los_amplitude: float  # the LoS term the mean power includes
 
 
-def _los_amp_phase(cfg: ScenarioConfig, geom: ScenarioGeometry) -> tuple[float, float]:
+def _los_amp_phase(cfg: ScenarioConfig) -> tuple[float, float]:
     """The LoS amplitude and phase: the BS half of the budget at the UAV, as a
     one-point array, less PL_LoS(d)."""
-    if geom.bs == geom.uav:
+    uav = cfg.uav
+    if cfg.bs == uav:
         raise DegenerateGeometryError("BS and UAV coincide")
-    uav = geom.uav
     d1, gain, b, c = np.empty((4, 1))
-    _bs_side(cfg, geom.bs, uav.x, np.array([uav.y]), np.array([uav.z]), d1, gain, (b, c))
+    _bs_side(cfg, uav.x, np.array([uav.y]), np.array([uav.z]), d1, gain, (b, c))
     d = float(d1[0])
     return dbm_to_amplitude(float(gain[0]) - pl_los(d, cfg)), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
 
 
-def _bs_side(cfg: ScenarioConfig, bs: Position3D, x: float, y, z, d1, gain, work) -> None:
+def _bs_side(cfg: ScenarioConfig, x: float, y, z, d1, gain, work) -> None:
     """The BS half of the budget for points (y, z) on the plane ``x`` (the wall
     for elements and rays, the UAV's for the LoS): writes the BS-to-point
     distance into ``d1`` and p_t + G(angle) into ``gain``.  ``work`` is two
     scratch arrays of the points' shape."""
     b, c = work
+    bs = cfg.bs
     dx1 = x - bs.x
     # d = sqrt((dx*dx + dy*dy) + dz*dz), the order of numpy's length-3 sum; the
     # horizontal distance is the root of its partial sum, numpy's SIMD sqrt in
@@ -185,7 +188,7 @@ def _bs_side(cfg: ScenarioConfig, bs: Position3D, x: float, y, z, d1, gain, work
     gain += cfg.p_t_dbm
 
 
-def _uav_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, reflection_loss_db: float, work):
+def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, work):
     """The UAV half of the budget, given the BS half (``d1``, ``gain``) of the
     same points: PL_NLoS(d1 + d2) and the reflection loss off ``gain``.
     ``work`` is four arrays of the points' shape; the results are its last two.
@@ -193,7 +196,8 @@ def _uav_side(cfg: ScenarioConfig, geom: ScenarioGeometry, y, z, d1, gain, refle
     Returns (amplitudes, path_lengths).
     """
     d2, b, s, amps = work
-    uav, dx2 = geom.uav, geom.uav.x - geom.irs_center.x
+    uav = cfg.uav
+    dx2 = uav.x - cfg.irs_center.x
     np.square(np.subtract(uav.y, y, out=d2), out=d2)
     d2 += dx2 * dx2
     np.square(np.subtract(uav.z, z, out=b), out=b)
@@ -290,26 +294,26 @@ def _poly(x: np.ndarray, coeffs: tuple[float, ...], out: np.ndarray) -> np.ndarr
     return out
 
 
-def _irs_sum(cfg: ScenarioConfig, geom: ScenarioGeometry) -> float:
+def _irs_sum(cfg: ScenarioConfig) -> float:
     """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
     slices of ``_CHUNK_PATHS`` elements whose coordinates are made one slice at
     a time, so that memory is flat in k."""
-    total = 0.0
+    total, center = 0.0, cfg.irs_center
     for first in range(0, cfg.k, _CHUNK_PATHS):
-        y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, geom.irs_center, first, _CHUNK_PATHS)
+        y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, _CHUNK_PATHS)
         d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
-        _bs_side(cfg, geom.bs, geom.irs_center.x, y, z, d1, gain, (b, c))
-        amps, _ = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_irs_db, (d2, b, s, c))
+        _bs_side(cfg, center.x, y, z, d1, gain, (b, c))
+        amps, _ = _uav_side(cfg, y, z, d1, gain, cfg.pl_irs_db, (d2, b, s, c))
         total += float(np.sum(amps))
     return total
 
 
-def _scatter_matrix(geom: ScenarioGeometry, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _scatter_matrix(cfg: ScenarioConfig, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map uniforms u (..., n_rays, 2) to the (y, z) planes (2, ..., n_rays) of
     points on the patch, written into ``out`` when it is given."""
-    c = geom.irs_center
+    c = cfg.irs_center
     planes = np.empty((2,) + u.shape[:-1]) if out is None else out
-    for axis, centre, half in ((0, c.y, geom.patch_half_width_y), (1, c.z, geom.patch_half_height_z)):
+    for axis, centre, half in ((0, c.y, cfg.patch_half_width_y), (1, c.z, cfg.patch_half_height_z)):
         coord = np.multiply(u[..., axis], 2.0, out=planes[axis])  # c + (2u - 1) * half
         coord -= 1.0
         coord *= half
@@ -324,17 +328,16 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     run on this thread, or on up to ``threads`` threads of the kept pool; they
     are merged here in run order either way, so ``threads`` moves no bit."""
     check_threads(threads)
-    scene = []  # per point: cfg, geometry, LoS amplitude and phasor, sharing keys
+    scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
-        geom = cfg.geometry()
-        _check_path_lengths(geom)
-        a0, phi0 = _los_amp_phase(cfg, geom)
-        c = geom.irs_center
-        patch = (c.y, c.z, geom.patch_half_width_y, geom.patch_half_height_z)
-        bs_side = (patch, geom.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
-        scene.append((cfg, geom, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
+        _check_path_lengths(cfg)
+        a0, phi0 = _los_amp_phase(cfg)
+        c = cfg.irs_center
+        patch = (c.y, c.z, cfg.patch_half_width_y, cfg.patch_half_height_z)
+        bs_side = (patch, cfg.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
+        scene.append((cfg, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
     if mc.n_rays == 0:
-        return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, _, a0, *_ in scene]
+        return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, a0, *_ in scene]
 
     block = max(1, _CHUNK_PATHS // mc.n_rays)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
@@ -348,18 +351,18 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
             acc[1] += block_m2 + delta * delta * ((count - n) * n / count)
 
     return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count, a0)
-            for (mean, m2, refl), (_, _, a0, *_) in zip(stats, scene)]
+            for (mean, m2, refl), (_, a0, *_) in zip(stats, scene)]
 
 
-def _check_path_lengths(geom: ScenarioGeometry) -> None:
+def _check_path_lengths(cfg: ScenarioConfig) -> None:
     """Raise OverflowError when a path length can overflow: the LoS d or a
     reflected path's d1 + d2.  Every element and scatter point lies in the
     patch, where each squared coordinate difference, and so d1 + d2, is
     largest at one of its corners: one scalar check, in the kernel's operation
     order, covers every path of the point."""
-    bs, uav, c = geom.bs, geom.uav, geom.irs_center
-    patch = ((c.y - geom.patch_half_width_y, c.y + geom.patch_half_width_y),
-             (c.z - geom.patch_half_height_z, c.z + geom.patch_half_height_z))
+    bs, uav, c = cfg.bs, cfg.uav, cfg.irs_center
+    half_w, half_h = cfg.patch_half_width_y, cfg.patch_half_height_z
+    patch = ((c.y - half_w, c.y + half_w), (c.z - half_h, c.z + half_h))
 
     def longest(end, dx, ys, zs):
         dy, dz = max(abs(y - end.y) for y in ys), max(abs(z - end.z) for z in zs)
@@ -425,14 +428,14 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
     planes = ws[_POINTS, :n * mc.n_rays].reshape(2, n, mc.n_rays)
     mapped = computed = None  # the keys the scatter points and d1, gain were made for
     stats = []
-    for cfg, geom, _, los_re, los_im, patch, bs_side in scene:
+    for cfg, _, los_re, los_im, patch, bs_side in scene:
         if patch != mapped:
-            y, z = _scatter_matrix(geom, u.reshape(n, mc.n_rays, 2), out=planes)
+            y, z = _scatter_matrix(cfg, u.reshape(n, mc.n_rays, 2), out=planes)
             mapped = patch
         if bs_side != computed:  # the key holds the patch too
-            _bs_side(cfg, geom.bs, geom.irs_center.x, y, z, d1, gain, (b, c))
+            _bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
             computed = bs_side
-        amps, turns = _uav_side(cfg, geom, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
+        amps, turns = _uav_side(cfg, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
         # each run sum is one einsum contraction into the leading elements of a
         # row that is dead by then: im to s, re to d2; |ray sum| goes to b, with
         # the amplitude row c (dead after the sums) as its scratch
@@ -465,9 +468,15 @@ def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | Non
     if wall is None:
         wall = wall_power_estimates([cfg], mc)[0]
     a0 = wall.los_amplitude
-    irs_sum = _irs_sum(cfg, cfg.geometry())
+    irs_sum = _irs_sum(cfg)
     gamma = a0 + irs_sum
-    gain_db = 10.0 * math.log10(gamma * gamma / wall.mean_power_mw)
+    if wall.mean_power_mw == 0.0:
+        raise FloatingPointError("zero received power: the mean wall power is 0 mW")
+    ratio = gamma * gamma / wall.mean_power_mw
+    if ratio == 0.0:
+        raise FloatingPointError(f"zero received power: gamma_irs^2 = {gamma * gamma:g} mW "
+                                 f"against a mean wall power of {wall.mean_power_mw:g} mW")
+    gain_db = 10.0 * math.log10(ratio)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(
         gamma_irs=gamma,

@@ -7,10 +7,11 @@ its own antenna pattern and path-loss formulas, the reflected loss split into
 a BS-to-element segment and an element-to-UAV segment, the element lattice
 built by a loop, and its own scalar splitmix64 counter generator
 (``run_seed``, ``uniform_at``) behind a sequential stream.  It calls nothing
-in the library's link budget or generator; it shares only the data types
-(positions, the scenario config) and the error classes.
-Each function takes the config as the record its formula reads, ``antenna``
-for the pattern, ``pathloss`` for the carrier and ``scene`` for the element
+in the library's link budget or generator, nor the config's placement; it
+shares only the data types (positions, the scenario config) and the error
+classes.  It places the scene itself (``scene``), and each function takes the
+placed ``Scene`` or the config as the record its formula reads, ``antenna``
+for the pattern, ``pathloss`` for the carrier and ``lattice`` for the element
 lattice; the NLoS breakpoint height is its own constant.
 
 A coefficient is an (amplitude, phase) pair.  Amplitudes are in sqrt-milliwatt:
@@ -27,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D, ScenarioGeometry
-from irslink.scenario import ScenarioConfig
+from irslink.scenario import Position3D, ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
 
@@ -130,6 +130,32 @@ def pl_element_to_uav(d1_m: float, d2_m: float, receiver_height_m: float, pathlo
 # --- geometry and sampling -----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Scene:
+    """The placed scene: BS, UAV, reflector patch centre and the patch's half
+    extents."""
+
+    bs: Position3D
+    uav: Position3D
+    irs_center: Position3D
+    patch_half_width_y: float
+    patch_half_height_z: float
+
+
+def scene(cfg: ScenarioConfig) -> Scene:
+    """The BS at (0, 0, h_bs), the UAV at x = L/2 unless pinned, the patch
+    centre at (L, 0, h_irs), and the half extents of the element lattice's
+    bounding box, (n - 1) pitches over 2 for n columns or rows, zero when there
+    is no reflector (k = 0)."""
+    uav_x = cfg.l_m / 2.0 if cfg.uav_x_m is None else cfg.uav_x_m
+    half_w = half_h = 0.0
+    if cfg.irs_rows > 0 and cfg.irs_cols > 0:
+        half_w = (cfg.irs_cols - 1) * cfg.element_pitch_m / 2.0
+        half_h = (cfg.irs_rows - 1) * cfg.element_pitch_m / 2.0
+    return Scene(Position3D(0.0, 0.0, cfg.h_bs_m), Position3D(uav_x, cfg.uav_y_m, cfg.h_uav_m),
+                 Position3D(cfg.l_m, 0.0, cfg.h_irs_m), half_w, half_h)
+
+
 def point(p) -> Position3D:
     """A Position3D from a Position3D or an (x, y, z) row."""
     return p if isinstance(p, Position3D) else Position3D(float(p[0]), float(p[1]), float(p[2]))
@@ -156,7 +182,7 @@ def element_positions(rows: int, cols: int, pitch_m: float, center: Position3D) 
     return out
 
 
-def on_patch(geom: ScenarioGeometry, p, tol: float = 1e-9) -> bool:
+def on_patch(geom: Scene, p, tol: float = 1e-9) -> bool:
     """True if p lies on the wall patch rectangle (within tol)."""
     p = point(p)
     return (
@@ -205,7 +231,7 @@ class CounterStream:
         return out
 
 
-def sample_scatter_points(geom: ScenarioGeometry, count: int, stream: CounterStream) -> list[Position3D]:
+def sample_scatter_points(geom: Scene, count: int, stream: CounterStream) -> list[Position3D]:
     """``count`` points drawn uniformly over the wall patch rectangle.
 
     Consumes exactly 2 draws per point, y then z.  A zero-extent patch yields
@@ -229,7 +255,7 @@ def sample_scatter_points(geom: ScenarioGeometry, count: int, stream: CounterStr
 
 
 def los_coefficient(
-    geom: ScenarioGeometry,
+    geom: Scene,
     antenna: ScenarioConfig,
     pathloss: ScenarioConfig,
     p_t_dbm: float,
@@ -245,7 +271,7 @@ def los_coefficient(
 
 def _reflected_power_dbm(
     p: Position3D,
-    geom: ScenarioGeometry,
+    geom: Scene,
     antenna: ScenarioConfig,
     pathloss: ScenarioConfig,
     p_t_dbm: float,
@@ -264,21 +290,22 @@ def _reflected_power_dbm(
 
 def element_coefficient(
     element_index: int,
-    scene: ScenarioConfig,
+    lattice: ScenarioConfig,
     antenna: ScenarioConfig,
     pathloss: ScenarioConfig,
     p_t_dbm: float,
     refl: ReflectionParams,
     phase_mode: str = PHASE_ALIGNED,
 ) -> ChannelCoefficient:
-    """Path through element ``element_index`` of the reflector of ``scene``,
+    """Path through element ``element_index`` of the reflector of ``lattice``,
     taken from this module's own lattice loop.
 
     "aligned" models ideal phase control: the arrival phase equals the LoS
     phase exactly.  "geometric" uses the raw propagation phase over d1 + d2.
     """
-    geom = scene.geometry()
-    element = element_positions(scene.irs_rows, scene.irs_cols, scene.element_pitch_m, geom.irs_center)[element_index]
+    geom = scene(lattice)
+    element = element_positions(lattice.irs_rows, lattice.irs_cols, lattice.element_pitch_m,
+                                geom.irs_center)[element_index]
     p_rx, path_len = _reflected_power_dbm(element, geom, antenna, pathloss, p_t_dbm, refl.pl_irs_db)
     if phase_mode == PHASE_ALIGNED:
         phase = los_coefficient(geom, antenna, pathloss, p_t_dbm).phase
@@ -291,7 +318,7 @@ def element_coefficient(
 
 def wall_ray_coefficient(
     scatter_point,
-    geom: ScenarioGeometry,
+    geom: Scene,
     antenna: ScenarioConfig,
     pathloss: ScenarioConfig,
     p_t_dbm: float,

@@ -8,9 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from irslink.errors import DegenerateGeometryError, InvalidParameterError
-from irslink.geometry import Position3D
 from irslink.propagation import pl_los, pl_nlos
-from irslink.scenario import ScenarioConfig
+from irslink.scenario import Position3D, ScenarioConfig
 from scalar_reference import (
     PHASE_ALIGNED,
     PHASE_GEOMETRIC,
@@ -21,6 +20,7 @@ from scalar_reference import (
     element_coefficient,
     element_positions,
     los_coefficient,
+    scene,
     wall_ray_coefficient,
     wavelength_m,
 )
@@ -36,7 +36,7 @@ def default_scene(rows=10, cols=10):
 
 
 def default_geom(rows=10, cols=10):
-    return default_scene(rows, cols).geometry()
+    return scene(default_scene(rows, cols))
 
 
 class TestDbmToAmplitude:
@@ -68,13 +68,13 @@ class TestLosCoefficient:
     def test_wavelength_multiple_gives_zero_phase(self):
         # colinear scene: path length 39 wavelengths at 2 GHz, the UAV in front
         # of the wall
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=6.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
-                              uav_x_m=5.85).geometry()
+        geom = scene(ScenarioConfig(irs_rows=1, irs_cols=1, l_m=6.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+                                    uav_x_m=5.85))
         coeff = los_coefficient(geom, ANT, PL2, 46.0)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
 
     def test_coincident_bs_uav_raises(self):
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=25.0, uav_x_m=0.0).geometry()
+        geom = scene(ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=25.0, uav_x_m=0.0))
         with pytest.raises(DegenerateGeometryError):
             los_coefficient(geom, ANT, PL2, 46.0)
 
@@ -98,9 +98,9 @@ class TestElementCoefficient:
 
     def test_lossless_reflection_at_wavelength_multiple(self):
         # d1 + d2 = 39 wavelengths, reflection loss zero: raw link budget, zero phase
-        scene = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0, uav_x_m=0.15)
+        cfg = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0, uav_x_m=0.15)
         refl = ReflectionParams(pl_irs_db=0.0, pl_wall_db=0.0)
-        coeff = element_coefficient(0, scene, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
+        coeff = element_coefficient(0, cfg, ANT, PL2, 46.0, refl, PHASE_GEOMETRIC)
         assert min(coeff.phase, TWO_PI - coeff.phase) < 1e-8
         raw = 46.0 + (-20.0) - pl_nlos(5.85, 5.0, PL2)  # theta_k = 0 is in the side lobe
         assert coeff.amplitude == pytest.approx(dbm_to_amplitude(raw), rel=1e-9, abs=0.0)
@@ -131,8 +131,8 @@ class TestWallRayCoefficient:
 
     def test_half_wavelength_offset_flips_phase(self):
         # second scatter point solved so its path is lambda/2 longer
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
-                              uav_x_m=0.15).geometry()
+        geom = scene(ScenarioConfig(irs_rows=1, irs_cols=1, l_m=3.0, h_bs_m=5.0, h_irs_m=5.0, h_uav_m=5.0,
+                                    uav_x_m=0.15))
         lam = wavelength_m(2.0)
         target = 5.85 + lam / 2.0
 

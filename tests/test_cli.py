@@ -1,13 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irslink import rng
-from irslink.cli import _build_parser, _parse_overlay, _parse_range, main, parse_config_text
+from irslink.cli import _KEY_TYPES, _build_parser, _flag, _parse_overlay, _parse_range, main, parse_config_text
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SWEEPABLE
 from irslink.scenario import ScenarioConfig
@@ -15,6 +21,21 @@ from irslink.scenario import ScenarioConfig
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
 FAST = ["--n-runs", "200"]
+
+# a received power of 0 mW: a lossless-to-zero reflector and a LoS on the
+# pattern's 1e300 dB floor under a 0.001 degree beam (the wall rays stay in
+# the beam), and a transmit power of -1e4 dBm (0 / 0)
+ZERO_POWER = [
+    ["gain", "--pl-irs-db", "1e308", "--theta3db-deg", "1e-3", "--theta-etilt-deg", "16.7", "--sla-db", "1e300",
+     "--n-runs", "10"],
+    ["gain", "--p-t-dbm=-1e4", "--n-runs", "10"],
+]
+
+# the flag of every float ScenarioConfig field, and values at and past the
+# edges of their ranges
+FLOAT_FLAGS = sorted(_flag(f.name) for f in fields(ScenarioConfig) if _KEY_TYPES[f.name] is float)
+EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", "1e155", "1e300", "-1e300", "nan",
+               "inf"]
 
 
 def run_cli(argv, capsys):
@@ -43,9 +64,10 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError, match="line 3.*h_uav"):
             parse_config_text("f_ghz = 2\n\nh_uav = 50\n")
 
-    def test_malformed_line_reports_line_number(self):
+    @pytest.mark.parametrize("text", ["f_ghz = 2\nbroken line\n", "f_ghz = 2\nl_m = far\n"])
+    def test_malformed_line_reports_line_number(self, text):
         with pytest.raises(InvalidParameterError, match="line 2"):
-            parse_config_text("f_ghz = 2\nbroken line\n")
+            parse_config_text(text)
 
     def test_comments_and_inline_comments(self):
         values = parse_config_text("# full comment\nl_m = 70  # inline\nmaster_seed = 9\n")
@@ -59,9 +81,14 @@ class TestConfigParsing:
         config = json.loads(err.strip().splitlines()[-1])["config"]
         assert (config["irs_rows"], config["irs_cols"]) == (5, 10)
 
-    def test_k_50_accepted_with_rows_cols(self, capsys):
-        code, _, _ = run_cli(["gain", "--k", "50", "--irs-rows", "5", "--irs-cols", "10"] + FAST, capsys)
+    @pytest.mark.parametrize("lattice", [["--irs-rows", "5", "--irs-cols", "10"], ["--irs-rows", "5"],
+                                         ["--irs-cols", "10"]])
+    def test_k_50_accepted_with_rows_cols(self, lattice, capsys):
+        # one side given: k divided by it is the other
+        code, _, err = run_cli(["gain", "--k", "50"] + lattice + FAST, capsys)
         assert code == 0
+        config = json.loads(err.strip().splitlines()[-1])["config"]
+        assert (config["irs_rows"], config["irs_cols"]) == (5, 10)
 
     def test_inconsistent_k_rows_cols_rejected(self, capsys):
         code, _, err = run_cli(["gain", "--k", "50", "--irs-rows", "6", "--irs-cols", "9"] + FAST, capsys)
@@ -82,8 +109,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_degenerate_geometry_is_exit_3(self, monkeypatch, capsys):
-        # UAV pinned onto the BS position
+    def test_degenerate_geometry_is_exit_3(self, capsys):
         code, _, err = run_cli(
             ["gain", "--h-uav", "25", "--l", "50"] + FAST + ["--n-rays", "0"], capsys
         )
@@ -91,18 +117,37 @@ class TestExitCodes:
         cfgfile_code, _, err = run_cli(["optimize", "--l-grid", "10:5:1"] + FAST, capsys)
         assert cfgfile_code == 2  # empty/invalid range
 
-        # no flag can put the UAV on the BS, so move it there in the resolved scene
-        geometry = ScenarioConfig.geometry
+        # the UAV pinned onto the BS position
+        code, out, err = run_cli(["gain", "--uav-x", "0", "--uav-y", "0", "--h-uav", "25"] + FAST, capsys)
+        assert (code, out, err) == (3, "", "error: BS and UAV coincide\n")
 
-        def uav_on_bs(cfg):
-            geom = geometry(cfg)
-            return replace(geom, uav=geom.bs)
+    @pytest.mark.parametrize("argv", ZERO_POWER)
+    def test_zero_received_power_is_exit_3(self, argv, tmp_path, capsys):
+        # named before the log of the power ratio, not a math domain error or
+        # a bare division by zero
+        for extra in ([], ["--out", str(tmp_path / "out.csv")]):
+            code, out, err = run_cli(argv + extra, capsys)
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: zero received power")
+        assert list(tmp_path.iterdir()) == []
 
-        monkeypatch.setattr(ScenarioConfig, "geometry", uav_on_bs)
-        code, out, err = run_cli(["gain"] + FAST, capsys)
-        assert code == 3
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    # any 1-4 float flags at edge values: an exit code of the contract, and on
+    # an error one "error:" line and no output file
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EDGE_VALUES)), min_size=1, max_size=4))
+    @example([tuple(ZERO_POWER[0][i:i + 2]) for i in range(1, 9, 2)])
+    @example([("--p-t-dbm", "-1e4")])
+    def test_edge_values_keep_the_exit_code_contract(self, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            out_csv = Path(tmp) / "out.csv"
+            argv = ["gain"] + [f"{flag}={value}" for flag, value in pairs]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--n-runs", "5", "--n-rays", "3", "--out", str(out_csv)])
+            assert code in (0, 2, 3), argv
+            if code:
+                assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:"), argv
+                assert not out_csv.exists()
 
     def test_uav_within_underflow_of_the_bs_is_exit_3(self, capsys):
         # 1e-200 m from the BS the LoS length's square underflows to 0: the
@@ -227,6 +272,16 @@ class TestExitCodes:
         ["gain", "--h-uav", "0.5"],  # the path-loss model holds for 1.5..300 m
         ["gain", "--h-uav", "1000"],
         ["sweep", "--sweep", "h-uav", "--values", "200:400:100"],  # 400 m, before 200 m is evaluated
+        ["gain", "--irs-rows=-1"],
+        ["gain", "--irs-rows", "0"],  # k = 0: no reflector to evaluate
+        ["gain", "--seed", str(2**64)],
+        ["gain", "--k", "50", "--irs-rows", "7"],  # not a multiple
+        ["gain", "--k", "50", "--irs-cols", "7"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:30"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:x:1"],
+        ["sweep", "--sweep", "h-uav", "--values", "20:30:0"],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=a,b"],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k="],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated

@@ -47,11 +47,11 @@ class TestApplyParameter:
 
     def test_l_keeps_uav_at_midpoint(self):
         cfg = apply_parameter(CFG, "l", 80.0)
-        assert cfg.geometry().uav.x == 40.0
+        assert cfg.uav.x == 40.0
 
     def test_l_respects_pinned_uav(self):
         cfg = apply_parameter(replace(CFG, uav_x_m=25.0), "l", 80.0)
-        assert cfg.geometry().uav.x == 25.0
+        assert cfg.uav.x == 25.0
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -136,6 +136,10 @@ class TestRunSweep:
             SweepSpec("bogus", (1.0,), CFG, MC)
         with pytest.raises(InvalidParameterError):
             SweepSpec("l", (40.0, 50.0), CFG, MC, "l", (60.0, 70.0))
+        with pytest.raises(InvalidParameterError, match="unknown overlay parameter"):
+            SweepSpec("h_uav", (20.0,), CFG, MC, "bogus", (1.0,))
+        with pytest.raises(InvalidParameterError, match="overlay values must be non-empty"):
+            SweepSpec("h_uav", (20.0,), CFG, MC, "l", ())
 
     def test_overlay_values_need_an_overlay_parameter(self):
         # run_sweep would ignore them, and metadata would record them beside no parameter
@@ -220,7 +224,7 @@ class TestSweepBatches:
         # its amplitude from the point's wall estimate
         built = []
         los = simulator._los_amp_phase
-        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg, geom: built.append(cfg.h_uav_m) or los(cfg, geom))
+        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg: built.append(cfg.h_uav_m) or los(cfg))
         grid = tuple(default_h_uav_grid())
         run_sweep(SweepSpec("h_uav", grid, CFG, replace(MC, n_runs=50)), threads=threads)
         assert sorted(built) == list(grid)

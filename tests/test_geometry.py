@@ -8,9 +8,8 @@ from scipy import stats
 
 import scalar_reference as ref
 from irslink.errors import InvalidParameterError
-from irslink.geometry import Position3D, element_positions
 from irslink.rng import uniform_block
-from irslink.scenario import ScenarioConfig
+from irslink.scenario import Position3D, ScenarioConfig, element_positions
 from irslink.simulator import _scatter_matrix
 
 CENTER = Position3D(50.0, 0.0, 10.0)
@@ -21,10 +20,10 @@ def with_x(x, y, z):
     return np.stack((np.full_like(y, x), y, z), axis=-1)
 
 
-def scatter(geom, seed, count):
+def scatter(cfg, seed, count):
     """The simulator's mapping of one run's first 2 * count draws to patch points."""
     u = uniform_block(np.array([seed], dtype=np.uint64), 2 * count).reshape(count, 2)
-    return with_x(geom.irs_center.x, *_scatter_matrix(geom, u))
+    return with_x(cfg.irs_center.x, *_scatter_matrix(cfg, u))
 
 
 def lattice(rows, cols, pitch, center):
@@ -163,87 +162,121 @@ class TestDepressionAngle:
             assert up == pytest.approx(-down, rel=1e-12, abs=0.0)
 
 
-def _default_geom(rows=10, cols=10):
-    return ScenarioConfig(irs_rows=rows, irs_cols=cols).geometry()
+def _default_cfg(rows=10, cols=10):
+    return ScenarioConfig(irs_rows=rows, irs_cols=cols)
 
 
 class TestScatterSampling:
     # statistics of the simulator's mapping; the scalar reference sampler
     # (tests/scalar_reference.py) pins down the draw layout
     def test_zero_extent_patch_collapses_to_center(self):
-        geom = ScenarioConfig(irs_rows=1, irs_cols=1).geometry()
-        pts = scatter(geom, 123, 20)
+        pts = scatter(_default_cfg(1, 1), 123, 20)
         assert pts.tolist() == [[50.0, 0.0, 10.0]] * 20
 
     def test_seeded_stream_is_reproducible(self):
-        geom = _default_geom()
-        a = scatter(geom, 99, 20)
-        b = scatter(geom, 99, 20)
+        cfg = _default_cfg()
+        a = scatter(cfg, 99, 20)
+        b = scatter(cfg, 99, 20)
         assert np.array_equal(a, b)
-        assert a.tolist() == [[p.x, p.y, p.z] for p in ref.sample_scatter_points(geom, 20, ref.CounterStream(99))]
+        pts = ref.sample_scatter_points(ref.scene(cfg), 20, ref.CounterStream(99))
+        assert a.tolist() == [[p.x, p.y, p.z] for p in pts]
 
     def test_consumes_two_draws_per_point(self):
         # draws 0..13 are (y, z) of points 0..6, in order
-        geom = _default_geom()
+        cfg = _default_cfg()
         stream = ref.CounterStream(5)
-        pts = ref.sample_scatter_points(geom, 7, stream)
+        pts = ref.sample_scatter_points(ref.scene(cfg), 7, stream)
         assert stream.position == 14
-        assert scatter(geom, 5, 7).tolist() == [[p.x, p.y, p.z] for p in pts]
+        assert scatter(cfg, 5, 7).tolist() == [[p.x, p.y, p.z] for p in pts]
 
     def test_all_points_on_patch(self):
-        geom = _default_geom()
-        for p in scatter(geom, 3, 500):
-            assert ref.on_patch(geom, p)
+        cfg = _default_cfg()
+        for p in scatter(cfg, 3, 500):
+            assert ref.on_patch(ref.scene(cfg), p)
 
     def test_count_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ref.sample_scatter_points(_default_geom(), 0, ref.CounterStream(1))
+            ref.sample_scatter_points(ref.scene(_default_cfg()), 0, ref.CounterStream(1))
 
     def test_uniformity_mean_and_chi_square(self):
         # 1e5 samples: mean-y within 3 standard errors, occupancy uniform on a
         # 4x4 grid (chi-square, significance 1e-3)
-        geom = _default_geom()
-        pts = scatter(geom, 2024, 100_000)
+        cfg = _default_cfg()
+        pts = scatter(cfg, 2024, 100_000)
         ys = pts[:, 1]
         zs = pts[:, 2]
-        half_w = geom.patch_half_width_y
+        half_w, half_h = cfg.patch_half_width_y, cfg.patch_half_height_z
         se = (2 * half_w / math.sqrt(12.0)) / math.sqrt(len(ys))
         assert abs(ys.mean()) < 3 * se
         y_bins = np.digitize(ys, np.linspace(-half_w, half_w, 5)[1:-1])
-        z_bins = np.digitize(zs, np.linspace(10 - geom.patch_half_height_z, 10 + geom.patch_half_height_z, 5)[1:-1])
+        z_bins = np.digitize(zs, np.linspace(10 - half_h, 10 + half_h, 5)[1:-1])
         counts = np.bincount(y_bins * 4 + z_bins, minlength=16)
         chi2 = ((counts - len(ys) / 16.0) ** 2 / (len(ys) / 16.0)).sum()
         assert chi2 < stats.chi2.ppf(1 - 1e-3, df=15)
 
 
-class TestScenarioGeometry:
-    def test_default_positions(self):
-        geom = _default_geom()
-        assert geom.bs == Position3D(0.0, 0.0, 25.0)
-        assert geom.irs_center == Position3D(50.0, 0.0, 10.0)
-        assert geom.uav == Position3D(25.0, 0.0, 50.0)  # midpoint default
-        assert geom.patch_half_width_y == geom.patch_half_height_z == pytest.approx(0.09)
+@st.composite
+def scenario_configs(draw):
+    """Valid configs: pinned and tracking UAVs, no reflector (k = 0, either side
+    zero), strips and rectangular lattices."""
+    l_m = draw(st.floats(1e-3, 1e4))
+    h_bs = draw(st.floats(1e-3, 1e3))
+    return ScenarioConfig(
+        h_bs_m=h_bs,
+        h_irs_m=draw(st.floats(1e-3, h_bs)),
+        h_uav_m=draw(st.floats(1.5, 300.0)),
+        l_m=l_m,
+        irs_rows=draw(st.integers(0, 60)),
+        irs_cols=draw(st.integers(0, 60)),
+        element_pitch_m=draw(st.floats(1e-6, 1e3)),
+        uav_x_m=draw(st.one_of(st.none(), st.floats(-1e4, l_m))),
+        uav_y_m=draw(st.floats(-1e4, 1e4)),
+    )
 
-    def test_geometry_is_a_value(self):
-        # scalars only, so two resolutions of one config compare equal
-        assert _default_geom() == _default_geom()
-        assert _default_geom() != _default_geom(rows=5)
+
+class TestPlacementProperties:
+    def test_default_positions(self):
+        cfg = _default_cfg()
+        assert cfg.bs == Position3D(0.0, 0.0, 25.0)
+        assert cfg.irs_center == Position3D(50.0, 0.0, 10.0)
+        assert cfg.uav == Position3D(25.0, 0.0, 50.0)  # midpoint default
+        assert cfg.patch_half_width_y == cfg.patch_half_height_z == pytest.approx(0.09)
+
+    def test_positions_are_values(self):
+        # scalars only, so a batch's sharing keys compare equal across configs
+        assert _default_cfg().bs == ScenarioConfig(h_uav_m=60.0).bs
+        assert _default_cfg().irs_center != ScenarioConfig(l_m=40.0).irs_center
 
     def test_explicit_uav_position_overrides_midpoint(self):
-        geom = ScenarioConfig(uav_x_m=10.0, uav_y_m=2.0).geometry()
-        assert geom.uav == Position3D(10.0, 2.0, 50.0)
+        assert ScenarioConfig(uav_x_m=10.0, uav_y_m=2.0).uav == Position3D(10.0, 2.0, 50.0)
 
     def test_patch_extents_follow_lattice(self):
-        geom = ScenarioConfig(irs_rows=5).geometry()
-        assert geom.patch_half_height_z == pytest.approx(0.04)
-        assert geom.patch_half_width_y == pytest.approx(0.09)
-        for e in lattice(5, 10, 0.02, geom.irs_center):
-            assert ref.on_patch(geom, e)
+        cfg = ScenarioConfig(irs_rows=5)
+        assert cfg.patch_half_height_z == pytest.approx(0.04)
+        assert cfg.patch_half_width_y == pytest.approx(0.09)
+        for e in lattice(5, 10, 0.02, cfg.irs_center):
+            assert ref.on_patch(ref.scene(cfg), e)
 
     def test_empty_lattice_allowed(self):
-        geom = ScenarioConfig(irs_rows=0, irs_cols=0).geometry()
-        assert geom.patch_half_width_y == geom.patch_half_height_z == 0.0
+        cfg = ScenarioConfig(irs_rows=0, irs_cols=0)
+        assert cfg.patch_half_width_y == cfg.patch_half_height_z == 0.0
 
     def test_bad_heights_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=0.0).geometry()
+            ScenarioConfig(irs_rows=1, irs_cols=1, h_uav_m=0.0)
+
+    # the five properties against the scalar reference's own placement: the
+    # formulas are the same, so any difference is a bug
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(cfg=scenario_configs())
+    @example(ScenarioConfig(irs_rows=0, irs_cols=7))  # no reflector, one side nonzero
+    @example(ScenarioConfig(irs_rows=3, irs_cols=0))
+    @example(ScenarioConfig(irs_rows=4, irs_cols=30, uav_x_m=50.0, uav_y_m=-3.5))  # rectangle, pinned on the wall
+    @example(ScenarioConfig(irs_rows=1, irs_cols=1, l_m=1e-3))  # tracking UAV near the BS
+    def test_placement_matches_scalar_reference(self, cfg):
+        placed = ref.scene(cfg)
+        assert cfg.bs == placed.bs
+        assert cfg.uav == placed.uav
+        assert cfg.irs_center == placed.irs_center
+        assert cfg.patch_half_width_y == placed.patch_half_width_y
+        assert cfg.patch_half_height_z == placed.patch_half_height_z

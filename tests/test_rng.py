@@ -34,8 +34,7 @@ def test_oracle_imports_no_library_numerics():
     allowed = {
         ("irslink.errors", "DegenerateGeometryError"),
         ("irslink.errors", "InvalidParameterError"),
-        ("irslink.geometry", "Position3D"),
-        ("irslink.geometry", "ScenarioGeometry"),
+        ("irslink.scenario", "Position3D"),
         ("irslink.scenario", "ScenarioConfig"),
     }
     assert imported and imported <= allowed, sorted(imported - allowed)

@@ -56,8 +56,8 @@ def test_validation_names_the_offending_key():
 def test_uav_behind_the_wall_is_rejected():
     # the wall plane is x = l_m: a UAV on it is valid, one behind it is not,
     # also when a copy moves the wall in front of a pinned UAV
-    assert ScenarioConfig(uav_x_m=50.0).geometry().uav.x == 50.0
-    assert ScenarioConfig(l_m=1e-3).geometry().uav.x == 5e-4  # None tracks l_m / 2
+    assert ScenarioConfig(uav_x_m=50.0).uav.x == 50.0
+    assert ScenarioConfig(l_m=1e-3).uav.x == 5e-4  # None tracks l_m / 2
     with pytest.raises(InvalidParameterError, match="uav_x_m"):
         ScenarioConfig(uav_x_m=math.nextafter(50.0, math.inf))
     with pytest.raises(InvalidParameterError, match="uav_x_m"):
@@ -79,11 +79,9 @@ def test_antenna_angles_are_bounded():
             ScenarioConfig(theta3db_deg=width)
 
 
-def test_geometry_resolution_tracks_midpoint():
-    geom = ScenarioConfig(l_m=80.0).geometry()
-    assert geom.uav.x == 40.0
-    geom = ScenarioConfig(l_m=80.0, uav_x_m=10.0).geometry()
-    assert geom.uav.x == 10.0
+def test_uav_placement_tracks_midpoint():
+    assert ScenarioConfig(l_m=80.0).uav.x == 40.0
+    assert ScenarioConfig(l_m=80.0, uav_x_m=10.0).uav.x == 10.0
 
 
 @pytest.mark.parametrize("k,expected", [(100, (10, 10)), (50, (5, 10)), (25, (5, 5)), (36, (6, 6)),

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from irslink import simulator
 from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
-from irslink.geometry import Position3D, element_positions
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
-from irslink.scenario import MonteCarloConfig, ScenarioConfig
+from irslink.scenario import MonteCarloConfig, Position3D, ScenarioConfig, element_positions
 from irslink.simulator import irs_gain, wall_power_estimates
 from scalar_reference import (
     PHASE_GEOMETRIC,
@@ -31,6 +30,7 @@ from scalar_reference import (
     los_coefficient,
     run_seed,
     sample_scatter_points,
+    scene,
     wall_ray_coefficient,
 )
 
@@ -50,34 +50,33 @@ def gamma_irs(cfg):
 
 def lattice_slice(cfg, n):
     """The (y, z) of cfg's first n reflector elements."""
-    return element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, cfg.geometry().irs_center, 0, n)
+    return element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, cfg.irs_center, 0, n)
 
 
 def pin_scatter_points(monkeypatch, y, z):
     """Make every Monte Carlo run use the same scatter points (y[i], z[i])."""
     fixed = np.stack((y, z))[:, None, :]
     monkeypatch.setattr(
-        simulator, "_scatter_matrix", lambda geom, u, out=None: np.broadcast_to(fixed, (2,) + u.shape[:-1])
+        simulator, "_scatter_matrix", lambda cfg, u, out=None: np.broadcast_to(fixed, (2,) + u.shape[:-1])
     )
 
 
-def reflected_budget(cfg, geom, y, z, reflection_loss_db):
+def reflected_budget(cfg, y, z, reflection_loss_db):
     """(amplitudes, path lengths) of the reflected paths through the wall-plane
     points (y, z), from the kernel's BS and UAV halves."""
     d1, gain, d2, b, s, c = np.empty((6,) + y.shape)
-    simulator._bs_side(cfg, geom.bs, geom.irs_center.x, y, z, d1, gain, (b, c))
-    return simulator._uav_side(cfg, geom, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
+    simulator._bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
+    return simulator._uav_side(cfg, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
 
 
 def one_shot_estimate(cfg, config):
     """The wall estimate over every run at once: the (n_runs, n_rays) arrays,
     complex phasors, |z|**2 and numpy's mean and std on the whole array."""
     n, rays = config.n_runs, config.n_rays
-    geom = cfg.geometry()
-    a0, phi0 = simulator._los_amp_phase(cfg, geom)
+    a0, phi0 = simulator._los_amp_phase(cfg)
     seeds = run_seeds(config.master_seed, n)
-    y, z = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
-    amps, path_len = reflected_budget(cfg, geom, y, z, cfg.pl_wall_db)
+    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    amps, path_len = reflected_budget(cfg, y, z, cfg.pl_wall_db)
     if config.ray_phases == "uniform":
         phases = TWO_PI * uniform_block(seeds, rays, first_draw=2 * rays)
     else:
@@ -91,7 +90,7 @@ def per_run_reference_powers(cfg, config):
     """Each run's baseline power re-derived with the scalar channel chain and
     the documented draw layout: 2 position draws per ray, then one phase draw
     per ray in uniform mode."""
-    geom = cfg.geometry()
+    geom = scene(cfg)
     refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
     los = los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)
     powers = []
@@ -113,7 +112,7 @@ def turns_vs_radians_rel(cfg):
     d long by about (d / lambda) eps turns, which moves a power by up to twice
     that in radians, relative: 4 pi (d / lambda) eps for the longest path.  A
     path's length is convex on the patch, so the longest one ends at a corner."""
-    geom = cfg.geometry()
+    geom = scene(cfg)
     c, hy, hz = geom.irs_center, geom.patch_half_width_y, geom.patch_half_height_z
     corners = [Position3D(c.x, c.y + sy * hy, c.z + sz * hz) for sy in (-1, 1) for sz in (-1, 1)]
     longest = max(distance(geom.bs, p) + distance(p, geom.uav) for p in corners)
@@ -126,18 +125,18 @@ def exact_phase_mean_power(cfg, config):
     reduced modulo one turn, and only then rounded to float for cos and sin.
     The LoS path is reduced the same way."""
     n, rays = config.n_runs, config.n_rays
-    geom = cfg.geometry()
+    geom = scene(cfg)
     lam = Fraction(simulator.wavelength_m(cfg.f_ghz))
 
     def phasor(turns):  # exp(2 pi i turns)
         phase = TWO_PI * float(turns - math.floor(turns))
         return complex(math.cos(phase), math.sin(phase))
 
-    a0, _ = simulator._los_amp_phase(cfg, geom)
+    a0, _ = simulator._los_amp_phase(cfg)
     los = a0 * phasor(-Fraction(distance(geom.bs, geom.uav)) / lam)
     seeds = run_seeds(config.master_seed, n)
-    y, z = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
-    amps, path_len = reflected_budget(cfg, geom, y, z, cfg.pl_wall_db)
+    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    amps, path_len = reflected_budget(cfg, y, z, cfg.pl_wall_db)
     if config.ray_phases == "uniform":
         turns = [[Fraction(u) for u in row] for row in uniform_block(seeds, rays, first_draw=2 * rays).tolist()]
     else:
@@ -147,11 +146,11 @@ def exact_phase_mean_power(cfg, config):
     return math.fsum(powers) / n
 
 
-def vector_form_budget(cfg, geom, points, reflection_loss_db):
+def vector_form_budget(cfg, points, reflection_loss_db):
     """The link budget as (..., 3) difference vectors reduced by numpy's
     length-3 sum: the form the per-coordinate kernel must match bit for bit."""
-    bs = np.array([geom.bs.x, geom.bs.y, geom.bs.z])
-    uav = np.array([geom.uav.x, geom.uav.y, geom.uav.z])
+    bs = np.array([cfg.bs.x, cfg.bs.y, cfg.bs.z])
+    uav = np.array([cfg.uav.x, cfg.uav.y, cfg.uav.z])
     v1 = points - bs
     v2 = uav - points
     d1 = np.sqrt(np.sum(v1 * v1, axis=-1))
@@ -160,7 +159,7 @@ def vector_form_budget(cfg, geom, points, reflection_loss_db):
     p_rx = (
         cfg.p_t_dbm
         + vertical_gain(theta, cfg)
-        - pl_nlos(d1 + d2, geom.uav.z, cfg)
+        - pl_nlos(d1 + d2, cfg.uav.z, cfg)
         - reflection_loss_db
     )
     return simulator.dbm_to_amplitude(p_rx), d1 + d2
@@ -175,13 +174,12 @@ class TestLinkBudgetOracle:
     @pytest.mark.parametrize("rows,cols", [(1, 7), (10, 10), (40, 40)])
     def test_per_coordinate_budget_is_bit_identical_to_vector_form(self, h_uav, l_m, f_ghz, rows, cols):
         cfg = replace(CFG, h_uav_m=h_uav, l_m=l_m, f_ghz=f_ghz, irs_rows=rows, irs_cols=cols)
-        geom = cfg.geometry()
         seeds = run_seeds(7, 300)
-        rays = simulator._scatter_matrix(geom, uniform_block(seeds, 2 * 20).reshape(300, 20, 2))
+        rays = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * 20).reshape(300, 20, 2))
         for (y, z), loss in ((lattice_slice(cfg, cfg.k), cfg.pl_irs_db), (rays, cfg.pl_wall_db)):
-            amps, path_len = reflected_budget(cfg, geom, y, z, loss)
-            points = np.stack((np.full_like(y, geom.irs_center.x), y, z), axis=-1)
-            ref_amps, ref_len = vector_form_budget(cfg, geom, points, loss)
+            amps, path_len = reflected_budget(cfg, y, z, loss)
+            points = np.stack((np.full_like(y, cfg.irs_center.x), y, z), axis=-1)
+            ref_amps, ref_len = vector_form_budget(cfg, points, loss)
             assert amps.shape == ref_amps.shape == y.shape
             assert np.array_equal(amps, ref_amps)
             assert np.array_equal(path_len, ref_len)
@@ -190,14 +188,12 @@ class TestLinkBudgetOracle:
 class TestIrsAmplitude:
     def test_empty_lattice_equals_los_alone(self):
         cfg = replace(CFG, irs_rows=0, irs_cols=0)
-        geom = cfg.geometry()
-        los = los_coefficient(geom, cfg, cfg, cfg.p_t_dbm)
+        los = los_coefficient(scene(cfg), cfg, cfg, cfg.p_t_dbm)
         assert gamma_irs(cfg) == pytest.approx(los.amplitude, rel=1e-12, abs=0.0)
 
     def test_matches_per_element_summation(self):
         # vectorised path against the scalar coefficient chain
-        geom = CFG.geometry()
-        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
+        los = los_coefficient(scene(CFG), CFG, CFG, CFG.p_t_dbm)
         total = los.amplitude + sum(
             element_coefficient(k, CFG, CFG, CFG, CFG.p_t_dbm, REFL).amplitude
             for k in range(100)
@@ -242,8 +238,7 @@ class TestIrsAmplitude:
 class TestWallPowerEstimate:
     def test_no_rays_is_los_power_exactly(self):
         est = wall_power_estimates([CFG], mc(runs=50, rays=0))[0]
-        geom = CFG.geometry()
-        los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
+        los = los_coefficient(scene(CFG), CFG, CFG, CFG.p_t_dbm)
         assert est.mean_power_mw == pytest.approx(los.amplitude**2, rel=1e-12, abs=0.0)
         assert est.std_error_mw == 0.0
         assert est.mean_reflection_amplitude == 0.0
@@ -386,16 +381,15 @@ def closed_form_mean_power(cfg, n_rays, uniform):
     means over the patch, taken by Gauss-Legendre tensor quadrature of the
     kernel's own budget halves with nq doubled from 8 until E[P] moves by at
     most 1e-12 of itself."""
-    geom = cfg.geometry()
-    a0, phi0 = simulator._los_amp_phase(cfg, geom)
+    a0, phi0 = simulator._los_amp_phase(cfg)
     z0 = complex(a0 * math.cos(phi0), a0 * math.sin(phi0))
-    c, lam, n = geom.irs_center, simulator.wavelength_m(cfg.f_ghz), n_rays
+    c, lam, n = cfg.irs_center, simulator.wavelength_m(cfg.f_ghz), n_rays
     previous = None
     for nq in (8, 16, 32, 64, 128, 256):
         nodes, w = np.polynomial.legendre.leggauss(nq)
-        y, z = np.meshgrid(c.y + geom.patch_half_width_y * nodes, c.z + geom.patch_half_height_z * nodes, indexing="ij")
+        y, z = np.meshgrid(c.y + cfg.patch_half_width_y * nodes, c.z + cfg.patch_half_height_z * nodes, indexing="ij")
         weights = np.outer(w, w) / 4.0  # the patch's uniform density on [-1, 1]^2
-        amps, path_len = reflected_budget(cfg, geom, y, z, cfg.pl_wall_db)
+        amps, path_len = reflected_budget(cfg, y, z, cfg.pl_wall_db)
         turns = -path_len / lam
         mean_x = 0j if uniform else complex(np.sum(weights * amps * np.exp(2j * np.pi * (turns - np.rint(turns)))))
         power = (abs(z0) ** 2 + 2 * n * (z0.conjugate() * mean_x).real + n * np.sum(weights * amps * amps)
@@ -509,12 +503,13 @@ def scalar_bs_gain(cfg, bs, x, y, z):
     return cfg.p_t_dbm + vertical_gain(theta, cfg), theta
 
 
-def assert_bs_side_within_roundings(cfg, bs, x, y, z):
+def assert_bs_side_within_roundings(cfg, x, y, z):
     """The kernel's p_t + G at the points (y, z) of the plane x against
     ``scalar_bs_gain``, within a bound counted from each side's roundings;
     returns the scalar gains."""
     d1, gain, b, c = np.empty((4,) + y.shape)
-    simulator._bs_side(cfg, bs, x, y, z, d1, gain, (b, c))
+    simulator._bs_side(cfg, x, y, z, d1, gain, (b, c))
+    bs = scene(cfg).bs
     ref, theta = map(np.array, zip(*(scalar_bs_gain(cfg, bs, x, yi, zi) for yi, zi in zip(y.tolist(), z.tolist()))))
     # The bound counts roundings, u = eps / 2 each.  The kernel's horizontal
     # distance rounds dy^2, dx^2, their sum and the root: 2.5 u relative at
@@ -546,7 +541,7 @@ class TestBsSideAngle:
             spy = partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), getattr(module, name))
             monkeypatch.setattr(module, name, spy)
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0, uav_y_m=7.0)], mc(runs=100, phases=phases))
-        simulator._irs_sum(CFG, CFG.geometry())
+        simulator._irs_sum(CFG)
         assert calls == []
 
     # a 20 m patch 30 m from the BS spans the down-tilted main lobe and the
@@ -557,9 +552,8 @@ class TestBsSideAngle:
         replace(CFG, l_m=10.0, irs_rows=40, irs_cols=40),
     ])
     def test_bs_side_gain_matches_scalar_libm_within_its_roundings(self, cfg):
-        geom = cfg.geometry()
         y, z = lattice_slice(cfg, min(cfg.k, 2**15))
-        ref = assert_bs_side_within_roundings(cfg, geom.bs, geom.irs_center.x, y, z)
+        ref = assert_bs_side_within_roundings(cfg, cfg.irs_center.x, y, z)
         if cfg.l_m == 30.0:  # both regimes are on the grid
             assert (ref > cfg.p_t_dbm - cfg.sla_db).any() and (ref == cfg.p_t_dbm - cfg.sla_db).any()
 
@@ -573,9 +567,9 @@ class TestBsSideAngle:
             h_bs, l_m = rng.uniform(10.0, 60.0), rng.uniform(10.0, 100.0)
             cfg = replace(CFG, h_bs_m=h_bs, l_m=l_m, uav_x_m=rng.uniform(-100.0, l_m),
                           uav_y_m=rng.uniform(-100.0, 100.0), h_uav_m=rng.uniform(1.5, 300.0))
-            bs, uav = cfg.geometry().bs, cfg.geometry().uav
-            refs.append(assert_bs_side_within_roundings(cfg, bs, uav.x, np.array([uav.y]), np.array([uav.z]))[0])
-            uavs.append((uav.x < 0, uav.z > bs.z))
+            uav = cfg.uav
+            refs.append(assert_bs_side_within_roundings(cfg, uav.x, np.array([uav.y]), np.array([uav.z]))[0])
+            uavs.append((uav.x < 0, uav.z > cfg.h_bs_m))
         assert set(uavs) == set(itertools.product((False, True), repeat=2))
         floor = CFG.p_t_dbm - CFG.sla_db  # both regimes are among the points
         assert any(r > floor for r in refs) and floor in refs
@@ -670,7 +664,7 @@ class TestIrsGain:
         # called through the module with ([cfg], mc)
         built, walls = [], []
         los, wall = simulator._los_amp_phase, simulator.wall_power_estimates
-        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg, geom: built.append(cfg) or los(cfg, geom))
+        monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg: built.append(cfg) or los(cfg))
         monkeypatch.setattr(
             simulator, "wall_power_estimates", lambda *args: walls.append(args[:2]) or wall(*args)
         )
@@ -692,7 +686,7 @@ class TestIrsGain:
         # same reflection loss, rays pinned to the element positions, geometric
         # phases on both sides: numerator and denominator coincide
         cfg = replace(CFG, pl_wall_db=CFG.pl_irs_db)
-        geom = cfg.geometry()
+        geom = scene(cfg)
         pin_scatter_points(monkeypatch, *lattice_slice(cfg, cfg.k))
         est = wall_power_estimates([cfg], mc(runs=10, rays=100))[0]
         refl = ReflectionParams(cfg.pl_irs_db, cfg.pl_wall_db)
@@ -718,7 +712,7 @@ class TestIrsGain:
     def test_gamma_bounds_every_wall_run_amplitude(self):
         # per-path dominance: 10 dB wall loss vs 1 dB, 20 rays vs 100 elements
         gamma = gamma_irs(CFG)
-        geom = CFG.geometry()
+        geom = scene(CFG)
         los = los_coefficient(geom, CFG, CFG, CFG.p_t_dbm)
         for r in range(100):
             stream = CounterStream(run_seed(42, r))
