@@ -33,13 +33,15 @@ RAY_PHASES_GEOMETRIC = "geometric"
 RAY_PHASES_UNIFORM = "uniform"
 RAY_PHASES = (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM)
 
+SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
+
 # time is linear in n_runs and 10**9 runs already take hours per point, so
 # larger counts are rejected instead of running until killed
 _MAX_RUNS = 10**9
-# one run block of the wall kernel (simulator._CHUNK_PATHS paths): a run's rays
-# share a block, so more rays would make a block, and with it the kernel's
-# retained per-thread workspace, grow with the input
-_MAX_RAYS = 2**15
+# paths in one run block of the wall kernel (and one slice of the reflector
+# sum): a run's rays share a block, so n_rays is bounded by it, lest a block,
+# and with it the kernel's retained per-thread workspace, grow with the input
+BLOCK_PATHS = 2**15
 # the reflector sum's time is linear in k and 10**8 elements already take about
 # 6 s per point (2-vCPU Xeon), so larger counts are rejected before factoring
 _MAX_ELEMENTS = 10**8
@@ -89,6 +91,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
+        if not 0.0 < wavelength_m(self.f_ghz) < math.inf:  # f_ghz * 1e9 overflows, or 3e8 over it does
+            raise InvalidParameterError(f"f_ghz must give a positive finite wavelength, got {self.f_ghz}")
         if not -90.0 <= self.theta_etilt_deg <= 90.0:  # a depression angle; below 0 is an uptilt
             raise InvalidParameterError(f"theta_etilt_deg must be in [-90, 90], got {self.theta_etilt_deg}")
         span = 180.0 / self.theta3db_deg  # 12*span^2: the pattern's largest deviation, angles in [-90, 90]
@@ -151,12 +155,16 @@ class MonteCarloConfig:
     def __post_init__(self):
         if not 1 <= self.n_runs <= _MAX_RUNS:
             raise InvalidParameterError(f"n_runs must be in 1..{_MAX_RUNS}, got {self.n_runs}")
-        if not 0 <= self.n_rays <= _MAX_RAYS:
-            raise InvalidParameterError(f"n_rays must be in 0..{_MAX_RAYS}, got {self.n_rays}")
+        if not 0 <= self.n_rays <= BLOCK_PATHS:
+            raise InvalidParameterError(f"n_rays must be in 0..{BLOCK_PATHS}, got {self.n_rays}")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
         if self.ray_phases not in RAY_PHASES:
             raise InvalidParameterError(f"ray_phases must be 'geometric' or 'uniform', got {self.ray_phases!r}")
+
+
+def wavelength_m(f_ghz: float) -> float:
+    return SPEED_OF_LIGHT / (f_ghz * 1e9)
 
 
 def near_square_factors(k: int) -> tuple[int, int]:

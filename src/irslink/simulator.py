@@ -83,10 +83,10 @@ of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
 merged into that point's accumulators in run order with Chan et al.'s
 pairwise update.  A block is a pure function of the batch, the controls and
 its first run (``_wall_block``), so at ``threads`` > 1 the blocks are the
-tasks of a thread pool kept across calls (its threads keep their workspaces);
-they are still merged on the calling thread, in run order.  The block size is
-a constant, so the merge order, and with it every bit of the result, depends
-only on the configs.
+tasks of the kept pool of ``threads`` threads (its threads keep their
+workspaces); they are still merged on the calling thread, in run order.  The
+block size is a constant, so the merge order, and with it every bit of the
+result, depends only on the configs.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +105,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .propagation import pl_los, pl_nlos, vertical_gain
-from .scenario import RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, element_positions
-
-SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
+from .scenario import BLOCK_PATHS, RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, element_positions, wavelength_m
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,10 +114,6 @@ TWO_PI = 2.0 * math.pi
 _DB_TO_LN_AMPLITUDE = math.log(10.0) / 20.0
 
 _RAD_TO_DEG = 180.0 / math.pi  # the factor np.degrees multiplies by
-
-
-def wavelength_m(f_ghz: float) -> float:
-    return SPEED_OF_LIGHT / (f_ghz * 1e9)
 
 
 def dbm_to_amplitude(p_dbm):
@@ -214,9 +208,9 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
 
 # Paths per link-budget call (elements, or wall runs x rays): big enough to
 # amortise numpy's per-call cost, small enough that one block's work arrays
-# stay in cache.  MonteCarloConfig bounds n_rays by the same 2**15, so a
-# block never exceeds it.
-_CHUNK_PATHS = 1 << 15
+# stay in cache.  MonteCarloConfig bounds n_rays by it, so a block never
+# exceeds it.
+_CHUNK_PATHS = BLOCK_PATHS
 
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
 # the position uniforms (2 per ray), the phase rows (uniform mode only: the
@@ -231,12 +225,9 @@ _BUDGET_ROWS = 6
 _POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
 
-# the pool keeps min(threads, blocks) threads, so a large threads on a large
-# n_runs would ask the OS for that many threads
+# a call starts up to min(threads, blocks) pool threads, so a large threads on
+# a large n_runs would ask the OS for that many threads
 _MAX_THREADS = 256
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool): made on first need, then kept
-_pool_lock = threading.Lock()
 
 
 def check_threads(threads: int) -> None:
@@ -373,23 +364,24 @@ def _check_path_lengths(cfg: ScenarioConfig) -> None:
         raise OverflowError("a path length overflows")
 
 
+@lru_cache(maxsize=1)
+def _kept_pool(threads: int) -> ThreadPoolExecutor:
+    """The pool of at most ``threads`` threads, kept until a call asks for another
+    count; a dropped pool finishes the tasks it holds, and its idle threads exit
+    once it is garbage."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _pool_map(fn, firsts: range, threads: int):
-    """Yield fn(first) for each first in order: on this thread when
-    min(threads, len(firsts)) is 1, else as tasks of the kept pool of that
-    many threads, with at most 2 per thread submitted and not yet yielded, so
-    memory does not grow with n_runs."""
-    global _pool
+    """Yield fn(first) for each first in order: on this thread when workers =
+    min(threads, len(firsts)) is 1, else as tasks of the kept pool of
+    ``threads`` threads (which starts no more threads than tasks), at most
+    2 * workers of them submitted and not yet yielded, so memory is flat in n_runs."""
     workers = min(threads, len(firsts))
     if workers <= 1:
         yield from map(fn, firsts)
         return
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # the old pool is dropped, not shut down: a caller still using it
-            # keeps it alive until its tasks are done, and once it is garbage
-            # its idle threads exit
-            _pool = (workers, ThreadPoolExecutor(max_workers=workers))
-        pool = _pool[1]
+    pool = _kept_pool(threads)
     pending: collections.deque = collections.deque()
     try:
         for first in firsts:

@@ -267,6 +267,8 @@ class TestExitCodes:
         ["gain", "--threads", "0"],  # gain evaluates one point but checks the flag like sweep
         ["gain", "--threads", "100000"],
         ["gain", "--n-rays", "32769"],
+        ["gain", "--f-ghz", "1e300", "--n-runs", "10"],  # f_ghz * 1e9 overflows: the wavelength is 0
+        ["gain", "--f-ghz", "5e-324", "--n-runs", "10"],  # 3e8 / (f_ghz * 1e9) overflows
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=nan"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=inf"],
         ["gain", "--h-uav", "0.5"],  # the path-loss model holds for 1.5..300 m

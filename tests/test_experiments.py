@@ -190,7 +190,7 @@ class TestSweepBatches:
                 assert row.result == irs_gain(apply_parameter(cfg, spec.parameter, row.value), spec.mc)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_default_sweep_draws_each_block_once(self, monkeypatch, threads):
+    def test_default_sweep_draws_each_block_once(self, monkeypatch, request, threads):
         # 10,000 runs of 20 rays are 7 blocks of 1,638 runs: one draw and one
         # array pattern evaluation per block for the whole 23-point sweep at
         # any thread count, every pool task a block, and still one gain call
@@ -208,7 +208,8 @@ class TestSweepBatches:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(simulator, "_pool", None)
+        simulator._kept_pool.cache_clear()
+        request.addfinalizer(simulator._kept_pool.cache_clear)  # the patched pool is this test's alone
         mc = MonteCarloConfig()
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, mc)
         run_sweep(spec, threads=threads)
@@ -248,11 +249,56 @@ class TestThreadPool:
         threads = _record_block_threads(monkeypatch)
         spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=2000))  # 2 blocks
         run_sweep(spec, threads=2)
-        pool = simulator._pool
+        pool = simulator._kept_pool(2)
         run_sweep(spec, threads=2)
-        assert simulator._pool is pool
-        assert len(threads) == 4 and set(threads) <= pool[1]._threads  # 2 blocks per call
-        assert threading.main_thread() not in pool[1]._threads
+        assert simulator._kept_pool(2) is pool
+        assert len(threads) == 4 and set(threads) <= pool._threads  # 2 blocks per call
+        assert threading.main_thread() not in pool._threads
+
+    def test_threads_are_bounded_across_calls(self, monkeypatch):
+        # calls of 2 and 7 blocks at threads=3 share the one pool of 3 threads,
+        # whatever their block counts, so their blocks run on at most 3
+        # threads (3 workspaces), and each call gives the bits of one thread
+        mcs = [replace(MC, n_runs=n) for n in (2000, 10_000)]  # 2 and 7 blocks
+        expected = [simulator.wall_power_estimates([CFG], mc) for mc in mcs]
+        threads = _record_block_threads(monkeypatch)
+        for _ in range(5):
+            for mc, one in zip(mcs, expected):
+                assert simulator.wall_power_estimates([CFG], mc, threads=3) == one
+        assert len(threads) == 5 * (2 + 7)
+        assert len(set(threads)) <= 3 and threading.main_thread() not in threads
+
+    def test_a_failing_block_ends_the_call(self, monkeypatch):
+        # the error reaches the caller, no block past the in-flight window
+        # starts, and the same pool then gives the next call the bits of one
+        # thread.  Blocks 3 on wait until the error is out, so both threads
+        # are busy while block 5, the window's last, is still queued: only
+        # the cancel on error keeps it from starting
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * MC.n_rays)  # blocks of 5 runs
+        mc = replace(MC, n_runs=50)  # 10 blocks
+        expected = simulator.wall_power_estimates([CFG], mc)
+        started, raised, block = [], threading.Event(), simulator._wall_block
+
+        def failing(scene, mc, size, first):
+            started.append(first // size)
+            if first == 2 * size:
+                raise FloatingPointError("block 2")
+            if first > 2 * size:
+                raised.wait(timeout=60)
+            return block(scene, mc, size, first)
+
+        monkeypatch.setattr(simulator, "_wall_block", failing)
+        with pytest.raises(FloatingPointError, match="block 2"):
+            simulator.wall_power_estimates([CFG], mc, threads=2)
+        raised.set()
+        pool = simulator._kept_pool(2)
+        monkeypatch.setattr(simulator, "_wall_block", block)
+        assert simulator.wall_power_estimates([CFG], mc, threads=2) == expected
+        assert simulator._kept_pool(2) is pool
+        # blocks 0 and 1 were taken before block 2 raised, so 2 to 5 were in
+        # flight; the pool ran its tasks in order, so any left would have
+        # started before the call above finished
+        assert 2 in started and set(started) <= {0, 1, 2, 3, 4} and len(started) == len(set(started))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_sweep_started_off_the_main_thread_finishes(self, monkeypatch, threads):
@@ -280,7 +326,7 @@ class TestThreadPool:
         # a pool replaced by an earlier test may still be retiring its threads
         assert threading.active_count() <= count and set(threading.enumerate()) <= before
 
-    def test_at_most_two_tasks_per_thread_in_flight(self, monkeypatch):
+    def test_at_most_two_tasks_per_thread_in_flight(self, monkeypatch, request):
         # blocks are submitted as results are taken, so memory is flat in n_runs
         submitted = []
 
@@ -290,7 +336,8 @@ class TestThreadPool:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
-        monkeypatch.setattr(simulator, "_pool", None)
+        simulator._kept_pool.cache_clear()
+        request.addfinalizer(simulator._kept_pool.cache_clear)  # the patched pool is this test's alone
         taken = 0
         for value in simulator._pool_map(lambda x: x * x, range(100), 3):
             assert value == taken * taken
