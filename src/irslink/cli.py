@@ -24,6 +24,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .experiments import SWEEPABLE, SweepSpec, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
 from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
+from .simulator import KeptPlanes
 from .svgplot import render_line_plot
 
 # Every field of the two configs is a config key, parsed by its annotated type,
@@ -219,8 +220,11 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
-    result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads)
-    l_star, gain_star = optimal_distance(result, args.refine, args.threads)
+    # a refined search draws and maps each run block's scatter points once,
+    # for the grid and every golden-section point
+    kept = KeptPlanes(cfg, mc) if args.refine else None
+    result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads, kept=kept)
+    l_star, gain_star = optimal_distance(result, args.refine, args.threads, kept)
     _emit_sweep(args, result, {"l_grid": list(grid), "refined": bool(args.refine)})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)

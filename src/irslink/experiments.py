@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
-from .simulator import GainResult, check_threads, irs_gain, wall_power_estimates
+from .simulator import GainResult, KeptPlanes, check_threads, irs_gain, wall_power_estimates
 
 # sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
 SWEEPABLE = {
@@ -113,8 +113,9 @@ class SweepResult:
         return out
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Evaluate the gain on the whole (overlay x values) grid, in order."""
+def run_sweep(spec: SweepSpec, threads: int = 1, kept: KeptPlanes | None = None) -> SweepResult:
+    """Evaluate the gain on the whole (overlay x values) grid, in order; with
+    ``kept``, the batch reads and fills those scatter planes."""
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:
@@ -123,19 +124,22 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
     # one batch: the wall estimates share each run block, then one gain per point
-    walls = wall_power_estimates([cfg for _, _, cfg in grid], spec.mc, threads)
+    walls = wall_power_estimates([cfg for _, _, cfg in grid], spec.mc, threads, kept)
     rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(grid, walls))
     return SweepResult(rows, spec)
 
 
-def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1) -> tuple[float, float]:
+def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1,
+                     kept: KeptPlanes | None = None) -> tuple[float, float]:
     """Gain-maximising BS-wall distance of an evaluated ``l`` sweep without overlay.
 
     Ties break toward the smaller L.  With refine=True the in-tree
     golden-section search (a port of scipy.optimize.golden) runs between the
     grid neighbours of the argmax.  Each golden point is a one-point sweep of
     ``grid.spec`` on ``threads`` threads, a pure function of L because the
-    Monte Carlo seed is fixed.
+    Monte Carlo seed is fixed.  L moves neither the patch nor the draws, so
+    the golden points read their scatter planes from ``kept`` (the grid's,
+    when it was evaluated with them), or from one made here for the search.
     """
     check_threads(threads)
     spec = grid.spec
@@ -148,8 +152,10 @@ def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1) 
     # The left neighbour is strictly lower because the first maximum wins, so
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
+        kept = KeptPlanes(spec.base, spec.mc) if kept is None else kept
+
         def loss(l):
-            return -run_sweep(replace(spec, values=(l,)), threads).rows[0].result.gain_db
+            return -run_sweep(replace(spec, values=(l,)), threads, kept).rows[0].result.gain_db
 
         l_ref, f_ref = _golden_min(loss, l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:

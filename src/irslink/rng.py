@@ -48,19 +48,29 @@ def run_seeds(master_seed: int, n_runs: int, first_run: int = 0) -> np.ndarray:
     return _finalize_u64(z, np.empty_like(z))
 
 
-def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0, out=None, scratch=None) -> np.ndarray:
-    """Uniforms u[i, j] = u(seeds[i], first_draw + j), shape (len(seeds), n_draws).
+def uniform_block(seeds: np.ndarray, n_draws: int, first_draw: int = 0, out=None, scratch=None,
+                  planes: int = 1) -> np.ndarray:
+    """Uniforms of draws first_draw .. first_draw+n_draws-1 of each of ``seeds``.
+
+    With ``planes`` = 1 they are u[i, j] = u(seeds[i], first_draw + j), shape
+    (len(seeds), n_draws).  With ``planes`` = p (dividing n_draws) draw
+    first_draw + p*j + k of seed i goes to plane k, u[k, i, j], shape
+    (p, len(seeds), n_draws // p): the same values in another place in memory,
+    so that interleaved draws (the y and z of each scatter point) land in one
+    contiguous plane each.
 
     ``out`` (float64) and ``scratch`` (uint64), both of that shape, are
     optional work arrays: with both given the call allocates nothing of the
     result's size, and ``out`` is returned.
     """
-    shape = (len(seeds), n_draws)
+    n = len(seeds)
+    shape = (n, n_draws) if planes == 1 else (planes, n, n_draws // planes)
     z = np.empty(shape, np.uint64) if scratch is None else scratch
     u = np.empty(shape) if out is None else out
-    j = np.arange(first_draw + 1, first_draw + n_draws + 1, dtype=np.uint64)
+    # the counters in plane layout: j[k, m] = first_draw + p*m + k + 1
+    j = np.arange(first_draw + 1, first_draw + n_draws + 1, dtype=np.uint64).reshape(-1, planes).T.copy()
     j *= np.uint64(_PHI_B)
-    np.add(seeds.astype(np.uint64, copy=False)[:, None], j, out=z)
+    np.add(seeds.astype(np.uint64, copy=False)[:, None], j[:, None, :], out=z.reshape(planes, n, n_draws // planes))
     _finalize_u64(z, u.view(np.uint64))  # u is free until the last step
     z >>= np.uint64(11)
     return np.multiply(z, 2.0 ** -53, out=u)

@@ -14,6 +14,10 @@ deterministic reflector power to the mean baseline power, in dB.
 Draw layout within run r (seeded by rng.run_seeds(master_seed, 1, r)):
   draws 0 .. 2*n_rays-1   scatter positions, y then z per point
   draws 2*n_rays .. 3*n_rays-1   ray phases (consumed only in "uniform" mode)
+In memory a block's position draws are two planes (2, runs, n_rays), the y
+draws and the z draws (``rng.uniform_block`` with ``planes=2``), which the
+scatter mapping turns into the points' (y, z) planes element by element;
+only where the values sit differs from the draw order.
 
 Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
@@ -73,8 +77,9 @@ and evaluates the UAV half, PL_NLoS(d1 + d2), the phases and the phasor sums
 per point.  Every stage keeps the one-point operation order, so a point's
 bits do not depend on its neighbours in the batch.  Every array of a block's
 size lives in one workspace per thread (12 rows of 2**15 float64, 3 MiB:
-2 of position uniforms, 2 of phase uniforms and their sin, 6 of link budget
-and 2 of scatter points), made by the thread's first call and reused by
+2 draw rows of position uniforms, a y and a z plane, 2 of phase uniforms and
+their sin, 6 of link budget and 2 point rows of scatter points, mapped from
+the draw rows per patch), made by the thread's first call and reused by
 every later block and call, so memory is flat in the batch size as well; a
 point keeps only scalars.  The arrays are written with numpy's ``out=``, in
 the same operation order as the plain expressions, so the bits are those of
@@ -87,6 +92,20 @@ tasks of the kept pool of ``threads`` threads (its threads keep their
 workspaces); they are still merged on the calling thread, in run order.  The
 block size is a constant, so the merge order, and with it every bit of the
 result, depends only on the configs.
+
+A placement search evaluates many batches with the same controls and patch
+(L moves only the wall plane x), so every batch would draw and map the same
+scatter points.  A ``KeptPlanes``, keyed on the MonteCarloConfig and the
+patch and owned by one search (``cmd_optimize --refine``, else
+``optimal_distance``), holds the mapped planes of the first
+``_KEPT_BLOCKS`` = 8 run blocks (at most 4 MiB).  The first batch to reach
+such a block draws its positions into a new entry, maps them there in place
+and publishes the entry, read-only, only once it is complete, so an error
+leaves no partial entry; every later batch reads it and writes neither the
+draw nor the point rows.  Blocks past the 8 are drawn per batch, so memory
+stays bounded for any n_runs.  A batch whose controls or patch differ from
+the key raises.  The entries are the values a batch without them would
+make, so they move no bit.
 """
 
 from __future__ import annotations
@@ -213,17 +232,23 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
 _CHUNK_PATHS = BLOCK_PATHS
 
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
-# the position uniforms (2 per ray), the phase rows (uniform mode only: the
-# phase uniforms, then their cos in place and their sin beside them), the
-# link budget's rows (d1 and the BS-side gain, then four per-point rows d2,
-# b, s and c, the first two of which are also the generator's scratch and the
-# uniform phasor stage's) and the scatter points' y and z planes.  The workspace
-# is per thread, not passed in, so that every thread that runs blocks (the
-# caller's, or a kept pool's) reuses it across blocks, batches and calls; its
-# contents never outlive one block.
+# the draw rows (the position uniforms, a y plane and a z plane), the phase
+# rows (uniform mode only: the phase uniforms, then their cos in place and
+# their sin beside them), the link budget's rows (d1 and the BS-side gain,
+# then four per-point rows d2, b, s and c, the first two of which are also the
+# generator's scratch and the uniform phasor stage's) and the point rows (the
+# scatter points' y and z planes, mapped from the draw rows per patch).  A
+# block whose planes a KeptPlanes holds writes neither the draw nor the point
+# rows.  The workspace is per thread, not passed in, so that every thread that
+# runs blocks (the caller's, or a kept pool's) reuses it across blocks,
+# batches and calls; its contents never outlive one block.
 _BUDGET_ROWS = 6
-_POSITIONS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
+_DRAWS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
+
+# Run blocks whose scatter planes a KeptPlanes holds: 8 full blocks of two
+# planes of 2**15 float64 each, 4 MiB
+_KEPT_BLOCKS = 8
 
 # a call starts up to min(threads, blocks) pool threads, so a large threads on
 # a large n_runs would ask the OS for that many threads
@@ -299,40 +324,76 @@ def _irs_sum(cfg: ScenarioConfig) -> float:
     return total
 
 
-def _scatter_matrix(cfg: ScenarioConfig, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map uniforms u (..., n_rays, 2) to the (y, z) planes (2, ..., n_rays) of
-    points on the patch, written into ``out`` when it is given."""
+def _patch(cfg: ScenarioConfig) -> tuple[float, float, float, float]:
+    """What the scatter points depend on: the patch's centre y and z and half sizes."""
     c = cfg.irs_center
-    planes = np.empty((2,) + u.shape[:-1]) if out is None else out
+    return c.y, c.z, cfg.patch_half_width_y, cfg.patch_half_height_z
+
+
+def _scatter_matrix(cfg: ScenarioConfig, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map the planes u (2, ..., n_rays) of position uniforms, the y draws then
+    the z draws, to the (y, z) planes of points on the patch, written into
+    ``out`` when it is given (``u`` itself maps in place)."""
+    c = cfg.irs_center
+    planes = np.empty(u.shape) if out is None else out
     for axis, centre, half in ((0, c.y, cfg.patch_half_width_y), (1, c.z, cfg.patch_half_height_z)):
-        coord = np.multiply(u[..., axis], 2.0, out=planes[axis])  # c + (2u - 1) * half
+        coord = np.multiply(u[axis], 2.0, out=planes[axis])  # c + (2u - 1) * half
         coord -= 1.0
         coord *= half
         coord += centre
     return planes
 
 
-def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threads: int = 1) -> list[WallEstimate]:
+class KeptPlanes:
+    """The mapped scatter planes of the first ``_KEPT_BLOCKS`` run blocks, for
+    every batch of one search whose points share ``mc`` and ``cfg``'s patch
+    (see the module docstring).  It holds its entries as long as it lives."""
+
+    def __init__(self, cfg: ScenarioConfig, mc: MonteCarloConfig):
+        self.mc, self.patch, self._cfg = mc, _patch(cfg), cfg
+        self._blocks: dict[int, np.ndarray] = {}  # first run -> (y, z) planes (2, runs, n_rays)
+
+    def planes(self, seeds: np.ndarray, first: int, block: int, scratch: np.ndarray) -> np.ndarray | None:
+        """The (y, z) planes of the block of ``block`` runs from ``first`` (run
+        seeds ``seeds``), made now if this is the block's first use; None past
+        the budget.  ``scratch`` is the generator's."""
+        entry = self._blocks.get(first)
+        if entry is None and first < _KEPT_BLOCKS * block:
+            u = rng.uniform_block(seeds, 2 * self.mc.n_rays, scratch=scratch, planes=2)
+            entry = _scatter_matrix(self._cfg, u, out=u)
+            entry.flags.writeable = False
+            # published only once complete; batches that reach the block at
+            # once each make it, and their entries are equal
+            self._blocks[first] = entry
+        return entry
+
+
+def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threads: int = 1,
+                         kept: KeptPlanes | None = None) -> list[WallEstimate]:
     """Mean and standard error of the baseline received power over ``n_runs``
     at each of ``cfgs`` with the same Monte Carlo controls, in one pass over
     the run blocks, each with the LoS amplitude its mean includes.  The blocks
     run on this thread, or on up to ``threads`` threads of the kept pool; they
-    are merged here in run order either way, so ``threads`` moves no bit."""
+    are merged here in run order either way, so ``threads`` moves no bit.
+    With ``kept``, whose key every point must share, the blocks it holds read
+    their scatter points from it."""
     check_threads(threads)
     scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
         _check_path_lengths(cfg)
         a0, phi0 = _los_amp_phase(cfg)
-        c = cfg.irs_center
-        patch = (c.y, c.z, cfg.patch_half_width_y, cfg.patch_half_height_z)
+        c, patch = cfg.irs_center, _patch(cfg)
         bs_side = (patch, cfg.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
         scene.append((cfg, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
-    if mc.n_rays == 0:
+    if kept is not None and (mc != kept.mc or any(point[4] != kept.patch for point in scene)):
+        raise InvalidParameterError("a batch that reads kept scatter planes needs their Monte Carlo controls and patch")
+    if not scene or mc.n_rays == 0:
         return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, a0, *_ in scene]
 
     block = max(1, _CHUNK_PATHS // mc.n_rays)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
-    for n, block_stats in _pool_map(partial(_wall_block, scene, mc, block), range(0, mc.n_runs, block), threads):
+    blocks = partial(_wall_block, scene, mc, block, kept)
+    for n, block_stats in _pool_map(blocks, range(0, mc.n_runs, block), threads):
         count += n
         for acc, (block_mean, block_m2, refl) in zip(stats, block_stats):
             # Chan et al.: merge this block's (n, mean, M2) into the point's running one
@@ -396,18 +457,23 @@ def _pool_map(fn, firsts: range, threads: int):
             future.cancel()
 
 
-def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tuple[int, list]:
+def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes | None,
+                first: int) -> tuple[int, list]:
     """Runs first .. first+n-1 (n = min(block, n_runs - first)) at every point
     of ``scene``, in this thread's workspace: (n, per point (block mean, block
-    M2, block sum of |ray sum|)).  The result depends only on the arguments."""
+    M2, block sum of |ray sum|)).  The result depends only on the arguments
+    (a kept entry holds what the block would draw and map)."""
     n = min(block, mc.n_runs - first)
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
     n_pos = 2 * mc.n_rays
     shape = (n, mc.n_rays)
     ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
     seeds = rng.run_seeds(mc.master_seed, n, first)
-    u = rng.uniform_block(seeds, n_pos, out=_flat(ws[_POSITIONS], (n, n_pos)),
-                          scratch=_flat(ws[_BUDGET], (n, n_pos)).view(np.uint64))
+    scratch = _flat(ws[_BUDGET], (2,) + shape).view(np.uint64)
+    planes = None if kept is None else kept.planes(seeds, first, block, scratch)
+    mapped = None if planes is None else kept.patch  # the patch the scatter points were mapped for
+    if planes is None:  # drawn here, mapped into the point rows per patch
+        draws = rng.uniform_block(seeds, n_pos, out=_flat(ws[_DRAWS], (2,) + shape), scratch=scratch, planes=2)
     d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
     if uniform:  # the ray phases do not depend on the point
         cos, sin = (_flat(row, shape) for row in ws[_PHASES])
@@ -417,13 +483,14 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, first: int) -> tu
         x = np.square(cos, out=b)
         np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
         np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
-    planes = ws[_POINTS, :n * mc.n_rays].reshape(2, n, mc.n_rays)
-    mapped = computed = None  # the keys the scatter points and d1, gain were made for
+    points = _flat(ws[_POINTS], (2,) + shape)
+    computed = None  # the key d1 and gain were made for
     stats = []
     for cfg, _, los_re, los_im, patch, bs_side in scene:
         if patch != mapped:
-            y, z = _scatter_matrix(cfg, u.reshape(n, mc.n_rays, 2), out=planes)
+            planes = _scatter_matrix(cfg, draws, out=points)
             mapped = patch
+        y, z = planes
         if bs_side != computed:  # the key holds the patch too
             _bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
             computed = bs_side

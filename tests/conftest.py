@@ -1,7 +1,10 @@
 import shutil
 import tempfile
 
+import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from irslink import rng
 
 _hypothesis_home = None
 
@@ -17,3 +20,19 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     shutil.rmtree(_hypothesis_home, ignore_errors=True)
+
+
+@pytest.fixture
+def position_draws(monkeypatch) -> list:
+    """The run count of each scatter-position draw (the generator's two-plane
+    calls) from here on in the test."""
+    draws = []
+    block = rng.uniform_block
+
+    def counted(seeds, *args, **kwargs):
+        if kwargs.get("planes") == 2:
+            draws.append(len(seeds))
+        return block(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(rng, "uniform_block", counted)
+    return draws

@@ -279,13 +279,13 @@ class TestThreadPool:
         expected = simulator.wall_power_estimates([CFG], mc)
         started, raised, block = [], threading.Event(), simulator._wall_block
 
-        def failing(scene, mc, size, first):
+        def failing(scene, mc, size, kept, first):
             started.append(first // size)
             if first == 2 * size:
                 raise FloatingPointError("block 2")
             if first > 2 * size:
                 raised.wait(timeout=60)
-            return block(scene, mc, size, first)
+            return block(scene, mc, size, kept, first)
 
         monkeypatch.setattr(simulator, "_wall_block", failing)
         with pytest.raises(FloatingPointError, match="block 2"):
@@ -478,14 +478,59 @@ class TestOptimalDistance:
     def test_cli_optimize_runs_the_one_search(self, monkeypatch, tmp_path):
         searched = []
 
-        def search(grid, refine=False, threads=1):
-            searched.append((grid.spec.values, refine, threads))
-            return optimal_distance(grid, refine, threads)
+        def search(grid, refine=False, threads=1, kept=None):
+            searched.append((grid.spec.values, refine, threads, type(kept)))
+            return optimal_distance(grid, refine, threads, kept)
 
         monkeypatch.setattr(cli, "optimal_distance", search)
         code = main(["optimize", "--refine", "--n-runs", "200", "--threads", "2", "--out", str(tmp_path / "o.csv")])
         assert code == 0
-        assert searched == [(tuple(default_l_grid()), True, 2)]
+        assert searched == [(tuple(default_l_grid()), True, 2, simulator.KeptPlanes)]
+
+
+def _optimize(tmp_path, capsys, *flags) -> tuple[str, str]:
+    """(CSV, summary) of one in-process ``optimize --refine``."""
+    out = tmp_path / "o.csv"
+    assert main(["optimize", "--refine", *flags, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8"), capsys.readouterr().out
+
+
+class TestKeptSearch:
+    def test_default_search_draws_each_block_once(self, tmp_path, capsys, position_draws):
+        # 10,000 runs are 7 blocks; the grid and the golden-section points of
+        # the search share their scatter planes, so 7 position draws in all,
+        # where a draw per block and call would be 7 x 36
+        _optimize(tmp_path, capsys)
+        assert sorted(position_draws) == sorted([1638] * 6 + [10_000 - 6 * 1638])
+
+    def test_each_cli_call_draws_again(self, tmp_path, capsys, position_draws):
+        # the planes belong to one search, not to the process
+        first = _optimize(tmp_path, capsys, "--n-runs", "2000")
+        assert len(position_draws) == 2
+        assert _optimize(tmp_path, capsys, "--n-runs", "2000") == first
+        assert len(position_draws) == 4
+
+    def test_library_search_keeps_its_own_planes(self, monkeypatch, position_draws):
+        # given no planes, optimal_distance keeps its golden points' own: one
+        # draw per block for the whole golden-section search
+        grid = l_sweep(CFG, default_l_grid(), replace(MC, n_runs=2000))
+        position_draws.clear()
+        calls = _count_gain_calls(monkeypatch)
+        optimal_distance(grid, refine=True)
+        assert len(calls) > 10 and len(position_draws) == 2
+
+    # 50-run blocks: 120 runs end in a partial block, 475 runs are 10 blocks,
+    # 2 past the budget of 8 kept ones, the last partial
+    @pytest.mark.parametrize("n_runs", [120, 475])
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_kept_search_gives_the_rows_and_summary_of_a_search_without(self, monkeypatch, tmp_path, capsys,
+                                                                         phases, n_runs):
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        flags = ["--l-grid", "30:70:5", "--ray-phases", phases, "--n-runs", str(n_runs), "--seed", "7"]
+        with mock.patch.object(simulator, "_KEPT_BLOCKS", 0):  # every block drawn per call
+            expected = _optimize(tmp_path, capsys, *flags)
+        for threads in (1, 2, 3):
+            assert _optimize(tmp_path, capsys, *flags, "--threads", str(threads)) == expected
 
 
 def test_default_grids():

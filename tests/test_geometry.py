@@ -22,7 +22,7 @@ def with_x(x, y, z):
 
 def scatter(cfg, seed, count):
     """The simulator's mapping of one run's first 2 * count draws to patch points."""
-    u = uniform_block(np.array([seed], dtype=np.uint64), 2 * count).reshape(count, 2)
+    u = uniform_block(np.array([seed], dtype=np.uint64), 2 * count, planes=2)[:, 0]
     return with_x(cfg.irs_center.x, *_scatter_matrix(cfg, u))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import simulator
+from irslink.errors import InvalidParameterError
 from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
 from irslink.propagation import pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
@@ -57,7 +59,7 @@ def pin_scatter_points(monkeypatch, y, z):
     """Make every Monte Carlo run use the same scatter points (y[i], z[i])."""
     fixed = np.stack((y, z))[:, None, :]
     monkeypatch.setattr(
-        simulator, "_scatter_matrix", lambda cfg, u, out=None: np.broadcast_to(fixed, (2,) + u.shape[:-1])
+        simulator, "_scatter_matrix", lambda cfg, u, out=None: np.broadcast_to(fixed, u.shape)
     )
 
 
@@ -75,7 +77,7 @@ def one_shot_estimate(cfg, config):
     n, rays = config.n_runs, config.n_rays
     a0, phi0 = simulator._los_amp_phase(cfg)
     seeds = run_seeds(config.master_seed, n)
-    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays, planes=2))
     amps, path_len = reflected_budget(cfg, y, z, cfg.pl_wall_db)
     if config.ray_phases == "uniform":
         phases = TWO_PI * uniform_block(seeds, rays, first_draw=2 * rays)
@@ -135,7 +137,7 @@ def exact_phase_mean_power(cfg, config):
     a0, _ = simulator._los_amp_phase(cfg)
     los = a0 * phasor(-Fraction(distance(geom.bs, geom.uav)) / lam)
     seeds = run_seeds(config.master_seed, n)
-    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays).reshape(n, rays, 2))
+    y, z = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * rays, planes=2))
     amps, path_len = reflected_budget(cfg, y, z, cfg.pl_wall_db)
     if config.ray_phases == "uniform":
         turns = [[Fraction(u) for u in row] for row in uniform_block(seeds, rays, first_draw=2 * rays).tolist()]
@@ -175,7 +177,7 @@ class TestLinkBudgetOracle:
     def test_per_coordinate_budget_is_bit_identical_to_vector_form(self, h_uav, l_m, f_ghz, rows, cols):
         cfg = replace(CFG, h_uav_m=h_uav, l_m=l_m, f_ghz=f_ghz, irs_rows=rows, irs_cols=cols)
         seeds = run_seeds(7, 300)
-        rays = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * 20).reshape(300, 20, 2))
+        rays = simulator._scatter_matrix(cfg, uniform_block(seeds, 2 * 20, planes=2))
         for (y, z), loss in ((lattice_slice(cfg, cfg.k), cfg.pl_irs_db), (rays, cfg.pl_wall_db)):
             amps, path_len = reflected_budget(cfg, y, z, loss)
             points = np.stack((np.full_like(y, cfg.irs_center.x), y, z), axis=-1)
@@ -593,7 +595,9 @@ class TestBatches:
     def test_workspace_has_the_rows_of_the_one_point_kernel(self):
         # 12 rows of 2**15 float64 (3 MiB) per thread, as before batches: the
         # phase cos and sin rows are paid for by drawing positions and phases
-        # apart and by mapping scatter points to their (y, z) planes alone
+        # apart and by mapping scatter points to their (y, z) planes alone.
+        # The draw rows hold the position uniforms as a y and a z plane, which
+        # the point rows map per patch
         sizes = []
 
         def first_call_in_a_thread():
@@ -604,8 +608,129 @@ class TestBatches:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert simulator._POINTS.stop == 12
+        rows = (simulator._DRAWS, simulator._PHASES, simulator._BUDGET, simulator._POINTS)
+        assert [(r.start, r.stop) for r in rows] == [(0, 2), (2, 4), (4, 10), (10, 12)]
         assert sizes == [12 * 2**15 * 8]
+
+
+class TestKeptPlanes:
+    def test_empty_batch_draws_nothing(self, monkeypatch):
+        # it returns before any of the 62 blocks of 100,000 runs is seeded or drawn
+        calls = []
+        for name in ("run_seeds", "uniform_block"):
+            spy = partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), getattr(simulator.rng, name))
+            monkeypatch.setattr(simulator.rng, name, spy)
+        big = MonteCarloConfig(n_runs=100_000, ray_phases="uniform")
+        assert wall_power_estimates([], big) == []
+        assert wall_power_estimates([], big, threads=2, kept=simulator.KeptPlanes(CFG, big)) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kept_blocks_are_drawn_once_and_give_the_same_bits(self, position_draws, phases, threads):
+        # 3,000 runs are 2 blocks: the first batch draws and maps them, the
+        # next (other points of the same patch) only reads them
+        config = mc(runs=3000, phases=phases)
+        batches = [[CFG, replace(CFG, l_m=40.0)], [replace(CFG, l_m=60.0)], [replace(CFG, h_uav_m=60.0)]]
+        expected = [wall_power_estimates(cfgs, config) for cfgs in batches]
+        position_draws.clear()
+        kept = simulator.KeptPlanes(CFG, config)
+        assert [wall_power_estimates(cfgs, config, threads, kept) for cfgs in batches] == expected
+        assert sorted(position_draws) == [3000 - 1638, 1638]
+        assert sorted(kept._blocks) == [0, 1638]
+        assert not any(entry.flags.writeable for entry in kept._blocks.values())
+
+    def test_kept_blocks_leave_the_draw_and_point_rows_untouched(self):
+        # a block read from the kept planes neither draws into this thread's
+        # workspace nor maps into it, so those rows' pages are never written
+        config = mc(runs=3000)
+        wall_power_estimates([CFG], mc(runs=1))
+        ws = simulator._local.workspace
+        ws[simulator._DRAWS] = ws[simulator._POINTS] = -7.0
+        kept = simulator.KeptPlanes(CFG, config)
+        for l_m in (40.0, 50.0, 60.0):
+            wall_power_estimates([replace(CFG, l_m=l_m)], config, kept=kept)
+        assert (ws[simulator._DRAWS] == -7.0).all() and (ws[simulator._POINTS] == -7.0).all()
+
+    def test_blocks_past_the_budget_are_drawn_per_batch(self, monkeypatch, position_draws):
+        # 10 blocks of 50 runs: the first 8 are kept, the last 2 drawn by every
+        # batch, and the kept planes stay within 8 full blocks
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        config = mc(runs=475)
+        expected = wall_power_estimates([CFG], config)
+        position_draws.clear()
+        kept = simulator.KeptPlanes(CFG, config)
+        for _ in range(3):
+            assert wall_power_estimates([CFG], config, kept=kept) == expected
+        assert len(position_draws) == 8 + 3 * 2
+        assert sorted(kept._blocks) == list(range(0, 400, 50))
+        assert sum(entry.nbytes for entry in kept._blocks.values()) <= simulator._KEPT_BLOCKS * 50 * 20 * 2 * 8
+
+    @pytest.mark.parametrize("other", [
+        dict(cfg=replace(CFG, h_irs_m=5.0)),  # another patch centre
+        dict(cfg=replace(CFG, irs_rows=5, irs_cols=20)),  # another patch size
+        dict(config=mc(runs=3000, seed=43)),
+        dict(config=mc(runs=3000, phases="uniform")),
+        dict(config=mc(runs=2000)),
+    ])
+    def test_a_batch_off_the_key_raises(self, other):
+        config = mc(runs=3000)
+        kept = simulator.KeptPlanes(CFG, config)
+        cfgs = [replace(CFG, l_m=40.0), other.get("cfg", CFG)]  # another L keeps the patch
+        with pytest.raises(InvalidParameterError, match="kept scatter planes"):
+            wall_power_estimates(cfgs, other.get("config", config), kept=kept)
+        assert kept._blocks == {}
+
+    def test_concurrent_batches_share_one_kept_set(self, monkeypatch):
+        # batches on more threads than cores, each on a pool of its own size,
+        # reach the same blocks at once: whichever equal entry is published,
+        # every batch gets the bits of a batch without kept planes
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        config = mc(runs=400, phases="uniform")  # 8 blocks
+        cfgs = [[replace(CFG, l_m=l_m)] for l_m in (40.0, 45.0, 50.0, 55.0)]
+        expected = [wall_power_estimates(batch, config) for batch in cfgs]
+        kept = simulator.KeptPlanes(CFG, config)
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=lambda t=t: results.extend(
+                [wall_power_estimates(batch, config, t, kept) for batch in cfgs]), daemon=True) for t in (1, 2, 3) * 2]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == expected * 6
+        assert sorted(kept._blocks) == list(range(0, 400, 50))
+
+    def test_an_error_mid_batch_publishes_no_entry(self, monkeypatch):
+        # the second block's mapping fails after writing its planes: the
+        # first block's entry is complete, the second is never published, and
+        # a later batch makes it afresh with the bits of a batch without them
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        config = mc(runs=150)  # 3 blocks
+        expected = wall_power_estimates([CFG], config)
+        mapping = simulator._scatter_matrix
+
+        def failing(cfg, u, out=None):
+            planes = mapping(cfg, u, out)
+            if len(mapped) == 1:
+                planes[...] = np.nan
+                raise FloatingPointError("mapping")
+            mapped.append(planes)
+            return planes
+
+        mapped = []
+        monkeypatch.setattr(simulator, "_scatter_matrix", failing)
+        kept = simulator.KeptPlanes(CFG, config)
+        with pytest.raises(FloatingPointError, match="mapping"):
+            wall_power_estimates([CFG], config, kept=kept)
+        assert list(kept._blocks) == [0]
+        monkeypatch.setattr(simulator, "_scatter_matrix", mapping)
+        assert wall_power_estimates([CFG], config, kept=kept) == expected
+        assert sorted(kept._blocks) == [0, 50, 100]
 
 
 # a value of every ScenarioConfig field other than CFG's, each valid beside
