@@ -1,6 +1,9 @@
 """Command-line front end: single gain evaluations, sweeps, placement search.
 
-Outputs CSV with the fixed header
+Its surface is read from the records: every field of the two configs is a
+config key and a flag (an alias, choices and help in the field's metadata),
+the CSV columns are GainResult's fields, and a sweep's default grid is its
+SWEEPABLE entry's.  Outputs CSV with the fixed header
     param[,overlay],gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw
 (numbers rendered with 6 significant digits) plus a JSON run manifest that is
 sufficient to reproduce the CSV byte-for-byte.
@@ -14,25 +17,28 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
-from .experiments import SWEEPABLE, SweepSpec, default_h_uav_grid, default_l_grid, optimal_distance, run_sweep
+from .experiments import SWEEPABLE, SweepSpec, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
-from .scenario import RAY_PHASES, MonteCarloConfig, ScenarioConfig, near_square_factors
-from .simulator import KeptPlanes
+from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
+from .simulator import GainResult, KeptPlanes
 from .svgplot import render_line_plot
 
-# Every field of the two configs is a config key, parsed by its annotated type,
-# and a flag (see _flag); "k" is the one key that is not a field.
+# a config key is parsed by its field's annotated type; "k" is the one key
+# that is not a field (lattice_shape resolves it)
 _FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
-_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(ScenarioConfig) + fields(MonteCarloConfig)}
-_KEY_TYPES["k"] = int
+_FIELDS = fields(ScenarioConfig) + fields(MonteCarloConfig)
+_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in _FIELDS} | {"k": int}
+_KEY_META = {f.name: f.metadata for f in _FIELDS} | {"k": {}}
 _MC_KEYS = {f.name for f in fields(MonteCarloConfig)}
+
+_HEADER_BASE = ",".join(f.metadata.get("column", f.name) for f in fields(GainResult))
 
 _SWEEP_NAMES = {name.replace("_", "-"): name for name in SWEEPABLE}
 
@@ -98,8 +104,8 @@ def _parse_overlay(text: str) -> tuple[str, list[float]]:
 
 
 def _flag(key: str) -> str:
-    """The flag of a config key: drop a trailing "_m" and hyphenate."""
-    return "--seed" if key == "master_seed" else "--" + key.removesuffix("_m").replace("_", "-")
+    """The flag of a config key: its metadata's alias, else the key less a trailing "_m", hyphenated."""
+    return _KEY_META[key].get("flag", "--" + key.removesuffix("_m").replace("_", "-"))
 
 
 def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
@@ -116,21 +122,8 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
             values[key] = getattr(args, key)
 
     k = values.pop("k", None)
-    rows, cols = values.get("irs_rows"), values.get("irs_cols")
     if k is not None:
-        if rows is not None and cols is not None:
-            if rows * cols != k:
-                raise InvalidParameterError(f"k={k} inconsistent with irs_rows*irs_cols={rows * cols}")
-        elif rows is not None:
-            if rows < 1 or k % rows != 0:
-                raise InvalidParameterError(f"k={k} is not a multiple of irs_rows={rows}")
-            values["irs_cols"] = k // rows
-        elif cols is not None:
-            if cols < 1 or k % cols != 0:
-                raise InvalidParameterError(f"k={k} is not a multiple of irs_cols={cols}")
-            values["irs_rows"] = k // cols
-        else:
-            values["irs_rows"], values["irs_cols"] = near_square_factors(k)
+        values["irs_rows"], values["irs_cols"] = lattice_shape(k, values.get("irs_rows"), values.get("irs_cols"))
 
     mc_values = {key: values.pop(key) for key in _MC_KEYS & values.keys()}
     cfg = ScenarioConfig(**values)
@@ -140,14 +133,8 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
     return cfg, mc
 
 
-_HEADER_BASE = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
-
-
-def _result_cells(res) -> str:
-    cells = (
-        res.gain_db, res.std_error_db, res.gamma_irs, res.los_amplitude,
-        res.irs_sum_amplitude, res.mean_wall_reflection_amplitude, res.mean_wall_power_mw,
-    )
+def _result_cells(res: GainResult) -> str:
+    cells = astuple(res)
     text = ",".join(_fmt(v) for v in cells)
     if not all(math.isfinite(v) for v in cells):  # exit 3 before anything is written
         raise FloatingPointError(f"non-finite result: {_HEADER_BASE} = {text}")
@@ -200,14 +187,10 @@ def cmd_gain(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, mc = build_configs(args)
     parameter = _SWEEP_NAMES[args.sweep]
-    if args.values:
-        values = _parse_range(args.values)
-    elif parameter == "h_uav":
-        values = default_h_uav_grid()
-    elif parameter == "l":
-        values = default_l_grid()
-    else:
+    default_grid = SWEEPABLE[parameter][2]
+    if not (args.values or default_grid):
         raise InvalidParameterError(f"--values is required when sweeping {args.sweep}")
+    values = _parse_range(args.values) if args.values else default_grid()
     overlay_param, overlay_values = (None, ())
     if args.overlay:
         overlay_param, overlay_values = _parse_overlay(args.overlay)
@@ -225,7 +208,8 @@ def cmd_optimize(args) -> int:
     kept = KeptPlanes(cfg, mc) if args.refine else None
     result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads, kept=kept)
     l_star, gain_star = optimal_distance(result, args.refine, args.threads, kept)
-    _emit_sweep(args, result, {"l_grid": list(grid), "refined": bool(args.refine)})
+    # refined: the optimum is a golden-section point, strictly between grid values
+    _emit_sweep(args, result, {"l_grid": list(grid), "refined": l_star not in grid})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
     (sys.stderr if args.out is None else sys.stdout).write(summary)
     return 0
@@ -237,14 +221,12 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     if svg:
         p.add_argument("--svg", help="also write an SVG line plot")
     for key, typ in _KEY_TYPES.items():
-        flag = _flag(key)
-        if key == "ray_phases":  # --help lists it after --threads, with its choices
+        flag, meta = _flag(key), _KEY_META[key]
+        if key == "ray_phases":  # --help lists --threads just before it
             p.add_argument("--threads", type=int, default=1, help="threads for the run blocks of a sweep's one batch; never changes a bit")
-            p.add_argument(flag, dest=key, choices=RAY_PHASES, help="wall-ray phase model (default: geometric)")
-        else:  # of these, --help lists only --seed
-            shown = key == "master_seed"
-            p.add_argument(flag, dest=key, type=typ, metavar=flag[2:].upper(),
-                           help="master seed for the Monte Carlo baseline" if shown else argparse.SUPPRESS)
+        # --help lists a flag only with its metadata's help, and shows its choices in place of a metavar
+        p.add_argument(flag, dest=key, type=typ, choices=meta.get("choices"), help=meta.get("help", argparse.SUPPRESS),
+                       metavar=None if "choices" in meta else flag[2:].upper())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
 """Parameter sweeps and the placement search over an evaluated "l" sweep.
 
-Sweepable parameters: element count "k" (mapped to a near-square lattice),
-UAV height "h_uav", BS-wall distance "l", reflector height "h_irs", and the
-carrier frequency "f".  When "l" is swept the UAV keeps tracking the midpoint
-x = L/2 unless the scenario pins an explicit UAV position.
+Sweepable parameters: element count "k" (mapped to a lattice by
+``scenario.lattice_shape``), UAV height "h_uav", BS-wall distance "l",
+reflector height "h_irs", and the carrier frequency "f", each with its
+default grid, if any, in ``SWEEPABLE``.  When "l" is swept the UAV keeps
+tracking the midpoint x = L/2 unless the scenario pins an explicit UAV position.
 
 Every grid point is evaluated with the same master seed, so sweeps are
 deterministic and differences between points are not blurred by independent
@@ -14,22 +15,31 @@ runs the blocks on ``threads`` threads, then one gain per point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
+from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
 from .simulator import GainResult, KeptPlanes, check_threads, irs_gain, wall_power_estimates
 
-# sweep name -> (ScenarioConfig field, axis label); "k" sets the lattice shape
+
+def default_h_uav_grid() -> list[float]:
+    """1 m steps through the main-lobe transition, then 10 m steps to 150 m."""
+    return [float(h) for h in range(20, 31)] + [float(h) for h in range(40, 151, 10)]
+
+
+def default_l_grid() -> list[float]:
+    return [float(l) for l in range(10, 101, 5)]
+
+
+# sweep name -> (ScenarioConfig field, axis label, default grid or None); "k" sets the lattice shape
 SWEEPABLE = {
-    "k": (None, "elements"),
-    "h_uav": ("h_uav_m", "UAV height [m]"),
-    "l": ("l_m", "BS-wall distance [m]"),
-    "h_irs": ("h_irs_m", "reflector height [m]"),
-    "f": ("f_ghz", "carrier frequency [GHz]"),
+    "k": (None, "elements", None),
+    "h_uav": ("h_uav_m", "UAV height [m]", default_h_uav_grid),
+    "l": ("l_m", "BS-wall distance [m]", default_l_grid),
+    "h_irs": ("h_irs_m", "reflector height [m]", None),
+    "f": ("f_ghz", "carrier frequency [GHz]", None),
 }
 
 
@@ -38,10 +48,7 @@ def apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioCon
     if name not in SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {name!r}; expected one of {tuple(SWEEPABLE)}")
     if name == "k":
-        k = int(value) if math.isfinite(value) else 0  # int() of nan or inf raises
-        if k != value or k < 1:
-            raise InvalidParameterError(f"k values must be positive integers, got {value}")
-        rows, cols = near_square_factors(k)
+        rows, cols = lattice_shape(value)
         return replace(cfg, irs_rows=rows, irs_cols=cols)
     return replace(cfg, **{SWEEPABLE[name][0]: float(value)})
 
@@ -100,7 +107,7 @@ class SweepResult:
         }
         if self.spec.parameter == "k":
             # non-square counts silently become rectangular lattices; record them
-            meta["k_factorizations"] = {int(v): list(near_square_factors(int(v))) for v in self.spec.values}
+            meta["k_factorizations"] = {int(v): list(lattice_shape(v)) for v in self.spec.values}
         return meta
 
     def series(self) -> dict:
@@ -197,12 +204,3 @@ def _golden_min(f, xa: float, xb: float, xc: float, fb: float) -> tuple[float, f
             x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
             f1 = f(x1)
     return (x1, f1) if f1 < f2 else (x2, f2)
-
-
-def default_h_uav_grid() -> list[float]:
-    """1 m steps through the main-lobe transition, then 10 m steps to 150 m."""
-    return [float(h) for h in range(20, 31)] + [float(h) for h in range(40, 151, 10)]
-
-
-def default_l_grid() -> list[float]:
-    return [float(l) for l in range(10, 101, 5)]

@@ -14,14 +14,15 @@ the wall and z is height (all metres).  The properties ``bs``, ``uav``,
 
 Both configs check themselves when they are made, also through
 ``dataclasses.replace``, so every config that exists is valid.  Their fields
-are the model's whole parameter set: the propagation model reads them
-directly, and the command line derives its flags and config keys from them.
+are the model's whole parameter set: the propagation model reads them, and the
+command line derives its config keys and flags from them and their metadata.
+``lattice_shape`` is the one rule that turns an element count k into a lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -149,8 +150,11 @@ class MonteCarloConfig:
 
     n_runs: int = 10_000
     n_rays: int = 20
-    master_seed: int = DEFAULT_MASTER_SEED
-    ray_phases: str = RAY_PHASES_GEOMETRIC
+    # metadata holds what a flag cannot derive from its field: a "flag" alias, "choices" and --help's "help"
+    master_seed: int = field(default=DEFAULT_MASTER_SEED,
+                             metadata={"flag": "--seed", "help": "master seed for the Monte Carlo baseline"})
+    ray_phases: str = field(default=RAY_PHASES_GEOMETRIC,
+                            metadata={"choices": RAY_PHASES, "help": "wall-ray phase model (default: geometric)"})
 
     def __post_init__(self):
         if not 1 <= self.n_runs <= _MAX_RUNS:
@@ -167,18 +171,31 @@ def wavelength_m(f_ghz: float) -> float:
     return SPEED_OF_LIGHT / (f_ghz * 1e9)
 
 
-def near_square_factors(k: int) -> tuple[int, int]:
-    """Factor k into (rows, cols) with rows the largest divisor <= sqrt(k).
+def lattice_shape(k, rows: int | None = None, cols: int | None = None) -> tuple[int, int]:
+    """The (rows, cols) lattice of k elements, for ``--k``, ``k =`` and sweeps over k.
 
-    Serves ``--k``, ``k =`` and sweeps over k alike, so counts that are not
-    perfect squares still map to an exact lattice (50 -> 5x10, 25 -> 5x5);
-    primes degrade to 1 x k.
+    With one side given the other is k divided by it; with both, their product
+    must be k.  With neither, rows is the largest divisor of k not above
+    sqrt(k), so counts that are not perfect squares still map to an exact
+    lattice (50 -> 5x10, 25 -> 5x5); primes degrade to 1 x k.
     """
-    if not 1 <= k <= _MAX_ELEMENTS:  # trial division of a huge prime k alone takes minutes
-        raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {k}")
-    for rows in range(math.isqrt(k), 0, -1):
-        if k % rows == 0:
-            return rows, k // rows
+    n = int(k) if abs(k) < math.inf else None  # int() of nan or inf raises
+    if n != k:
+        raise InvalidParameterError(f"k values must be positive integers, got {k}")
+    if rows is not None and cols is not None:
+        if rows * cols != n:
+            raise InvalidParameterError(f"k={n} inconsistent with irs_rows*irs_cols={rows * cols}")
+        return rows, cols
+    if rows is not None or cols is not None:
+        name, side = ("irs_rows", rows) if rows is not None else ("irs_cols", cols)
+        if side < 1 or n % side != 0:
+            raise InvalidParameterError(f"k={n} is not a multiple of {name}={side}")
+        return (side, n // side) if rows is not None else (n // side, side)
+    if not 1 <= n <= _MAX_ELEMENTS:  # trial division of a huge prime k alone takes minutes
+        raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {n}")
+    for rows in range(math.isqrt(n), 0, -1):
+        if n % rows == 0:
+            return rows, n // rows
     raise AssertionError("unreachable")
 
 

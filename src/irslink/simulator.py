@@ -115,7 +115,7 @@ import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -145,15 +145,16 @@ def dbm_to_amplitude(p_dbm):
 
 @dataclass(frozen=True)
 class GainResult:
-    """Gain of the reflector scenario over the wall baseline, with components."""
+    """Gain of the reflector scenario over the wall baseline, with components: the
+    CSV's columns in order, each named after its field or its metadata's "column"."""
 
-    gamma_irs: float                      # deterministic received amplitude, sqrt-mW
-    mean_wall_power_mw: float             # Monte Carlo mean baseline power
     gain_db: float                        # 10 log10(gamma_irs^2 / mean_wall_power_mw)
     std_error_db: float                   # standard error of the mean, in dB
-    los_amplitude: float
-    irs_sum_amplitude: float              # sum of element amplitudes alone
-    mean_wall_reflection_amplitude: float  # mean |sum of rays| without the LoS path
+    gamma_irs: float                      # deterministic received amplitude, sqrt-mW
+    los_amplitude: float = field(metadata={"column": "los_amp"})
+    irs_sum_amplitude: float = field(metadata={"column": "irs_sum_amp"})  # element amplitudes alone
+    mean_wall_reflection_amplitude: float = field(metadata={"column": "wall_mean_amp"})  # mean |sum of rays|, no LoS
+    mean_wall_power_mw: float             # Monte Carlo mean baseline power
 
 
 class WallEstimate(NamedTuple):
@@ -538,11 +539,11 @@ def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | Non
     gain_db = 10.0 * math.log10(ratio)
     se_db = 10.0 / math.log(10.0) * wall.std_error_mw / wall.mean_power_mw
     return GainResult(
-        gamma_irs=gamma,
-        mean_wall_power_mw=wall.mean_power_mw,
         gain_db=gain_db,
         std_error_db=se_db,
+        gamma_irs=gamma,
         los_amplitude=a0,
         irs_sum_amplitude=irs_sum,
         mean_wall_reflection_amplitude=wall.mean_reflection_amplitude,
+        mean_wall_power_mw=wall.mean_power_mw,
     )

@@ -81,20 +81,6 @@ class TestConfigParsing:
         config = json.loads(err.strip().splitlines()[-1])["config"]
         assert (config["irs_rows"], config["irs_cols"]) == (5, 10)
 
-    @pytest.mark.parametrize("lattice", [["--irs-rows", "5", "--irs-cols", "10"], ["--irs-rows", "5"],
-                                         ["--irs-cols", "10"]])
-    def test_k_50_accepted_with_rows_cols(self, lattice, capsys):
-        # one side given: k divided by it is the other
-        code, _, err = run_cli(["gain", "--k", "50"] + lattice + FAST, capsys)
-        assert code == 0
-        config = json.loads(err.strip().splitlines()[-1])["config"]
-        assert (config["irs_rows"], config["irs_cols"]) == (5, 10)
-
-    def test_inconsistent_k_rows_cols_rejected(self, capsys):
-        code, _, err = run_cli(["gain", "--k", "50", "--irs-rows", "6", "--irs-cols", "9"] + FAST, capsys)
-        assert code == 2
-        assert "inconsistent" in err
-
 
 class TestExitCodes:
     def test_validation_error_names_key(self, capsys):
@@ -513,6 +499,19 @@ class TestOptimizeCommand:
         assert code_a == code_b == 0
         assert summary_a.startswith("l_star = ") and summary_a == summary_b
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv,l_star,refined", [
+        (["--n-runs", "2000"], "45", False),
+        (["--refine", "--n-runs", "2000", "--l-grid", "45:55:5"], "45", False),  # the argmax is the grid's edge
+        (["--refine", "--ray-phases", "uniform"], "52.649", True),  # a golden-section point beats the grid
+    ])
+    def test_refined_only_when_the_optimum_is_a_golden_point(self, argv, l_star, refined, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code, summary, _ = run_cli(["optimize", *argv, "--seed", "0", "--out", str(out)], capsys)
+        assert code == 0 and summary.startswith(f"l_star = {l_star}, ")
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["refined"] is refined
+        assert ("--refine" in manifest["command"]) is ("--refine" in argv)
 
     def test_single_point_grid(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from irslink.errors import InvalidParameterError
-from irslink.scenario import MonteCarloConfig, ScenarioConfig, near_square_factors
+from irslink.scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
 
 
 def test_defaults_match_standard_parameters():
@@ -89,14 +89,14 @@ def test_uav_placement_tracks_midpoint():
 @pytest.mark.parametrize("k,expected", [(100, (10, 10)), (50, (5, 10)), (25, (5, 5)), (36, (6, 6)),
                                         (75, (5, 15)), (13, (1, 13)), (1, (1, 1))])
 def test_near_square_factorisation(k, expected):
-    assert near_square_factors(k) == expected
+    assert lattice_shape(k) == expected
 
 
 def test_element_count_is_bounded_before_factoring():
-    assert near_square_factors(10**8) == (10**4, 10**4)
+    assert lattice_shape(10**8) == (10**4, 10**4)
     for k in (0, 10**8 + 1, 2**61 - 1):  # a huge prime would take minutes to factor
         with pytest.raises(InvalidParameterError, match="element count"):
-            near_square_factors(k)
+            lattice_shape(k)
     with pytest.raises(InvalidParameterError, match="irs_rows"):
         ScenarioConfig(irs_rows=10**4, irs_cols=10**4 + 1)
     assert ScenarioConfig(irs_rows=10**4, irs_cols=10**4).k == 10**8
@@ -111,7 +111,7 @@ def test_floor_sqrt_rule():
         cols = -(-k // rows)
         if rows * cols == k:
             accepted += 1
-            assert near_square_factors(k) == (rows, cols)
-    assert near_square_factors(30) == (5, 6)
-    assert near_square_factors(50) == (5, 10)  # the oracle misses 50 (7 * 8 != 50)
+            assert lattice_shape(k) == (rows, cols)
+    assert lattice_shape(30) == (5, 6)
+    assert lattice_shape(50) == (5, 10)  # the oracle misses 50 (7 * 8 != 50)
     assert accepted > 100
