@@ -47,7 +47,7 @@ def pl_los(d_m, cfg: ScenarioConfig):
     return float(pl) if np.isscalar(d_m) else pl
 
 
-def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig, out=None, scratch=None):
+def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig, out=None, scratch=None, check: bool = True):
     """Non-line-of-sight path loss in dB, branching on the receiver height.
 
     Heights >= the breakpoint (22.5 m) use the high-altitude expression
@@ -57,11 +57,14 @@ def pl_nlos(d_m, receiver_height_m: float, cfg: ScenarioConfig, out=None, scratc
 
     ``out`` and ``scratch`` are optional float64 arrays shaped like ``d_m``
     (``scratch`` may be ``d_m`` itself) that receive the loss and, below the
-    breakpoint, PL_LoS, so an array call allocates nothing.
+    breakpoint, PL_LoS, so an array call allocates nothing.  ``check=False``
+    skips the input check, for a caller whose lengths are known positive and
+    finite and whose height is positive (the wall kernel).
     """
-    _check_positive(d_m, "d_m")
-    if receiver_height_m <= 0:
-        raise InvalidParameterError(f"receiver_height_m must be positive, got {receiver_height_m}")
+    if check:
+        _check_positive(d_m, "d_m")
+        if receiver_height_m <= 0:
+            raise InvalidParameterError(f"receiver_height_m must be positive, got {receiver_height_m}")
     d = np.asarray(d_m, dtype=float)
     h, f_db = receiver_height_m, 20.0 * np.log10(cfg.f_ghz)
     pl = np.log10(d, out=np.empty_like(d) if out is None else out)

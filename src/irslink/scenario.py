@@ -181,22 +181,34 @@ def lattice_shape(k, rows: int | None = None, cols: int | None = None) -> tuple[
     """
     n = int(k) if abs(k) < math.inf else None  # int() of nan or inf raises
     if n != k:
-        raise InvalidParameterError(f"k values must be positive integers, got {k}")
+        raise InvalidParameterError(f"k values must be positive integers, got {_shown(k)}")
     if rows is not None and cols is not None:
         if rows * cols != n:
-            raise InvalidParameterError(f"k={n} inconsistent with irs_rows*irs_cols={rows * cols}")
+            raise InvalidParameterError(f"k={_shown(n)} inconsistent with irs_rows*irs_cols={rows * cols}")
         return rows, cols
     if rows is not None or cols is not None:
         name, side = ("irs_rows", rows) if rows is not None else ("irs_cols", cols)
         if side < 1 or n % side != 0:
-            raise InvalidParameterError(f"k={n} is not a multiple of {name}={side}")
+            raise InvalidParameterError(f"k={_shown(n)} is not a multiple of {name}={side}")
         return (side, n // side) if rows is not None else (n // side, side)
     if not 1 <= n <= _MAX_ELEMENTS:  # trial division of a huge prime k alone takes minutes
-        raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {n}")
+        raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {_shown(k)}")
     for rows in range(math.isqrt(n), 0, -1):
         if n % rows == 0:
             return rows, n // rows
     raise AssertionError("unreachable")
+
+
+def _shown(k) -> str:
+    """An element count as an error line shows it: an integral one of up to 15
+    digits in full, a float to 6 significant digits ("1e+300", not 301 digits)
+    and a longer int by its leading 6 digits and its exponent."""
+    if abs(k) < 10**15 and k == int(k):  # False for nan and inf before int() sees them
+        return str(int(k))
+    if isinstance(k, float):
+        return f"{k:g}"
+    digits = str(abs(int(k)))
+    return f"{'-' if k < 0 else ''}{int(digits[:6]) / 1e5:g}e+{len(digits) - 1}"
 
 
 def element_positions(

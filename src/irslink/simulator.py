@@ -31,15 +31,16 @@ turn: q = rint(2t) in {-1, 0, 1} and u = t - q/2 in [-1/4, 1/4], exact
 (Sterbenz).  Then cos 2 pi t = (1 - 2q^2) C(u^2) and sin 2 pi t =
 (1 - 2q^2) u S(u^2), where C and S are degree-8 polynomials (``_COS_TURNS``,
 ``_SIN_TURNS``) with 2 pi folded into their coefficients, within 3.3e-16 of
-the exact values.  In uniform mode the block's cos and sin are made once, in
-place in the two phase rows.  In geometric mode they are made per point in
-the link budget's four point rows: the path length row s turns into t and
-then u, d2 holds q, then the sign 1 - 2q^2 (folded into the amplitudes in c,
-so the polynomials need no sign), then u^2, and b holds u S and then C.  Each
-per-run phasor sum, the amplitudes times a sin or cos row summed over a run's
-rays, is one ``einsum("ij,ij->i")`` contraction, with no product row written;
-einsum gives the same bits on every SIMD target.  Amplitudes 10^(p/20) are
-computed as exp(p ln(10)/20).
+the exact values.  In uniform mode a block's cos and sin are made once
+(``_phasors``), in place in the two phase rows or in the block's kept entry
+(below).  In geometric mode they are made per point in the link budget's
+rows: the path length row s turns into t and then u, row x holds q, then the
+sign 1 - 2q^2 (folded into the amplitudes, so the polynomials need no sign),
+then u^2, and row p holds u S and then C.  Each per-run phasor sum, the
+amplitudes times a sin or cos row summed over a run's rays, is one
+``einsum("ij,ij->i")`` contraction, with no product row written; einsum gives
+the same bits on every SIMD target.  Amplitudes 10^(p/20) are computed as
+exp(p ln(10)/20).
 
 One link budget serves every path.  Its functions take the config alone and
 read each of its placement properties (``ScenarioConfig.bs``, ``uav``,
@@ -81,12 +82,27 @@ size lives in one workspace per thread (12 rows of 2**15 float64, 3 MiB:
 their sin, 6 of link budget and 2 point rows of scatter points, mapped from
 the draw rows per patch), made by the thread's first call and reused by
 every later block and call, so memory is flat in the batch size as well; a
-point keeps only scalars.  The arrays are written with numpy's ``out=``, in
-the same operation order as the plain expressions, so the bits are those of
-the allocating form.  Each block reduces a point's powers to (count, mean, sum
-of squared deviations) and its ``|sum of rays|`` to a sum; the blocks are
-merged into that point's accumulators in run order with Chan et al.'s
-pairwise update.  A block is a pure function of the batch, the controls and
+point keeps only scalars.  The six budget rows are, in order:
+  - d1 and gain, the BS half, kept while its key holds; before it they are
+    the scratch of the generator and of the uniform phasor stage;
+  - s: d2, then the path length d1 + d2 in place (``d2 += d1``, the same
+    bits), then in geometric mode its turns;
+  - x: PL_NLoS's scratch below the 22.5 m breakpoint, then in geometric mode
+    q, the sign and u^2;
+  - the amplitudes, before them the scratch of the BS half and of d2;
+  - p, the geometric phasor polynomials.
+Each per-run sum lands in rows dead by then: im and re in the leading
+elements of rows s and x, |ray sum| and its scratch in those of the
+amplitude and p rows.  With n_rays >= 2 a block's runs fill at most half a
+row, so each pair fits in the first of its two rows; with n_rays = 1 they
+fill a row each.  A uniform block above the breakpoint thus writes 4 of the
+6 budget rows (d1, gain, s and the amplitudes), a geometric block all 6.
+
+The arrays are written with numpy's ``out=``, in the same operation order as
+the plain expressions, so the bits are those of the allocating form.  Each
+block reduces a point's powers to (count, mean, sum of squared deviations)
+and its ``|sum of rays|`` to a sum; the blocks are merged into that point's
+accumulators in run order with Chan et al.'s pairwise update.  A block is a pure function of the batch, the controls and
 its first run (``_wall_block``), so at ``threads`` > 1 the blocks are the
 tasks of the kept pool of ``threads`` threads (its threads keep their
 workspaces); they are still merged on the calling thread, in run order.  The
@@ -95,17 +111,24 @@ result, depends only on the configs.
 
 A placement search evaluates many batches with the same controls and patch
 (L moves only the wall plane x), so every batch would draw and map the same
-scatter points.  A ``KeptPlanes``, keyed on the MonteCarloConfig and the
-patch and owned by one search (``cmd_optimize --refine``, else
-``optimal_distance``), holds the mapped planes of the first
-``_KEPT_BLOCKS`` = 8 run blocks (at most 4 MiB).  The first batch to reach
-such a block draws its positions into a new entry, maps them there in place
-and publishes the entry, read-only, only once it is complete, so an error
-leaves no partial entry; every later batch reads it and writes neither the
-draw nor the point rows.  Blocks past the 8 are drawn per batch, so memory
-stays bounded for any n_runs.  A batch whose controls or patch differ from
-the key raises.  The entries are the values a batch without them would
-make, so they move no bit.
+scatter points and, in uniform mode, make the same ray phasors.  A
+``KeptPlanes``, keyed on the MonteCarloConfig and the patch and owned by one
+search (``cmd_optimize --refine``, else ``optimal_distance``), holds an
+entry for each of the first ``_KEPT_BLOCKS`` = 8 run blocks: the mapped
+(y, z) planes and, in uniform mode, the block's (cos, sin) phasor planes,
+made by the ``_phasors`` an unkept block calls.  That is at most 4 MiB in
+geometric mode and 8 MiB in uniform mode (the default 10,000 runs are 7
+blocks: 3.2 MB of points, and 3.2 MB of phasors more).  The first batch to
+reach such a block draws its positions into a new entry, maps them there in
+place, makes its phasors there and publishes the entry, read-only, only
+once it is complete, so an error leaves no partial entry; every later batch
+reads it and writes neither the draw, the point nor the phase rows, so the
+grid and every golden-section point neither draw nor fold phases, and a
+kept search's threads never touch those 6 workspace rows (nor, in uniform
+mode above the breakpoint, budget rows x and p).  Blocks past the 8 are
+drawn per batch, so memory stays bounded for any n_runs.  A batch whose
+controls or patch differ from the key raises.  The entries are the values a
+batch without them would make, so they move no bit.
 """
 
 from __future__ import annotations
@@ -205,22 +228,26 @@ def _bs_side(cfg: ScenarioConfig, x: float, y, z, d1, gain, work) -> None:
 def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, work):
     """The UAV half of the budget, given the BS half (``d1``, ``gain``) of the
     same points: PL_NLoS(d1 + d2) and the reflection loss off ``gain``.
-    ``work`` is four arrays of the points' shape; the results are its last two.
+    ``work`` is three arrays of the points' shape: d2, which becomes the path
+    length d1 + d2 in place, the amplitudes (also d2's scratch) and PL_NLoS's
+    scratch, which only a UAV below the breakpoint writes.
 
-    Returns (amplitudes, path_lengths).
+    Returns (amplitudes, path_lengths), the first two of ``work``.
     """
-    d2, b, s, amps = work
+    s, amps, scratch = work
     uav = cfg.uav
     dx2 = uav.x - cfg.irs_center.x
-    np.square(np.subtract(uav.y, y, out=d2), out=d2)
-    d2 += dx2 * dx2
-    np.square(np.subtract(uav.z, z, out=b), out=b)
-    d2 += b
-    np.sqrt(d2, out=d2)
-    if not d2.all():
+    np.square(np.subtract(uav.y, y, out=s), out=s)
+    s += dx2 * dx2
+    np.square(np.subtract(uav.z, z, out=amps), out=amps)
+    s += amps
+    np.sqrt(s, out=s)
+    if not s.all():
         raise DegenerateGeometryError("reflection point coincides with BS or UAV")
-    np.add(d1, d2, out=s)
-    np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=b), out=amps)
+    s += d1  # d2 + d1: the bits of d1 + d2, in place
+    # d1 and d2 are nonzero and _check_path_lengths has bounded every d1 + d2,
+    # so the lengths skip pl_nlos's input check
+    np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=scratch, check=False), out=amps)
     amps -= reflection_loss_db
     np.exp(np.multiply(amps, _DB_TO_LN_AMPLITUDE, out=amps), out=amps)  # dbm_to_amplitude
     return amps, s
@@ -235,20 +262,18 @@ _CHUNK_PATHS = BLOCK_PATHS
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
 # the draw rows (the position uniforms, a y plane and a z plane), the phase
 # rows (uniform mode only: the phase uniforms, then their cos in place and
-# their sin beside them), the link budget's rows (d1 and the BS-side gain,
-# then four per-point rows d2, b, s and c, the first two of which are also the
-# generator's scratch and the uniform phasor stage's) and the point rows (the
+# their sin beside them), the six link budget rows (d1, gain, s, x, the
+# amplitudes and p; see the module docstring) and the point rows (the
 # scatter points' y and z planes, mapped from the draw rows per patch).  A
-# block whose planes a KeptPlanes holds writes neither the draw nor the point
-# rows.  The workspace is per thread, not passed in, so that every thread that
-# runs blocks (the caller's, or a kept pool's) reuses it across blocks,
-# batches and calls; its contents never outlive one block.
-_BUDGET_ROWS = 6
+# block whose entry a KeptPlanes holds writes neither the draw, the point nor
+# the phase rows.  The workspace is per thread, not passed in, so that every
+# thread that runs blocks (the caller's, or a kept pool's) reuses it across
+# blocks, batches and calls; its contents never outlive one block.
 _DRAWS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
 
-# Run blocks whose scatter planes a KeptPlanes holds: 8 full blocks of two
-# planes of 2**15 float64 each, 4 MiB
+# Run blocks whose entries a KeptPlanes holds: 8 full blocks of two planes of
+# 2**15 float64 each (4 MiB), and in uniform mode two more (8 MiB)
 _KEPT_BLOCKS = 8
 
 # a call starts up to min(threads, blocks) pool threads, so a large threads on
@@ -292,7 +317,7 @@ def _quarter_turn(t: np.ndarray, sign: np.ndarray) -> np.ndarray:
     with q = rint(2t) in {-1, 0, 1}, ``t`` becomes u = t - q/2 in [-1/4, 1/4]
     in place (exact by Sterbenz's lemma) and ``sign`` gets 1 - 2q^2, so that
     cos 2 pi t = sign C(u^2) and sin 2 pi t = sign u S(u^2).  Returns ``sign``."""
-    half = np.rint(np.add(t, t, out=sign), out=sign)
+    half = np.rint(np.multiply(t, 2.0, out=sign), out=sign)
     half *= 0.5
     t -= half
     np.square(half, out=sign)  # q^2 / 4
@@ -315,12 +340,13 @@ def _irs_sum(cfg: ScenarioConfig) -> float:
     """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
     slices of ``_CHUNK_PATHS`` elements whose coordinates are made one slice at
     a time, so that memory is flat in k."""
+    _check_path_lengths(cfg)  # _uav_side needs every path length bounded
     total, center = 0.0, cfg.irs_center
     for first in range(0, cfg.k, _CHUNK_PATHS):
         y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, _CHUNK_PATHS)
-        d1, gain, d2, b, s, c = np.empty((_BUDGET_ROWS,) + y.shape)
-        _bs_side(cfg, center.x, y, z, d1, gain, (b, c))
-        amps, _ = _uav_side(cfg, y, z, d1, gain, cfg.pl_irs_db, (d2, b, s, c))
+        d1, gain, s, amps, scratch = np.empty((5,) + y.shape)
+        _bs_side(cfg, center.x, y, z, d1, gain, (s, amps))
+        _uav_side(cfg, y, z, d1, gain, cfg.pl_irs_db, (s, amps, scratch))
         total += float(np.sum(amps))
     return total
 
@@ -345,23 +371,43 @@ def _scatter_matrix(cfg: ScenarioConfig, u: np.ndarray, out: np.ndarray | None =
     return planes
 
 
+def _phasors(seeds: np.ndarray, n_rays: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """cos 2 pi t and sin 2 pi t of the ray phase draws t (draws 2 n_rays ..
+    3 n_rays - 1 of each of ``seeds``' runs), written into the planes ``out``
+    = (cos, sin); ``work`` is two scratch planes of their shape."""
+    cos, sin = out
+    rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=work[0].view(np.uint64))
+    cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
+    sign = _quarter_turn(cos, work[0])
+    x = np.square(cos, out=work[1])
+    np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
+    np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
+    return out
+
+
 class KeptPlanes:
-    """The mapped scatter planes of the first ``_KEPT_BLOCKS`` run blocks, for
-    every batch of one search whose points share ``mc`` and ``cfg``'s patch
-    (see the module docstring).  It holds its entries as long as it lives."""
+    """The mapped scatter planes of the first ``_KEPT_BLOCKS`` run blocks and,
+    in uniform mode, their ray phasors, for every batch of one search whose
+    points share ``mc`` and ``cfg``'s patch (see the module docstring).  It
+    holds its entries as long as it lives."""
 
     def __init__(self, cfg: ScenarioConfig, mc: MonteCarloConfig):
         self.mc, self.patch, self._cfg = mc, _patch(cfg), cfg
-        self._blocks: dict[int, np.ndarray] = {}  # first run -> (y, z) planes (2, runs, n_rays)
+        # first run -> planes (y, z), then (cos, sin) in uniform mode, each (runs, n_rays)
+        self._blocks: dict[int, np.ndarray] = {}
 
-    def planes(self, seeds: np.ndarray, first: int, block: int, scratch: np.ndarray) -> np.ndarray | None:
-        """The (y, z) planes of the block of ``block`` runs from ``first`` (run
-        seeds ``seeds``), made now if this is the block's first use; None past
-        the budget.  ``scratch`` is the generator's."""
+    def entry(self, seeds: np.ndarray, first: int, block: int, work: np.ndarray) -> np.ndarray | None:
+        """The planes of the block of ``block`` runs from ``first`` (run seeds
+        ``seeds``), made now if this is the block's first use; None past the
+        budget.  ``work`` is two scratch planes of the block's shape."""
         entry = self._blocks.get(first)
         if entry is None and first < _KEPT_BLOCKS * block:
-            u = rng.uniform_block(seeds, 2 * self.mc.n_rays, scratch=scratch, planes=2)
-            entry = _scatter_matrix(self._cfg, u, out=u)
+            uniform = self.mc.ray_phases == RAY_PHASES_UNIFORM
+            entry = np.empty((4 if uniform else 2,) + work.shape[1:])
+            u = rng.uniform_block(seeds, 2 * self.mc.n_rays, out=entry[:2], scratch=work.view(np.uint64), planes=2)
+            _scatter_matrix(self._cfg, u, out=u)
+            if uniform:
+                _phasors(seeds, self.mc.n_rays, entry[2:], work)
             entry.flags.writeable = False
             # published only once complete; batches that reach the block at
             # once each make it, and their entries are equal
@@ -466,24 +512,23 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     (a kept entry holds what the block would draw and map)."""
     n = min(block, mc.n_runs - first)
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
-    n_pos = 2 * mc.n_rays
     shape = (n, mc.n_rays)
     ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
     seeds = rng.run_seeds(mc.master_seed, n, first)
-    scratch = _flat(ws[_BUDGET], (2,) + shape).view(np.uint64)
-    planes = None if kept is None else kept.planes(seeds, first, block, scratch)
-    mapped = None if planes is None else kept.patch  # the patch the scatter points were mapped for
-    if planes is None:  # drawn here, mapped into the point rows per patch
-        draws = rng.uniform_block(seeds, n_pos, out=_flat(ws[_DRAWS], (2,) + shape), scratch=scratch, planes=2)
-    d1, gain, d2, b, s, c = (_flat(row, shape) for row in ws[_BUDGET])
-    if uniform:  # the ray phases do not depend on the point
-        cos, sin = (_flat(row, shape) for row in ws[_PHASES])
-        rng.uniform_block(seeds, mc.n_rays, n_pos, out=cos, scratch=d1.view(np.uint64))
-        cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
-        sign = _quarter_turn(cos, d2)
-        x = np.square(cos, out=b)
-        np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
-        np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
+    budget = ws[_BUDGET]
+    work = _flat(budget, (2,) + shape)  # in d1's and gain's rows
+    entry = None if kept is None else kept.entry(seeds, first, block, work)
+    if entry is None:  # drawn here, mapped into the point rows per patch
+        draws = rng.uniform_block(seeds, 2 * mc.n_rays, out=_flat(ws[_DRAWS], (2,) + shape),
+                                  scratch=work.view(np.uint64), planes=2)
+        mapped = None
+        if uniform:  # the ray phases do not depend on the point
+            phasors = _phasors(seeds, mc.n_rays, _flat(ws[_PHASES], (2,) + shape), work)
+    else:  # read from the kept entry, mapped for its patch
+        planes, phasors, mapped = entry[:2], entry[2:], kept.patch
+    d1, gain, s, x, amps, p = (_flat(row, shape) for row in budget)
+    # each run sum is one einsum contraction into rows dead by then (see the module docstring)
+    (im, re), (mag, im2) = _flat(budget[2:4], (2, n)), _flat(budget[4:6], (2, n))
     points = _flat(ws[_POINTS], (2,) + shape)
     computed = None  # the key d1 and gain were made for
     stats = []
@@ -492,24 +537,21 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
             planes = _scatter_matrix(cfg, draws, out=points)
             mapped = patch
         y, z = planes
-        if bs_side != computed:  # the key holds the patch too
-            _bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
+        if bs_side != computed:  # the key holds the patch too; the scratch rows are the UAV half's
+            _bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (s, amps))
             computed = bs_side
-        amps, turns = _uav_side(cfg, y, z, d1, gain, cfg.pl_wall_db, (d2, b, s, c))
-        # each run sum is one einsum contraction into the leading elements of a
-        # row that is dead by then: im to s, re to d2; |ray sum| goes to b, with
-        # the amplitude row c (dead after the sums) as its scratch
-        re, im, mag, im2 = (_flat(row, (n,)) for row in (d2, s, b, c))
+        _uav_side(cfg, y, z, d1, gain, cfg.pl_wall_db, (s, amps, x))
         if uniform:
+            cos, sin = phasors
             np.einsum("ij,ij->i", amps, sin, out=im)
             np.einsum("ij,ij->i", amps, cos, out=re)
         else:  # -d / lambda turns, to [-1/2, 1/2] (exact), in place
-            turns /= -wavelength_m(cfg.f_ghz)
-            turns -= np.rint(turns, out=d2)
-            amps *= _quarter_turn(turns, d2)
-            x = np.square(turns, out=d2)
-            np.einsum("ij,ij->i", np.multiply(_poly(x, _SIN_TURNS, out=b), turns, out=b), amps, out=im)
-            np.einsum("ij,ij->i", _poly(x, _COS_TURNS, out=b), amps, out=re)
+            s /= -wavelength_m(cfg.f_ghz)
+            s -= np.rint(s, out=x)
+            amps *= _quarter_turn(s, x)
+            np.square(s, out=x)
+            np.einsum("ij,ij->i", np.multiply(_poly(x, _SIN_TURNS, out=p), s, out=p), amps, out=im)
+            np.einsum("ij,ij->i", _poly(x, _COS_TURNS, out=p), amps, out=re)
         np.square(re, out=mag)  # sqrt(re^2 + im^2): numpy's SIMD sqrt, not libm's hypot
         mag += np.square(im, out=im2)
         refl = float(np.sum(np.sqrt(mag, out=mag)))

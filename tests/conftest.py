@@ -22,17 +22,30 @@ def pytest_unconfigure(config):
     shutil.rmtree(_hypothesis_home, ignore_errors=True)
 
 
+def _count_draws(monkeypatch, counts) -> list:
+    """The run count of each generator call for which ``counts(first_draw,
+    planes)`` holds, from here on in the test."""
+    draws = []
+    block = rng.uniform_block
+
+    def counted(seeds, n_draws, first_draw=0, **kwargs):
+        if counts(first_draw, kwargs.get("planes", 1)):
+            draws.append(len(seeds))
+        return block(seeds, n_draws, first_draw, **kwargs)
+
+    monkeypatch.setattr(rng, "uniform_block", counted)
+    return draws
+
+
 @pytest.fixture
 def position_draws(monkeypatch) -> list:
     """The run count of each scatter-position draw (the generator's two-plane
     calls) from here on in the test."""
-    draws = []
-    block = rng.uniform_block
+    return _count_draws(monkeypatch, lambda first_draw, planes: planes == 2)
 
-    def counted(seeds, *args, **kwargs):
-        if kwargs.get("planes") == 2:
-            draws.append(len(seeds))
-        return block(seeds, *args, **kwargs)
 
-    monkeypatch.setattr(rng, "uniform_block", counted)
-    return draws
+@pytest.fixture
+def phase_draws(monkeypatch) -> list:
+    """The run count of each ray-phase draw (the generator's calls from draw
+    2 n_rays on, the only ones not from draw 0) from here on in the test."""
+    return _count_draws(monkeypatch, lambda first_draw, planes: first_draw > 0)

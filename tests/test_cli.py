@@ -257,6 +257,7 @@ class TestExitCodes:
         ["gain", "--f-ghz", "5e-324", "--n-runs", "10"],  # 3e8 / (f_ghz * 1e9) overflows
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=nan"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=inf"],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=1e300"],  # not its 301 digits
         ["gain", "--h-uav", "0.5"],  # the path-loss model holds for 1.5..300 m
         ["gain", "--h-uav", "1000"],
         ["sweep", "--sweep", "h-uav", "--values", "200:400:100"],  # 400 m, before 200 m is evaluated
@@ -275,7 +276,7 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) <= 120
 
     @pytest.mark.parametrize("command", [["gain"], ["sweep", "--sweep", "l"], ["optimize"]])
     def test_flag_prefixes_are_rejected(self, command, capsys):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irslink import simulator
+from irslink import cli, simulator
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
-from irslink.propagation import pl_nlos, vertical_gain
+from irslink.propagation import NLOS_BREAKPOINT_HEIGHT_M, pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
 from irslink.scenario import MonteCarloConfig, Position3D, ScenarioConfig, element_positions
 from irslink.simulator import irs_gain, wall_power_estimates
@@ -50,6 +50,21 @@ def gamma_irs(cfg):
     return irs_gain(cfg, mc(runs=1)).gamma_irs
 
 
+def thread_workspaces(threads):
+    """The wall-kernel workspace of each thread that runs blocks at ``threads``:
+    the calling thread's, or each of the kept pool's, made now if missing."""
+    if threads == 1:
+        return [simulator._workspace(simulator._CHUNK_PATHS)]
+    barrier = threading.Barrier(threads)  # one task per pool thread
+
+    def own():
+        barrier.wait(timeout=60)
+        return simulator._workspace(simulator._CHUNK_PATHS)
+
+    pool = simulator._kept_pool(threads)
+    return [task.result() for task in [pool.submit(own) for _ in range(threads)]]
+
+
 def lattice_slice(cfg, n):
     """The (y, z) of cfg's first n reflector elements."""
     return element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, cfg.irs_center, 0, n)
@@ -66,9 +81,9 @@ def pin_scatter_points(monkeypatch, y, z):
 def reflected_budget(cfg, y, z, reflection_loss_db):
     """(amplitudes, path lengths) of the reflected paths through the wall-plane
     points (y, z), from the kernel's BS and UAV halves."""
-    d1, gain, d2, b, s, c = np.empty((6,) + y.shape)
-    simulator._bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
-    return simulator._uav_side(cfg, y, z, d1, gain, reflection_loss_db, (d2, b, s, c))
+    d1, gain, s, amps, scratch = np.empty((5,) + y.shape)
+    simulator._bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (s, amps))
+    return simulator._uav_side(cfg, y, z, d1, gain, reflection_loss_db, (s, amps, scratch))
 
 
 def one_shot_estimate(cfg, config):
@@ -627,18 +642,55 @@ class TestKeptPlanes:
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_kept_blocks_are_drawn_once_and_give_the_same_bits(self, position_draws, phases, threads):
-        # 3,000 runs are 2 blocks: the first batch draws and maps them, the
-        # next (other points of the same patch) only reads them
+    def test_kept_blocks_are_drawn_once_and_give_the_same_bits(self, position_draws, phase_draws, phases, threads):
+        # 3,000 runs are 2 blocks: the first batch draws and maps them (and in
+        # uniform mode makes their ray phasors), the next (other points of the
+        # same patch) only reads them; a geometric search keeps no phasors
         config = mc(runs=3000, phases=phases)
         batches = [[CFG, replace(CFG, l_m=40.0)], [replace(CFG, l_m=60.0)], [replace(CFG, h_uav_m=60.0)]]
         expected = [wall_power_estimates(cfgs, config) for cfgs in batches]
         position_draws.clear()
+        phase_draws.clear()
         kept = simulator.KeptPlanes(CFG, config)
-        assert [wall_power_estimates(cfgs, config, threads, kept) for cfgs in batches] == expected
+        got = [wall_power_estimates(cfgs, config, threads, kept) for cfgs in batches]
+        assert [[[x.hex() for x in e] for e in batch] for batch in got] == \
+            [[[x.hex() for x in e] for e in batch] for batch in expected]
         assert sorted(position_draws) == [3000 - 1638, 1638]
+        assert sorted(phase_draws) == ([3000 - 1638, 1638] if phases == "uniform" else [])
         assert sorted(kept._blocks) == [0, 1638]
+        assert {entry.shape[0] for entry in kept._blocks.values()} == {4 if phases == "uniform" else 2}
         assert not any(entry.flags.writeable for entry in kept._blocks.values())
+
+    def test_a_uniform_search_makes_each_kept_blocks_phasors_once(self, phase_draws, tmp_path, capsys):
+        # the default search, 10,000 runs in 7 blocks: the grid's batch makes
+        # each block's phasors, and the grid's second pass and every
+        # golden-section point read them (252 phase draws when each batch drew)
+        argv = ["optimize", "--refine", "--ray-phases", "uniform", "--threads", "2", "--seed", "11"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        capsys.readouterr()
+        assert sorted(phase_draws) == [10_000 - 6 * 1638] + [1638] * 6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kept_uniform_blocks_leave_the_phase_and_freed_budget_rows_untouched(self, threads):
+        # a kept uniform block above the breakpoint writes only d1, gain, s and
+        # the amplitudes of its thread's workspace: the draw, point and phase
+        # rows and the budget's x and p rows keep the NaN put there
+        budget = simulator._BUDGET.start
+        untouched = [*range(12)[simulator._DRAWS], *range(12)[simulator._PHASES], budget + 3, budget + 5,
+                     *range(12)[simulator._POINTS]]
+        assert len(untouched) == 8 and CFG.h_uav_m >= NLOS_BREAKPOINT_HEIGHT_M
+        workspaces = thread_workspaces(threads)
+        for ws in workspaces:
+            ws[untouched] = np.nan
+        config = mc(runs=3000, phases="uniform")
+        kept = simulator.KeptPlanes(CFG, config)
+        expected = [wall_power_estimates([replace(CFG, l_m=l_m)], config) for l_m in (40.0, 50.0, 60.0)]
+        for ws in workspaces:  # the calling thread's batches without kept blocks wrote them
+            ws[untouched] = np.nan
+        assert [wall_power_estimates([replace(CFG, l_m=l_m)], config, threads, kept)
+                for l_m in (40.0, 50.0, 60.0)] == expected
+        for ws in workspaces:
+            assert np.isnan(ws[untouched]).all()
 
     def test_kept_blocks_leave_the_draw_and_point_rows_untouched(self):
         # a block read from the kept planes neither draws into this thread's
@@ -652,19 +704,24 @@ class TestKeptPlanes:
             wall_power_estimates([replace(CFG, l_m=l_m)], config, kept=kept)
         assert (ws[simulator._DRAWS] == -7.0).all() and (ws[simulator._POINTS] == -7.0).all()
 
-    def test_blocks_past_the_budget_are_drawn_per_batch(self, monkeypatch, position_draws):
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_blocks_past_the_budget_are_drawn_per_batch(self, monkeypatch, position_draws, phase_draws, phases):
         # 10 blocks of 50 runs: the first 8 are kept, the last 2 drawn by every
-        # batch, and the kept planes stay within 8 full blocks
+        # batch, and the kept planes stay within 8 full blocks of two planes,
+        # four in uniform mode (y, z, cos and sin)
         monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
-        config = mc(runs=475)
+        config = mc(runs=475, phases=phases)
         expected = wall_power_estimates([CFG], config)
         position_draws.clear()
+        phase_draws.clear()
         kept = simulator.KeptPlanes(CFG, config)
         for _ in range(3):
             assert wall_power_estimates([CFG], config, kept=kept) == expected
         assert len(position_draws) == 8 + 3 * 2
+        assert len(phase_draws) == (8 + 3 * 2 if phases == "uniform" else 0)
         assert sorted(kept._blocks) == list(range(0, 400, 50))
-        assert sum(entry.nbytes for entry in kept._blocks.values()) <= simulator._KEPT_BLOCKS * 50 * 20 * 2 * 8
+        planes = 4 if phases == "uniform" else 2
+        assert sum(entry.nbytes for entry in kept._blocks.values()) <= simulator._KEPT_BLOCKS * 50 * 20 * planes * 8
 
     @pytest.mark.parametrize("other", [
         dict(cfg=replace(CFG, h_irs_m=5.0)),  # another patch centre
