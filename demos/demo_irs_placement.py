@@ -12,38 +12,38 @@ import pathlib
 from dataclasses import replace
 
 from irslink import MonteCarloConfig, ScenarioConfig
-from irslink.experiments import SweepSpec, default_l_grid, optimal_distance, run_sweep
+from irslink.experiments import default_l_grid, optimal_distance
 from irslink.svgplot import render_line_plot
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 
 mc = MonteCarloConfig(ray_phases="uniform")
 base = ScenarioConfig()
-grid = tuple(default_l_grid())
+grid = default_l_grid()
 
 
 @functools.cache
-def l_sweep(cfg: ScenarioConfig):
-    """The gain over the L grid, evaluated once per scenario."""
-    return run_sweep(SweepSpec("l", grid, cfg, mc))
+def search(cfg: ScenarioConfig):
+    """The L grid's sweep, its optimum and that gain, searched once per scenario."""
+    return optimal_distance(cfg, mc, grid)
 
 
 print("optimal BS-wall distance by reflector mounting height:")
 for h_irs in (15.0, 10.0, 5.0):
-    l_star, gain = optimal_distance(l_sweep(replace(base, h_irs_m=h_irs)))
+    _, l_star, gain = search(replace(base, h_irs_m=h_irs))
     print(f"  h_irs = {h_irs:4g} m  ->  L* = {l_star:5g} m  (gain {gain:.2f} dB)")
 
 print("\noptimal distance barely depends on the UAV height (h_irs = 10 m):")
 for h_uav in (30.0, 50.0, 100.0):
-    l_star, gain = optimal_distance(l_sweep(replace(base, h_uav_m=h_uav)))
+    _, l_star, gain = search(replace(base, h_uav_m=h_uav))
     print(f"  h_uav = {h_uav:4g} m  ->  L* = {l_star:5g} m  (gain {gain:.2f} dB)")
 
-l_star, gain = optimal_distance(l_sweep(base), refine=True)
+_, l_star, gain = optimal_distance(base, mc, grid, refine=True)
 print(f"\ngolden-section refinement at defaults: L* = {l_star:.2f} m, gain {gain:.2f} dB")
 
 OUT.mkdir(exist_ok=True)
 (OUT / "gain_vs_distance.svg").write_text(render_line_plot(
-    [(f"h_irs={h:g} m", *l_sweep(replace(base, h_irs_m=h)).series()[None]) for h in (5.0, 10.0, 15.0)],
+    [(f"h_irs={h:g} m", *search(replace(base, h_irs_m=h))[0].series()[None]) for h in (5.0, 10.0, 15.0)],
     "BS-wall distance [m]", "gain [dB]", title="placement sweet spot",
 ))
 print(f"wrote {OUT / 'gain_vs_distance.svg'}")

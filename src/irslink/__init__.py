@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .propagation import pl_los, pl_nlos, vertical_gain
 from .scenario import DEFAULT_MASTER_SEED, MonteCarloConfig, Position3D, ScenarioConfig, element_positions
-from .simulator import GainResult, KeptPlanes, dbm_to_amplitude, irs_gain
+from .simulator import GainResult, dbm_to_amplitude, irs_gain
 from .experiments import SweepSpec, SweepResult, optimal_distance, run_sweep
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "DegenerateGeometryError",
     "GainResult",
     "InvalidParameterError",
-    "KeptPlanes",
     "MonteCarloConfig",
     "Position3D",
     "ScenarioConfig",

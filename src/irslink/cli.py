@@ -27,7 +27,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .experiments import SWEEPABLE, SweepSpec, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
 from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
-from .simulator import GainResult, KeptPlanes
+from .simulator import GainResult
 from .svgplot import render_line_plot
 
 # a config key is parsed by its field's annotated type; "k" is the one key
@@ -203,11 +203,7 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
-    # a refined search draws and maps each run block's scatter points once,
-    # for the grid and every golden-section point
-    kept = KeptPlanes(cfg, mc) if args.refine else None
-    result = run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads=args.threads, kept=kept)
-    l_star, gain_star = optimal_distance(result, args.refine, args.threads, kept)
+    result, l_star, gain_star = optimal_distance(cfg, mc, grid, args.refine, args.threads)
     # refined: the optimum is a golden-section point, strictly between grid values
     _emit_sweep(args, result, {"l_grid": list(grid), "refined": l_star not in grid})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"

@@ -1,4 +1,4 @@
-"""Parameter sweeps and the placement search over an evaluated "l" sweep.
+"""Parameter sweeps and the placement search over an "l" sweep.
 
 Sweepable parameters: element count "k" (mapped to a lattice by
 ``scenario.lattice_shape``), UAV height "h_uav", BS-wall distance "l",
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
-from .simulator import GainResult, KeptPlanes, check_threads, irs_gain, wall_power_estimates
+from .simulator import GainResult, KeptPlanes, irs_gain, wall_power_estimates
 
 
 def default_h_uav_grid() -> list[float]:
@@ -122,7 +122,8 @@ class SweepResult:
 
 def run_sweep(spec: SweepSpec, threads: int = 1, kept: KeptPlanes | None = None) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order; with
-    ``kept``, the batch reads and fills those scatter planes."""
+    ``kept`` (the placement search's), the batch reads and fills those scatter
+    planes."""
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:
@@ -136,38 +137,35 @@ def run_sweep(spec: SweepSpec, threads: int = 1, kept: KeptPlanes | None = None)
     return SweepResult(rows, spec)
 
 
-def optimal_distance(grid: SweepResult, refine: bool = False, threads: int = 1,
-                     kept: KeptPlanes | None = None) -> tuple[float, float]:
-    """Gain-maximising BS-wall distance of an evaluated ``l`` sweep without overlay.
+def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values, refine: bool = False,
+                     threads: int = 1) -> tuple[SweepResult, float, float]:
+    """The placement search: the sweep of BS-wall distances ``l_values`` from
+    ``base`` on ``threads`` threads, its gain-maximising L and that gain.
 
     Ties break toward the smaller L.  With refine=True the in-tree
     golden-section search (a port of scipy.optimize.golden) runs between the
     grid neighbours of the argmax.  Each golden point is a one-point sweep of
-    ``grid.spec`` on ``threads`` threads, a pure function of L because the
-    Monte Carlo seed is fixed.  L moves neither the patch nor the draws, so
-    the golden points read their scatter planes from ``kept`` (the grid's,
-    when it was evaluated with them), or from one made here for the search.
+    the grid's spec, a pure function of L because the Monte Carlo seed is
+    fixed.  L moves neither the patch nor the draws, so a refined search keeps
+    one set of scatter planes: the grid fills them and every golden point
+    reads them.
     """
-    check_threads(threads)
-    spec = grid.spec
-    if spec.parameter != "l" or spec.overlay_parameter is not None:
-        raise InvalidParameterError("the placement search needs an l sweep without overlay, "
-                                    f"got {spec.parameter!r} with overlay {spec.overlay_parameter!r}")
+    spec = SweepSpec("l", tuple(l_values), base, mc)
+    kept = KeptPlanes(base, mc) if refine else None
+    grid = run_sweep(spec, threads, kept)
     l_grid, gains = grid.series()[None]
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties
     l_star, g_star = float(l_grid[best]), gains[best]
     # The left neighbour is strictly lower because the first maximum wins, so
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
-        kept = KeptPlanes(spec.base, spec.mc) if kept is None else kept
-
         def loss(l):
             return -run_sweep(replace(spec, values=(l,)), threads, kept).rows[0].result.gain_db
 
         l_ref, f_ref = _golden_min(loss, l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:
-            return l_ref, -f_ref
-    return l_star, g_star
+            return grid, l_ref, -f_ref
+    return grid, l_star, g_star
 
 
 _GOLDEN_R = 0.61803399  # golden ratio conjugate, rounded as scipy rounds it

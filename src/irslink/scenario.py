@@ -48,6 +48,8 @@ BLOCK_PATHS = 2**15
 _MAX_ELEMENTS = 10**8
 # UAV heights where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777
 _H_UAV_RANGE_M = (1.5, 300.0)
+# carriers of the channel models' scope, TR 38.901 section 1
+_F_GHZ_RANGE = (0.5, 100.0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ScenarioConfig:
     uav_y_m: float = 0.0
 
     def __post_init__(self):
-        positive = ("f_ghz", "h_bs_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
+        positive = ("h_bs_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
@@ -92,17 +94,15 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
-        if not 0.0 < wavelength_m(self.f_ghz) < math.inf:  # f_ghz * 1e9 overflows, or 3e8 over it does
-            raise InvalidParameterError(f"f_ghz must give a positive finite wavelength, got {self.f_ghz}")
         if not -90.0 <= self.theta_etilt_deg <= 90.0:  # a depression angle; below 0 is an uptilt
             raise InvalidParameterError(f"theta_etilt_deg must be in [-90, 90], got {self.theta_etilt_deg}")
         span = 180.0 / self.theta3db_deg  # 12*span^2: the pattern's largest deviation, angles in [-90, 90]
         if self.theta3db_deg > 180.0 or not math.isfinite(12.0 * span * span):  # span ** 2 raises on overflow
             raise InvalidParameterError(f"theta3db_deg must be in (0, 180] with 12*(180/theta3db_deg)^2 finite, "
                                         f"got {self.theta3db_deg}")
-        low, high = _H_UAV_RANGE_M
-        if not low <= self.h_uav_m <= high:
-            raise InvalidParameterError(f"h_uav_m must be in [{low:g}, {high:g}] m, got {self.h_uav_m}")
+        for name, (low, high), unit in (("f_ghz", _F_GHZ_RANGE, "GHz"), ("h_uav_m", _H_UAV_RANGE_M, "m")):
+            if not low <= getattr(self, name) <= high:
+                raise InvalidParameterError(f"{name} must be in [{low:g}, {high:g}] {unit}, got {getattr(self, name)}")
         if self.h_irs_m > self.h_bs_m:  # the reflector is mounted below the BS mast top
             raise InvalidParameterError(f"h_irs_m must be <= h_bs_m = {self.h_bs_m}, got {self.h_irs_m}")
         # a UAV behind the wall plane x = l_m sees no reflection off its front;

@@ -62,7 +62,7 @@ libm's hypot nor np.degrees (each several times slower than numpy's SIMD
 sqrt and multiply) runs per path.  A run's ``|sum of rays|`` is likewise
 sqrt(re^2 + im^2).
 
-Runs are evaluated in blocks of ``max(1, _CHUNK_PATHS // n_rays)``
+Runs are evaluated in blocks of ``max(1, BLOCK_PATHS // n_rays)``
 consecutive runs (2**15 paths, so a block's work arrays stay in cache), and
 memory does not grow with ``n_runs``.  ``wall_power_estimates``, the one
 entry point to the kernel, evaluates a batch of points that share one
@@ -113,7 +113,7 @@ A placement search evaluates many batches with the same controls and patch
 (L moves only the wall plane x), so every batch would draw and map the same
 scatter points and, in uniform mode, make the same ray phasors.  A
 ``KeptPlanes``, keyed on the MonteCarloConfig and the patch and owned by one
-search (``cmd_optimize --refine``, else ``optimal_distance``), holds an
+refined search (``experiments.optimal_distance``), holds an
 entry for each of the first ``_KEPT_BLOCKS`` = 8 run blocks: the mapped
 (y, z) planes and, in uniform mode, the block's (cos, sin) phasor planes,
 made by the ``_phasors`` an unkept block calls.  That is at most 4 MiB in
@@ -196,7 +196,12 @@ def _los_amp_phase(cfg: ScenarioConfig) -> tuple[float, float]:
     d1, gain, b, c = np.empty((4, 1))
     _bs_side(cfg, uav.x, np.array([uav.y]), np.array([uav.z]), d1, gain, (b, c))
     d = float(d1[0])
-    return dbm_to_amplitude(float(gain[0]) - pl_los(d, cfg)), (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
+    p_rx = float(gain[0]) - pl_los(d, cfg)
+    try:
+        a0 = dbm_to_amplitude(p_rx)
+    except OverflowError:  # math.exp's own message, "math range error", names nothing
+        raise OverflowError("the LoS amplitude overflows") from None
+    return a0, (-TWO_PI * d / wavelength_m(cfg.f_ghz)) % TWO_PI
 
 
 def _bs_side(cfg: ScenarioConfig, x: float, y, z, d1, gain, work) -> None:
@@ -253,12 +258,6 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
     return amps, s
 
 
-# Paths per link-budget call (elements, or wall runs x rays): big enough to
-# amortise numpy's per-call cost, small enough that one block's work arrays
-# stay in cache.  MonteCarloConfig bounds n_rays by it, so a block never
-# exceeds it.
-_CHUNK_PATHS = BLOCK_PATHS
-
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
 # the draw rows (the position uniforms, a y plane and a z plane), the phase
 # rows (uniform mode only: the phase uniforms, then their cos in place and
@@ -279,12 +278,6 @@ _KEPT_BLOCKS = 8
 # a call starts up to min(threads, blocks) pool threads, so a large threads on
 # a large n_runs would ask the OS for that many threads
 _MAX_THREADS = 256
-
-
-def check_threads(threads: int) -> None:
-    """The one rule for a thread count: 1 .. 256."""
-    if not 1 <= threads <= _MAX_THREADS:
-        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
 
 
 def _workspace(paths: int) -> np.ndarray:
@@ -338,12 +331,12 @@ def _poly(x: np.ndarray, coeffs: tuple[float, ...], out: np.ndarray) -> np.ndarr
 
 def _irs_sum(cfg: ScenarioConfig) -> float:
     """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
-    slices of ``_CHUNK_PATHS`` elements whose coordinates are made one slice at
+    slices of ``BLOCK_PATHS`` elements whose coordinates are made one slice at
     a time, so that memory is flat in k."""
     _check_path_lengths(cfg)  # _uav_side needs every path length bounded
     total, center = 0.0, cfg.irs_center
-    for first in range(0, cfg.k, _CHUNK_PATHS):
-        y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, _CHUNK_PATHS)
+    for first in range(0, cfg.k, BLOCK_PATHS):
+        y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, BLOCK_PATHS)
         d1, gain, s, amps, scratch = np.empty((5,) + y.shape)
         _bs_side(cfg, center.x, y, z, d1, gain, (s, amps))
         _uav_side(cfg, y, z, d1, gain, cfg.pl_irs_db, (s, amps, scratch))
@@ -424,7 +417,8 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     are merged here in run order either way, so ``threads`` moves no bit.
     With ``kept``, whose key every point must share, the blocks it holds read
     their scatter points from it."""
-    check_threads(threads)
+    if not 1 <= threads <= _MAX_THREADS:
+        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
     scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
         _check_path_lengths(cfg)
@@ -437,7 +431,7 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     if not scene or mc.n_rays == 0:
         return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, a0, *_ in scene]
 
-    block = max(1, _CHUNK_PATHS // mc.n_rays)
+    block = max(1, BLOCK_PATHS // mc.n_rays)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
     blocks = partial(_wall_block, scene, mc, block, kept)
     for n, block_stats in _pool_map(blocks, range(0, mc.n_runs, block), threads):
@@ -513,7 +507,7 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     n = min(block, mc.n_runs - first)
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
     shape = (n, mc.n_rays)
-    ws = _workspace(max(_CHUNK_PATHS, mc.n_rays))  # >= block * n_rays
+    ws = _workspace(max(BLOCK_PATHS, mc.n_rays))  # >= block * n_rays
     seeds = rng.run_seeds(mc.master_seed, n, first)
     budget = ws[_BUDGET]
     work = _flat(budget, (2,) + shape)  # in d1's and gain's rows

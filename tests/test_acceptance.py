@@ -131,8 +131,8 @@ def test_criterion_6_constant_reflector_wall_gap(h_sweep):
 
 def test_criterion_7_optimal_placement():
     grid = default_l_grid()
-    l10, _ = optimal_distance(run_sweep(SweepSpec("l", tuple(grid), CFG, MC)))
-    l5, _ = optimal_distance(run_sweep(SweepSpec("l", tuple(grid), replace(CFG, h_irs_m=5.0), MC)))
+    _, l10, _ = optimal_distance(CFG, MC, grid)
+    _, l5, _ = optimal_distance(replace(CFG, h_irs_m=5.0), MC, grid)
     ok = abs(l10 - 50.0) <= 5.0 and abs(l5 - 70.0) <= 5.0
     line = report(7, ok, f"l* = {l10:g} m at h_irs=10 (want 50 +/- 5), {l5:g} m at h_irs=5 (want 70 +/- 5)")
     assert ok, line
@@ -141,7 +141,7 @@ def test_criterion_7_optimal_placement():
 def test_criterion_8_placement_invariant_to_uav_height():
     grid = default_l_grid()
     stars = {
-        h: optimal_distance(run_sweep(SweepSpec("l", tuple(grid), replace(CFG, h_uav_m=h), MC)))[0]
+        h: optimal_distance(replace(CFG, h_uav_m=h), MC, grid)[1]
         for h in (30.0, 50.0, 100.0)
     }
     spread = max(stars.values()) - min(stars.values())

@@ -161,12 +161,12 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
 
     def test_non_finite_result_is_exit_3(self, capsys):
-        # a vanishing carrier overflows the amplitudes: gain_db is nan
+        # a huge transmit power overflows the powers: gain_db is nan
         sweep = ["sweep", "--sweep", "h-uav", "--values", "20:30:10", "--threads", "2"]
         for command in (["gain"], sweep):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # any warning fails the test, also in a sweep's worker threads
-                code, out, err = run_cli(command + ["--f-ghz", "1e-300", "--n-runs", "100"], capsys)
+                code, out, err = run_cli(command + ["--p-t-dbm", "5000", "--n-runs", "100"], capsys)
             assert code == 3
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:")
@@ -176,7 +176,7 @@ class TestExitCodes:
         # three run blocks on the pool, each in a copy of main()'s numpy error state
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["gain", "--f-ghz", "1e-300", "--n-runs", "4000", "--threads", "2"], capsys)
+            code, out, err = run_cli(["gain", "--p-t-dbm", "5000", "--n-runs", "4000", "--threads", "2"], capsys)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "non-finite" in err
 
@@ -214,6 +214,12 @@ class TestExitCodes:
         for extra in ([], ["--out", str(tmp_path / "out.csv")]):
             assert run_cli(argv + extra, capsys) == (3, "", "error: a path length overflows\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("p_t_dbm", ["1e4", "1e5", "1e300"])
+    def test_los_amplitude_overflow_is_named(self, p_t_dbm, capsys):
+        # not math.exp's "math range error"
+        expected = (3, "", "error: the LoS amplitude overflows\n")
+        assert run_cli(["gain", f"--p-t-dbm={p_t_dbm}"] + FAST, capsys) == expected
 
     def test_failed_svg_write_leaves_no_results(self, tmp_path, capsys):
         # the plot is written first, so a failed plot write leaves no CSV,
@@ -253,8 +259,10 @@ class TestExitCodes:
         ["gain", "--threads", "0"],  # gain evaluates one point but checks the flag like sweep
         ["gain", "--threads", "100000"],
         ["gain", "--n-rays", "32769"],
-        ["gain", "--f-ghz", "1e300", "--n-runs", "10"],  # f_ghz * 1e9 overflows: the wavelength is 0
-        ["gain", "--f-ghz", "5e-324", "--n-runs", "10"],  # 3e8 / (f_ghz * 1e9) overflows
+        ["gain", "--f-ghz", "1000"],  # the carrier lies in 0.5..100 GHz
+        ["gain", "--f-ghz", "1e-6"],
+        ["gain", "--f-ghz", "1e300", "--n-runs", "10"],  # f_ghz * 1e9 would overflow: the wavelength 0
+        ["gain", "--f-ghz", "5e-324", "--n-runs", "10"],  # 3e8 / (f_ghz * 1e9) would overflow
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=nan"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=inf"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=1e300"],  # not its 301 digits

@@ -35,11 +35,6 @@ CFG = ScenarioConfig()
 MC = MonteCarloConfig(n_runs=400, ray_phases="uniform")
 
 
-def l_sweep(cfg, grid, mc, threads=1):
-    """The evaluated l sweep that optimal_distance searches."""
-    return run_sweep(SweepSpec("l", tuple(grid), cfg, mc), threads)
-
-
 class TestApplyParameter:
     def test_k_maps_to_near_square_lattice(self):
         cfg = apply_parameter(CFG, "k", 50)
@@ -99,7 +94,7 @@ class TestRunSweep:
         parameter, values = sweep
         mc = MonteCarloConfig(n_runs=runs, master_seed=seed, ray_phases=phases)
         spec = SweepSpec(parameter, tuple(sorted(values)), CFG, mc)
-        with mock.patch.object(simulator, "_CHUNK_PATHS", 16 * mc.n_rays):  # up to 19 blocks on the pool
+        with mock.patch.object(simulator, "BLOCK_PATHS", 16 * mc.n_rays):  # up to 19 blocks on the pool
             assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
 
     def test_metadata_records_k_factorisations(self):
@@ -181,7 +176,7 @@ class TestSweepBatches:
     def test_each_row_is_its_point_evaluated_alone(self, spec, chunk_paths, threads):
         # whatever its neighbours in the batch, a point keeps the bits of a
         # one-point call; ragged blocks make the last block of every point short
-        with mock.patch.object(simulator, "_CHUNK_PATHS", chunk_paths):
+        with mock.patch.object(simulator, "BLOCK_PATHS", chunk_paths):
             rows = run_sweep(spec, threads=threads).rows
             for row in rows:
                 cfg = spec.base
@@ -274,7 +269,7 @@ class TestThreadPool:
         # thread.  Blocks 3 on wait until the error is out, so both threads
         # are busy while block 5, the window's last, is still queued: only
         # the cancel on error keeps it from starting
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * MC.n_rays)  # blocks of 5 runs
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * MC.n_rays)  # blocks of 5 runs
         mc = replace(MC, n_runs=50)  # 10 blocks
         expected = simulator.wall_power_estimates([CFG], mc)
         started, raised, block = [], threading.Event(), simulator._wall_block
@@ -305,7 +300,7 @@ class TestThreadPool:
         # a sweep's blocks are the pool's only tasks and none waits on the
         # pool, so a sweep of many blocks started from a thread that is not
         # main cannot deadlock, and gives the rows of one thread
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * MC.n_rays)  # 10 blocks per batch
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * MC.n_rays)  # 10 blocks per batch
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:7]), CFG, replace(MC, n_runs=50))
         rows = []
         worker = threading.Thread(target=lambda: rows.extend(run_sweep(spec, threads=threads).rows), daemon=True)
@@ -367,12 +362,10 @@ class TestThreadPool:
     @pytest.mark.parametrize("refine", [False, True])
     def test_optimal_distance_is_thread_invariant(self, refine):
         mc = replace(MC, n_runs=2000)  # two run blocks per golden-section point
-        grid = l_sweep(CFG, default_l_grid(), mc)
-        one = optimal_distance(grid, refine, threads=1)
-        assert optimal_distance(grid, refine, threads=2) == one
-        assert optimal_distance(grid, refine, threads=3) == one
-        assert optimal_distance(l_sweep(CFG, default_l_grid(), mc, threads=3), refine) == one
-        assert (one[0] in grid.spec.values) is not refine
+        one = optimal_distance(CFG, mc, default_l_grid(), refine, threads=1)
+        assert optimal_distance(CFG, mc, default_l_grid(), refine, threads=2) == one
+        assert optimal_distance(CFG, mc, default_l_grid(), refine, threads=3) == one
+        assert (one[1] in default_l_grid()) is not refine
 
 
 class TestComponentAmplitudes:
@@ -395,7 +388,7 @@ class TestComponentAmplitudes:
 
 class TestOptimalDistance:
     def test_single_point_grid(self):
-        l_star, gain = optimal_distance(l_sweep(CFG, [42.0], MC))
+        _, l_star, gain = optimal_distance(CFG, MC, [42.0])
         assert l_star == 42.0
         assert gain == pytest.approx(irs_gain(apply_parameter(CFG, "l", 42.0), MC).gain_db)
 
@@ -404,20 +397,20 @@ class TestOptimalDistance:
         base = replace(CFG, irs_rows=0, irs_cols=0, uav_x_m=25.0)
         flat_mc = MonteCarloConfig(n_runs=1, n_rays=0)
         for refine in (False, True):
-            l_star, gain = optimal_distance(l_sweep(base, [40.0, 50.0, 60.0], flat_mc), refine=refine)
+            _, l_star, gain = optimal_distance(base, flat_mc, [40.0, 50.0, 60.0], refine=refine)
             assert l_star == 40.0
             assert gain == 0.0
 
     def test_default_grid_argmax_near_55_boresight(self):
         # boresight from the BS (25 m) meets a 10 m wall centre near L = 56;
         # the distance terms pull the optimum slightly lower
-        l_star, _ = optimal_distance(l_sweep(CFG, default_l_grid(), MC))
+        _, l_star, _ = optimal_distance(CFG, MC, default_l_grid())
         assert abs(l_star - 50.0) <= 5.0
 
     def test_refinement_stays_inside_bracket_and_improves(self):
         grid = [40.0, 45.0, 50.0, 55.0, 60.0]
-        l_coarse, g_coarse = optimal_distance(l_sweep(CFG, grid, MC))
-        l_fine, g_fine = optimal_distance(l_sweep(CFG, grid, MC), refine=True)
+        _, l_coarse, g_coarse = optimal_distance(CFG, MC, grid)
+        _, l_fine, g_fine = optimal_distance(CFG, MC, grid, refine=True)
         assert grid[0] <= l_fine <= grid[-1]
         assert g_fine >= g_coarse
 
@@ -430,7 +423,7 @@ class TestOptimalDistance:
             return SimpleNamespace(gain_db=min(cfg.l_m, 50.0))
 
         monkeypatch.setattr(experiments, "irs_gain", plateau)
-        assert optimal_distance(l_sweep(CFG, [40.0, 50.0, 60.0], MC), refine=True) == (50.0, 50.0)
+        assert optimal_distance(CFG, MC, [40.0, 50.0, 60.0], refine=True)[1:] == (50.0, 50.0)
         assert calls == [40.0, 50.0, 60.0]
 
     def test_refinement_errors_propagate(self, monkeypatch):
@@ -441,11 +434,10 @@ class TestOptimalDistance:
 
         monkeypatch.setattr(experiments, "irs_gain", on_grid_only)
         with pytest.raises(DegenerateGeometryError):
-            optimal_distance(l_sweep(CFG, [45.0, 50.0, 55.0], MC), refine=True)
+            optimal_distance(CFG, MC, [45.0, 50.0, 55.0], refine=True)
 
     def test_refined_search_matches_cli_summary(self, tmp_path, capsys):
-        grid = l_sweep(CFG, default_l_grid(), replace(MC, n_runs=200, master_seed=3))
-        l_star, gain = optimal_distance(grid, refine=True)
+        _, l_star, gain = optimal_distance(CFG, replace(MC, n_runs=200, master_seed=3), default_l_grid(), refine=True)
         code = main(["optimize", "--refine", "--ray-phases", "uniform", "--n-runs", "200", "--seed", "3",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 0
@@ -453,39 +445,32 @@ class TestOptimalDistance:
 
     def test_empty_and_unsorted_grids_rejected(self):
         with pytest.raises(InvalidParameterError):
-            optimal_distance(l_sweep(CFG, [], MC))
+            optimal_distance(CFG, MC, [])
         with pytest.raises(InvalidParameterError):
-            optimal_distance(l_sweep(CFG, [50.0, 40.0], MC))
-
-    @pytest.mark.parametrize("spec", [
-        SweepSpec("h_uav", (40.0, 50.0, 60.0), CFG, MC),
-        SweepSpec("l", (40.0, 50.0, 60.0), CFG, MC, "h_irs", (5.0, 10.0)),
-    ])
-    def test_only_an_l_sweep_without_overlay_is_searched(self, spec):
-        grid = run_sweep(spec)
-        for refine in (False, True):
-            with pytest.raises(InvalidParameterError, match="l sweep without overlay"):
-                optimal_distance(grid, refine)
+            optimal_distance(CFG, MC, [50.0, 40.0])
 
     @pytest.mark.parametrize("threads", [0, 257])
     @pytest.mark.parametrize("refine", [False, True])
-    def test_threads_are_checked_on_entry(self, refine, threads):
-        # the argmax of this grid is its last point, so nothing else would see threads
-        grid = l_sweep(CFG, [10.0, 20.0, 30.0], replace(MC, n_runs=200))
+    def test_threads_are_checked_on_entry(self, monkeypatch, refine, threads):
+        # the grid's batch checks threads before any point is evaluated
+        calls = _count_gain_calls(monkeypatch)
         with pytest.raises(InvalidParameterError, match="threads must be in 1..256"):
-            optimal_distance(grid, refine, threads)
+            optimal_distance(CFG, replace(MC, n_runs=200), [10.0, 20.0, 30.0], refine, threads)
+        assert calls == []
 
     def test_cli_optimize_runs_the_one_search(self, monkeypatch, tmp_path):
-        searched = []
+        searched, swept = [], []
 
-        def search(grid, refine=False, threads=1, kept=None):
-            searched.append((grid.spec.values, refine, threads, type(kept)))
-            return optimal_distance(grid, refine, threads, kept)
+        def search(base, mc, l_values, refine=False, threads=1):
+            searched.append((base, mc, tuple(l_values), refine, threads))
+            return optimal_distance(base, mc, l_values, refine, threads)
 
         monkeypatch.setattr(cli, "optimal_distance", search)
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: swept.append(args))
         code = main(["optimize", "--refine", "--n-runs", "200", "--threads", "2", "--out", str(tmp_path / "o.csv")])
         assert code == 0
-        assert searched == [(tuple(default_l_grid()), True, 2, simulator.KeptPlanes)]
+        assert searched == [(CFG, MonteCarloConfig(n_runs=200), tuple(default_l_grid()), True, 2)]
+        assert swept == []  # the search evaluates its own grid
 
 
 def _optimize(tmp_path, capsys, *flags) -> tuple[str, str]:
@@ -510,14 +495,12 @@ class TestKeptSearch:
         assert _optimize(tmp_path, capsys, "--n-runs", "2000") == first
         assert len(position_draws) == 4
 
-    def test_library_search_keeps_its_own_planes(self, monkeypatch, position_draws):
-        # given no planes, optimal_distance keeps its golden points' own: one
-        # draw per block for the whole golden-section search
-        grid = l_sweep(CFG, default_l_grid(), replace(MC, n_runs=2000))
-        position_draws.clear()
+    def test_library_search_draws_each_block_once(self, monkeypatch, position_draws):
+        # 2,000 runs are 2 blocks: one refined search draws each once, for its
+        # grid and every golden-section point
         calls = _count_gain_calls(monkeypatch)
-        optimal_distance(grid, refine=True)
-        assert len(calls) > 10 and len(position_draws) == 2
+        optimal_distance(CFG, replace(MC, n_runs=2000), default_l_grid(), refine=True)
+        assert len(calls) > len(default_l_grid()) + 10 and len(position_draws) == 2
 
     # 50-run blocks: 120 runs end in a partial block, 475 runs are 10 blocks,
     # 2 past the budget of 8 kept ones, the last partial
@@ -525,7 +508,7 @@ class TestKeptSearch:
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_kept_search_gives_the_rows_and_summary_of_a_search_without(self, monkeypatch, tmp_path, capsys,
                                                                          phases, n_runs):
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         flags = ["--l-grid", "30:70:5", "--ray-phases", phases, "--n-runs", str(n_runs), "--seed", "7"]
         with mock.patch.object(simulator, "_KEPT_BLOCKS", 0):  # every block drawn per call
             expected = _optimize(tmp_path, capsys, *flags)
@@ -579,7 +562,7 @@ class TestGoldenSection:
 
     def test_optimal_distance_evaluates_each_l_once(self, monkeypatch):
         calls = _count_gain_calls(monkeypatch)
-        l_star, gain = optimal_distance(l_sweep(CFG, default_l_grid(), MC), refine=True)
+        _, l_star, gain = optimal_distance(CFG, MC, default_l_grid(), refine=True)
         assert len(calls) == len(set(calls)) > len(default_l_grid())
         assert l_star in calls and l_star not in default_l_grid()
 

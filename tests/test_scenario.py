@@ -34,10 +34,11 @@ def test_validation_names_the_offending_key():
     for h in (1.49, 300.01):
         with pytest.raises(InvalidParameterError, match="h_uav_m"):
             ScenarioConfig(h_uav_m=h)
-    for f in (-2.0, 1e300, 5e-324):  # the last two give a wavelength of 0 and inf
+    for f in (0.5, 100.0):  # the carriers of TR 38.901's channel models, ends included
+        assert ScenarioConfig(f_ghz=f).f_ghz == f
+    for f in (-2.0, 0.0, 0.49, 100.01, 1e300, 5e-324, 1e-300):  # 1e300 and 5e-324 give a wavelength of 0 and inf
         with pytest.raises(InvalidParameterError, match="f_ghz"):
             ScenarioConfig(f_ghz=f)
-    assert ScenarioConfig(f_ghz=1e-300).f_ghz == 1e-300  # a finite wavelength; its result is not (exit 3)
     with pytest.raises(InvalidParameterError, match="n_runs"):
         MonteCarloConfig(n_runs=0)
     with pytest.raises(InvalidParameterError, match="n_runs"):

@@ -54,12 +54,12 @@ def thread_workspaces(threads):
     """The wall-kernel workspace of each thread that runs blocks at ``threads``:
     the calling thread's, or each of the kept pool's, made now if missing."""
     if threads == 1:
-        return [simulator._workspace(simulator._CHUNK_PATHS)]
+        return [simulator._workspace(simulator.BLOCK_PATHS)]
     barrier = threading.Barrier(threads)  # one task per pool thread
 
     def own():
         barrier.wait(timeout=60)
-        return simulator._workspace(simulator._CHUNK_PATHS)
+        return simulator._workspace(simulator.BLOCK_PATHS)
 
     pool = simulator._kept_pool(threads)
     return [task.result() for task in [pool.submit(own) for _ in range(threads)]]
@@ -236,7 +236,7 @@ class TestIrsAmplitude:
 
     def test_sliced_sum_matches_one_slice(self, monkeypatch):
         whole = gamma_irs(CFG)
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7)  # 15 slices, the last holds 2 elements
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)  # 15 slices, the last holds 2 elements
         assert gamma_irs(CFG) == pytest.approx(whole, rel=1e-12, abs=0.0)
 
     def test_element_sum_memory_is_flat_in_k(self):
@@ -317,7 +317,7 @@ class TestWallPowerEstimate:
         est = wall_power_estimates([CFG], mc(runs=50))[0]
         assert est.std_error_mw == pytest.approx(0.0, abs=1e-18)
         # and across blocks: 7 runs per block, the last one holds a single run
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 7 * 20)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 7 * 20)
         blocked = wall_power_estimates([CFG], mc(runs=50))[0]
         assert blocked.std_error_mw == pytest.approx(0.0, abs=1e-18)
         assert blocked.mean_power_mw == pytest.approx(est.mean_power_mw, rel=1e-12, abs=0.0)
@@ -326,7 +326,7 @@ class TestWallPowerEstimate:
     @pytest.mark.parametrize("runs", [40, 100])
     @pytest.mark.parametrize("chunk_paths", [64, 5])  # at 7 rays: 9 runs per block (last ragged), or 1
     def test_blocks_match_one_shot_estimate(self, monkeypatch, phases, runs, chunk_paths):
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", chunk_paths)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", chunk_paths)
         config = mc(runs=runs, rays=7, seed=2**64 - 5, phases=phases)
         est = wall_power_estimates([CFG], config)[0]
         mean, se, refl = one_shot_estimate(CFG, config)
@@ -344,9 +344,9 @@ class TestWallPowerEstimate:
     )
     def test_any_block_size_matches_one_block(self, runs, rays, chunk_paths, seed, phases):
         config = mc(runs=runs, rays=rays, seed=seed, phases=phases)
-        with mock.patch.object(simulator, "_CHUNK_PATHS", runs * rays):
+        with mock.patch.object(simulator, "BLOCK_PATHS", runs * rays):
             whole = wall_power_estimates([CFG], config)[0]
-        with mock.patch.object(simulator, "_CHUNK_PATHS", chunk_paths):
+        with mock.patch.object(simulator, "BLOCK_PATHS", chunk_paths):
             blocked = wall_power_estimates([CFG], config)[0]
         assert blocked.mean_power_mw == pytest.approx(whole.mean_power_mw, rel=1e-12, abs=0.0)
         assert blocked.std_error_mw == pytest.approx(whole.std_error_mw, rel=1e-12, abs=0.0)
@@ -709,7 +709,7 @@ class TestKeptPlanes:
         # 10 blocks of 50 runs: the first 8 are kept, the last 2 drawn by every
         # batch, and the kept planes stay within 8 full blocks of two planes,
         # four in uniform mode (y, z, cos and sin)
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         config = mc(runs=475, phases=phases)
         expected = wall_power_estimates([CFG], config)
         position_draws.clear()
@@ -742,7 +742,7 @@ class TestKeptPlanes:
         # batches on more threads than cores, each on a pool of its own size,
         # reach the same blocks at once: whichever equal entry is published,
         # every batch gets the bits of a batch without kept planes
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         config = mc(runs=400, phases="uniform")  # 8 blocks
         cfgs = [[replace(CFG, l_m=l_m)] for l_m in (40.0, 45.0, 50.0, 55.0)]
         expected = [wall_power_estimates(batch, config) for batch in cfgs]
@@ -766,7 +766,7 @@ class TestKeptPlanes:
         # the second block's mapping fails after writing its planes: the
         # first block's entry is complete, the second is never published, and
         # a later batch makes it afresh with the bits of a batch without them
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 50 * 20)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         config = mc(runs=150)  # 3 blocks
         expected = wall_power_estimates([CFG], config)
         mapping = simulator._scatter_matrix
@@ -808,7 +808,7 @@ class TestSharingKeys:
         # its hand-kept keys are equal: a field they miss would reuse stale rows
         other = replace(CFG, **{name: _OTHER_VALUES[name]})
         config = mc(runs=23, rays=7, phases=phases)
-        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 5 * 7)  # blocks of 5 runs, the last one short
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * 7)  # blocks of 5 runs, the last one short
         alone = {cfg: wall_power_estimates([cfg], config)[0] for cfg in (CFG, other)}
         assert (alone[CFG] == alone[other]) is (name == "pl_irs_db")  # the reflector's loss alone
         for batch in ([CFG, other], [other, CFG]):
@@ -833,7 +833,7 @@ class TestThreads:
         # on 2 or 3 pool threads the blocks finish in any order but merge in run order
         config = mc(runs=(blocks - 1) * runs_per_block + min(last, runs_per_block), rays=rays, seed=seed,
                     phases=phases)
-        with mock.patch.object(simulator, "_CHUNK_PATHS", runs_per_block * rays):
+        with mock.patch.object(simulator, "BLOCK_PATHS", runs_per_block * rays):
             one, two, three = (wall_power_estimates(batch, config, threads=t) for t in (1, 2, 3))
             assert one == wall_power_estimates(batch, config)
         for est in (two, three):
