@@ -36,9 +36,6 @@ RAY_PHASES = (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM)
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
 
-# time is linear in n_runs and 10**9 runs already take hours per point, so
-# larger counts are rejected instead of running until killed
-_MAX_RUNS = 10**9
 # paths in one run block of the wall kernel (and one slice of the reflector
 # sum): a run's rays share a block, so n_rays is bounded by it, lest a block,
 # and with it the kernel's retained per-thread workspace, grow with the input
@@ -46,10 +43,10 @@ BLOCK_PATHS = 2**15
 # the reflector sum's time is linear in k and 10**8 elements already take about
 # 6 s per point (2-vCPU Xeon), so larger counts are rejected before factoring
 _MAX_ELEMENTS = 10**8
-# UAV heights where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777
-_H_UAV_RANGE_M = (1.5, 300.0)
-# carriers of the channel models' scope, TR 38.901 section 1
-_F_GHZ_RANGE = (0.5, 100.0)
+# a number field's bounds, in its metadata: "gt" (open) or "ge" (closed) below,
+# "le" (closed) above; an end without one is open at infinity
+_POSITIVE = {"gt": 0.0}
+_NON_NEGATIVE = {"ge": 0}
 
 
 @dataclass(frozen=True)
@@ -61,52 +58,35 @@ class Position3D:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    f_ghz: float = 2.0
+    f_ghz: float = field(default=2.0, metadata={"ge": 0.5, "le": 100.0})  # the scope of TR 38.901, section 1
     p_t_dbm: float = 46.0
-    theta_etilt_deg: float = 15.0
-    theta3db_deg: float = 10.0
-    sla_db: float = 20.0
-    pl_irs_db: float = 1.0
-    pl_wall_db: float = 10.0
-    h_bs_m: float = 25.0
-    h_uav_m: float = 50.0
-    h_irs_m: float = 10.0
-    irs_rows: int = 10
-    irs_cols: int = 10
-    l_m: float = 50.0
-    element_pitch_m: float = 0.02
+    theta_etilt_deg: float = field(default=15.0, metadata={"ge": -90.0, "le": 90.0})  # depression; below 0 uptilts
+    theta3db_deg: float = field(default=10.0, metadata={"gt": 0.0, "le": 180.0})
+    sla_db: float = field(default=20.0, metadata=_POSITIVE)
+    pl_irs_db: float = field(default=1.0, metadata=_NON_NEGATIVE)
+    pl_wall_db: float = field(default=10.0, metadata=_NON_NEGATIVE)
+    h_bs_m: float = field(default=25.0, metadata=_POSITIVE)
+    # where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777 above
+    h_uav_m: float = field(default=50.0, metadata={"ge": 1.5, "le": 300.0})
+    h_irs_m: float = field(default=10.0, metadata=_POSITIVE)
+    irs_rows: int = field(default=10, metadata=_NON_NEGATIVE)
+    irs_cols: int = field(default=10, metadata=_NON_NEGATIVE)
+    l_m: float = field(default=50.0, metadata=_POSITIVE)
+    element_pitch_m: float = field(default=0.02, metadata=_POSITIVE)
     uav_x_m: float | None = None  # None tracks l_m / 2
     uav_y_m: float = 0.0
 
     def __post_init__(self):
-        positive = ("h_bs_m", "h_irs_m", "l_m", "element_pitch_m", "theta3db_deg", "sla_db")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("pl_irs_db", "pl_wall_db"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.irs_rows < 0 or self.irs_cols < 0:
-            raise InvalidParameterError(f"irs_rows/irs_cols must be non-negative, got {self.irs_rows}x{self.irs_cols}")
+        _check_fields(self)  # then the rules that relate fields
         if self.k > _MAX_ELEMENTS:
-            raise InvalidParameterError(f"irs_rows*irs_cols must be <= {_MAX_ELEMENTS}, got {self.k}")
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite")
-        if not -90.0 <= self.theta_etilt_deg <= 90.0:  # a depression angle; below 0 is an uptilt
-            raise InvalidParameterError(f"theta_etilt_deg must be in [-90, 90], got {self.theta_etilt_deg}")
+            raise InvalidParameterError(f"irs_rows*irs_cols must be <= {_MAX_ELEMENTS}, got {_shown(self.k)}")
         span = 180.0 / self.theta3db_deg  # 12*span^2: the pattern's largest deviation, angles in [-90, 90]
-        if self.theta3db_deg > 180.0 or not math.isfinite(12.0 * span * span):  # span ** 2 raises on overflow
-            raise InvalidParameterError(f"theta3db_deg must be in (0, 180] with 12*(180/theta3db_deg)^2 finite, "
-                                        f"got {self.theta3db_deg}")
-        for name, (low, high), unit in (("f_ghz", _F_GHZ_RANGE, "GHz"), ("h_uav_m", _H_UAV_RANGE_M, "m")):
-            if not low <= getattr(self, name) <= high:
-                raise InvalidParameterError(f"{name} must be in [{low:g}, {high:g}] {unit}, got {getattr(self, name)}")
+        if not math.isfinite(12.0 * span * span):  # span ** 2 raises on overflow
+            raise InvalidParameterError(f"theta3db_deg = {self.theta3db_deg} overflows 12*(180/theta3db_deg)^2")
         if self.h_irs_m > self.h_bs_m:  # the reflector is mounted below the BS mast top
             raise InvalidParameterError(f"h_irs_m must be <= h_bs_m = {self.h_bs_m}, got {self.h_irs_m}")
         # a UAV behind the wall plane x = l_m sees no reflection off its front;
-        # one on the plane is valid here, and the kernel rejects a coincidence
+        # one on the plane is valid here, and the kernel rejects one on the patch
         if self.uav_x_m is not None and self.uav_x_m > self.l_m:
             raise InvalidParameterError(f"uav_x_m must be <= l_m = {self.l_m}, got {self.uav_x_m}")
 
@@ -148,23 +128,38 @@ class MonteCarloConfig:
         are drawn i.i.d. uniform on [0, 2*pi).
     """
 
-    n_runs: int = 10_000
-    n_rays: int = 20
-    # metadata holds what a flag cannot derive from its field: a "flag" alias, "choices" and --help's "help"
-    master_seed: int = field(default=DEFAULT_MASTER_SEED,
-                             metadata={"flag": "--seed", "help": "master seed for the Monte Carlo baseline"})
+    n_runs: int = field(default=10_000, metadata={"ge": 1, "le": 10**9})  # time is linear in it: hours at 10**9
+    n_rays: int = field(default=20, metadata={"ge": 0, "le": BLOCK_PATHS})
+    # metadata also holds what a flag cannot derive from its field: a "flag" alias, "choices" and --help's "help"
+    master_seed: int = field(default=DEFAULT_MASTER_SEED, metadata={
+        "ge": 0, "le": 2**64 - 1, "flag": "--seed", "help": "master seed for the Monte Carlo baseline"})
     ray_phases: str = field(default=RAY_PHASES_GEOMETRIC,
                             metadata={"choices": RAY_PHASES, "help": "wall-ray phase model (default: geometric)"})
 
     def __post_init__(self):
-        if not 1 <= self.n_runs <= _MAX_RUNS:
-            raise InvalidParameterError(f"n_runs must be in 1..{_MAX_RUNS}, got {self.n_runs}")
-        if not 0 <= self.n_rays <= BLOCK_PATHS:
-            raise InvalidParameterError(f"n_rays must be in 0..{BLOCK_PATHS}, got {self.n_rays}")
-        if not 0 <= self.master_seed < 2**64:
-            raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
-        if self.ray_phases not in RAY_PHASES:
-            raise InvalidParameterError(f"ray_phases must be 'geometric' or 'uniform', got {self.ray_phases!r}")
+        _check_fields(self)
+
+
+def _check_fields(record) -> None:
+    """Raise InvalidParameterError for the first field of ``record`` outside its ``_domain``."""
+    for f in fields(record):
+        value, meta = getattr(record, f.name), f.metadata
+        # ints compare as ints: 10**400 is not converted to a float
+        inside = value in meta["choices"] if "choices" in meta else value is None or (
+            (value >= meta["ge"] if "ge" in meta else value > meta.get("gt", -math.inf))
+            and (value <= meta["le"] if "le" in meta else value < math.inf))
+        if not inside:
+            got = repr(value) if "choices" in meta else _shown(value)
+            raise InvalidParameterError(f"{f.name} must be in {_domain(meta)}, got {got}")
+
+
+def _domain(meta) -> str:
+    """A field's domain as its error line and README's exit-2 table show it:
+    its "choices" as a set, else the interval that its bounds close or open."""
+    if "choices" in meta:
+        return "{" + ", ".join(meta["choices"]) + "}"
+    low = f"[{_shown(meta['ge'])}" if "ge" in meta else f"({_shown(meta.get('gt', -math.inf))}"
+    return f"{low}, {_shown(meta['le'])}]" if "le" in meta else f"{low}, inf)"
 
 
 def wavelength_m(f_ghz: float) -> float:
@@ -184,12 +179,12 @@ def lattice_shape(k, rows: int | None = None, cols: int | None = None) -> tuple[
         raise InvalidParameterError(f"k values must be positive integers, got {_shown(k)}")
     if rows is not None and cols is not None:
         if rows * cols != n:
-            raise InvalidParameterError(f"k={_shown(n)} inconsistent with irs_rows*irs_cols={rows * cols}")
+            raise InvalidParameterError(f"k={_shown(n)} inconsistent with irs_rows*irs_cols={_shown(rows * cols)}")
         return rows, cols
     if rows is not None or cols is not None:
         name, side = ("irs_rows", rows) if rows is not None else ("irs_cols", cols)
         if side < 1 or n % side != 0:
-            raise InvalidParameterError(f"k={_shown(n)} is not a multiple of {name}={side}")
+            raise InvalidParameterError(f"k={_shown(n)} is not a multiple of {name}={_shown(side)}")
         return (side, n // side) if rows is not None else (n // side, side)
     if not 1 <= n <= _MAX_ELEMENTS:  # trial division of a huge prime k alone takes minutes
         raise InvalidParameterError(f"element count must be in 1..{_MAX_ELEMENTS}, got {_shown(k)}")
@@ -199,16 +194,16 @@ def lattice_shape(k, rows: int | None = None, cols: int | None = None) -> tuple[
     raise AssertionError("unreachable")
 
 
-def _shown(k) -> str:
-    """An element count as an error line shows it: an integral one of up to 15
-    digits in full, a float to 6 significant digits ("1e+300", not 301 digits)
-    and a longer int by its leading 6 digits and its exponent."""
-    if abs(k) < 10**15 and k == int(k):  # False for nan and inf before int() sees them
-        return str(int(k))
-    if isinstance(k, float):
-        return f"{k:g}"
-    digits = str(abs(int(k)))
-    return f"{'-' if k < 0 else ''}{int(digits[:6]) / 1e5:g}e+{len(digits) - 1}"
+def _shown(value) -> str:
+    """A number as an error line shows it: an integral one below 10**20 in
+    full, another float by its repr ("2.5", "1e+300", "nan") and a longer int
+    by its leading 6 digits and its exponent ("1e+400", not 401 digits)."""
+    if abs(value) < 10**20 and value == int(value):  # False for nan and inf before int() sees them
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    digits = str(abs(int(value)))
+    return f"{'-' if value < 0 else ''}{int(digits[:6]) / 1e5:g}e+{len(digits) - 1}"
 
 
 def element_positions(

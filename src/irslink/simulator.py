@@ -51,9 +51,9 @@ half (``_uav_side``) adds PL_NLoS(d1 + d2) and the reflection loss, and the
 UAV's own plane for the LoS, evaluated as a one-point array, to which
 ``_los_amp_phase`` adds PL_LoS(d).  The scalar forms of the distance and the
 angle live only in the tests' scalar reference.  Before any budget of a
-point runs, one scalar check (``_check_path_lengths``) bounds the LoS length
-and, at the patch corners, every reflected path length, so an overflowing
-path is named, not computed.
+point runs, one scalar check (``_check_path_lengths``) bounds each of its
+path lengths from above and below, so a path that overflows or has length 0
+is named, not computed, and the blocks run no checks.
 
 The BS-to-point angle needs the horizontal distance sqrt(dx^2 + dy^2): it is
 the root of the partial sum from which d1 = sqrt((dy^2 + dx^2) + dz^2) is
@@ -147,7 +147,8 @@ import numpy as np
 from . import rng
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .propagation import pl_los, pl_nlos, vertical_gain
-from .scenario import BLOCK_PATHS, RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, element_positions, wavelength_m
+from .scenario import (BLOCK_PATHS, RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, _shown, element_positions,
+                       wavelength_m)
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,8 +192,6 @@ def _los_amp_phase(cfg: ScenarioConfig) -> tuple[float, float]:
     """The LoS amplitude and phase: the BS half of the budget at the UAV, as a
     one-point array, less PL_LoS(d)."""
     uav = cfg.uav
-    if cfg.bs == uav:
-        raise DegenerateGeometryError("BS and UAV coincide")
     d1, gain, b, c = np.empty((4, 1))
     _bs_side(cfg, uav.x, np.array([uav.y]), np.array([uav.z]), d1, gain, (b, c))
     d = float(d1[0])
@@ -221,8 +220,6 @@ def _bs_side(cfg: ScenarioConfig, x: float, y, z, d1, gain, work) -> None:
     np.square(np.subtract(z, bs.z, out=b), out=b)
     d1 += b
     np.sqrt(d1, out=d1)
-    if not d1.all():
-        raise DegenerateGeometryError("a path point coincides with the BS")
     # the angle in degrees by one multiply, the same bits as np.degrees at a
     # fifth of its time
     theta = np.multiply(np.arctan2(np.subtract(bs.z, z, out=b), c, out=b), _RAD_TO_DEG, out=b)
@@ -247,11 +244,8 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
     np.square(np.subtract(uav.z, z, out=amps), out=amps)
     s += amps
     np.sqrt(s, out=s)
-    if not s.all():
-        raise DegenerateGeometryError("reflection point coincides with BS or UAV")
     s += d1  # d2 + d1: the bits of d1 + d2, in place
-    # d1 and d2 are nonzero and _check_path_lengths has bounded every d1 + d2,
-    # so the lengths skip pl_nlos's input check
+    # the point's one check bounded d1, d2 > 0 and d1 + d2 < inf: pl_nlos skips its own
     np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=scratch, check=False), out=amps)
     amps -= reflection_loss_db
     np.exp(np.multiply(amps, _DB_TO_LN_AMPLITUDE, out=amps), out=amps)  # dbm_to_amplitude
@@ -333,7 +327,7 @@ def _irs_sum(cfg: ScenarioConfig) -> float:
     """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
     slices of ``BLOCK_PATHS`` elements whose coordinates are made one slice at
     a time, so that memory is flat in k."""
-    _check_path_lengths(cfg)  # _uav_side needs every path length bounded
+    _check_path_lengths(cfg)  # _bs_side and _uav_side check nothing
     total, center = 0.0, cfg.irs_center
     for first in range(0, cfg.k, BLOCK_PATHS):
         y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, BLOCK_PATHS)
@@ -418,7 +412,7 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     With ``kept``, whose key every point must share, the blocks it holds read
     their scatter points from it."""
     if not 1 <= threads <= _MAX_THREADS:
-        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {threads}")
+        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {_shown(threads)}")
     scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
         _check_path_lengths(cfg)
@@ -448,22 +442,32 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
 
 
 def _check_path_lengths(cfg: ScenarioConfig) -> None:
-    """Raise OverflowError when a path length can overflow: the LoS d or a
-    reflected path's d1 + d2.  Every element and scatter point lies in the
-    patch, where each squared coordinate difference, and so d1 + d2, is
-    largest at one of its corners: one scalar check, in the kernel's operation
-    order, covers every path of the point."""
+    """The one check of a point's paths, before any budget: OverflowError if a
+    length (the LoS d, a reflected d1 + d2) can overflow, DegenerateGeometryError
+    if one can be 0 (the BS at the UAV, or either on the patch).  Each element
+    and scatter coordinate lies in [c - half, c + half] per axis (the lattice's
+    extremes bit for bit, as (cols-1)*pitch/2 and ((cols-1)/2)*pitch round one
+    real once; below 2^-1022 they may differ by a step whose square is 0), and
+    differences, squares, sums and sqrt round monotonically, so a leg's values
+    at the patch's farthest and nearest offsets per axis, in the kernel's
+    operation order, bound it at every point."""
     bs, uav, c = cfg.bs, cfg.uav, cfg.irs_center
-    half_w, half_h = cfg.patch_half_width_y, cfg.patch_half_height_z
-    patch = ((c.y - half_w, c.y + half_w), (c.z - half_h, c.z + half_h))
+    patch = ((c.y - cfg.patch_half_width_y, c.y + cfg.patch_half_width_y),
+             (c.z - cfg.patch_half_height_z, c.z + cfg.patch_half_height_z))
 
-    def longest(end, dx, ys, zs):
-        dy, dz = max(abs(y - end.y) for y in ys), max(abs(z - end.z) for z in zs)
-        return math.sqrt((dy * dy + dx * dx) + dz * dz)
+    def legs(end, dx, box):  # the longest and the shortest length from end to a (y, z) box dx away in x
+        far, near = zip(*((max(abs(lo - e), abs(hi - e)), max(lo - e, e - hi, 0.0))
+                          for e, (lo, hi) in zip((end.y, end.z), box)))
+        return [math.sqrt((dy * dy + dx * dx) + dz * dz) for dy, dz in (far, near)]
 
-    los = longest(bs, uav.x - bs.x, (uav.y,), (uav.z,))
-    if not math.isfinite(max(los, longest(bs, c.x - bs.x, *patch) + longest(uav, uav.x - c.x, *patch))):
+    los, _ = legs(bs, uav.x - bs.x, ((uav.y, uav.y), (uav.z, uav.z)))  # the UAV, a box of no size
+    (d1_max, d1_min), (d2_max, d2_min) = legs(bs, c.x - bs.x, patch), legs(uav, uav.x - c.x, patch)
+    if not math.isfinite(max(los, d1_max + d2_max)):
         raise OverflowError("a path length overflows")
+    if not (los and d1_min):  # 0, or a square that underflows to 0
+        raise DegenerateGeometryError("BS and UAV coincide" if bs == uav else "a path point coincides with the BS")
+    if not d2_min:
+        raise DegenerateGeometryError("the UAV coincides with the reflector patch")
 
 
 @lru_cache(maxsize=1)

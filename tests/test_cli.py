@@ -36,6 +36,7 @@ ZERO_POWER = [
 FLOAT_FLAGS = sorted(_flag(f.name) for f in fields(ScenarioConfig) if _KEY_TYPES[f.name] is float)
 EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", "1e155", "1e300", "-1e300", "nan",
                "inf"]
+BIG = str(10**400)  # an integer flag value of 401 digits
 
 
 def run_cli(argv, capsys):
@@ -145,20 +146,37 @@ class TestExitCodes:
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_degenerate_point_in_a_sweep_is_exit_3(self, phases, threads, capsys):
-        # a one-element patch in front of the UAV at 10 m: the wall rays of
-        # that point end on the UAV, at any thread count
+        # a one-element patch in front of the UAV at 10 m: the element and
+        # the wall rays of that point end on the UAV, at any thread count
         code, out, err = run_cli(["sweep", "--sweep", "h-uav", "--values", "9:11:1", "--irs-rows", "1", "--irs-cols",
                                   "1", "--uav-x", "50", "--ray-phases", phases, "--threads", threads] + FAST, capsys)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
 
     def test_degenerate_point_split_over_threads_is_exit_3(self, capsys):
-        # one point, three run blocks on the pool: the error of a pool task
-        # reaches the caller
+        # one point, three run blocks on the pool: the point's one check
+        # names it before any block starts
         code, out, err = run_cli(["gain", "--h-uav", "10", "--irs-rows", "1", "--irs-cols", "1", "--uav-x", "50",
                                   "--n-runs", "4000", "--threads", "2"], capsys)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gain"] + FAST,
+        ["sweep", "--sweep", "h-uav", "--values", "9:11:1"] + FAST,  # its middle point
+        ["gain", "--n-runs", "4000", "--threads", "2"],
+    ])
+    def test_uav_on_the_patch_is_exit_3(self, argv, capsys):
+        # the UAV at the centre of the default 10x10 patch, 1.4 cm from its
+        # nearest elements and on no scatter point: a leg's lower bound is 0
+        code, out, err = run_cli(argv + ["--uav-x", "50", "--h-uav", "10"], capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "coincides" in err
+        # on the wall plane but off the patch, beside it (its half width is
+        # 9 cm) or above it, is valid
+        assert run_cli(argv + ["--uav-x", "50", "--h-uav", "10", "--uav-y", "0.1"], capsys)[0] == 0
+        if argv[0] == "gain":  # the sweep sets the height itself
+            assert run_cli(argv + ["--uav-x", "50", "--h-uav", "50"], capsys)[0] == 0
 
     def test_non_finite_result_is_exit_3(self, capsys):
         # a huge transmit power overflows the powers: gain_db is nan
@@ -279,6 +297,13 @@ class TestExitCodes:
         ["sweep", "--sweep", "h-uav", "--values", "20:30:0"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k=a,b"],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "k="],
+        ["gain", "--n-runs", BIG],  # shown as 1e+400, not its 401 digits
+        ["gain", "--n-rays", BIG],
+        ["gain", "--irs-rows", BIG],  # the irs_rows*irs_cols bound
+        ["gain", "--irs-rows", "2", "--irs-cols", BIG],
+        ["gain", "--threads", BIG],
+        ["gain", "--k", "50", "--irs-rows", BIG],
+        ["gain", "--k", "50", "--irs-rows", BIG, "--irs-cols", "1"],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated

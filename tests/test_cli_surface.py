@@ -2,9 +2,9 @@
 
 - ``--help`` of ``irslink`` and of each command, at 80 columns, is compared
   with a pinned text, so deriving the flags from field metadata moves no byte.
-- README's "Accepted keys" and CSV header blocks, and the header in the
-  ``cli`` docstring, are compared with what the CLI derives from the
-  dataclasses.
+- README's "Accepted keys" and CSV header blocks, its exit-2 table of the
+  field bounds, and the header in the ``cli`` docstring, are compared with
+  what the CLI derives from the dataclasses.
 - One table of ``(k, rows, cols)``: ``lattice_shape``, the ``--k``,
   ``--irs-rows`` and ``--irs-cols`` flags, the same keys in a ``--config``
   file and, with no side given, ``apply_parameter`` and a sweep over k give
@@ -23,7 +23,7 @@ import pytest
 from irslink import cli
 from irslink.errors import InvalidParameterError
 from irslink.experiments import apply_parameter
-from irslink.scenario import ScenarioConfig, lattice_shape
+from irslink.scenario import ScenarioConfig, _domain, lattice_shape
 from irslink.simulator import GainResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,6 +115,15 @@ def _readme_block(after: str) -> str:
 
 def test_readme_lists_the_config_keys_in_order():
     assert _readme_block("Accepted keys:").split() == list(cli._KEY_TYPES)
+
+
+def test_readme_exit_2_table_is_the_field_metadata():
+    # one row per field of both configs, in order: its key and its domain as
+    # the error line shows it, from the bounds or choices in its metadata
+    table = re.search(r"\n\| key \| domain \|.*?\n\|[-|]+\|\n(.*?)\n\n", README.read_text(encoding="utf-8"), re.S)
+    assert table, "no exit-2 table in README.md"
+    rows = [[cell.strip() for cell in line.split("|")[1:3]] for line in table.group(1).splitlines()]
+    assert rows == [[f"`{f.name}`", _domain(f.metadata)] for f in cli._FIELDS]
 
 
 def test_readme_and_docstring_carry_the_derived_csv_header():

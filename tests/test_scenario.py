@@ -1,10 +1,16 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from irslink import cli
 from irslink.errors import InvalidParameterError
 from irslink.scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
+
+# every field with a bound in its metadata, and every float field (which is
+# bounded to be finite), with its record
+BOUNDED = [(record, f) for record in (ScenarioConfig, MonteCarloConfig) for f in fields(record)
+           if f.metadata.keys() & {"gt", "ge", "le"} or f.type.startswith("float")]
 
 
 def test_defaults_match_standard_parameters():
@@ -116,3 +122,27 @@ def test_floor_sqrt_rule():
     assert lattice_shape(30) == (5, 6)
     assert lattice_shape(50) == (5, 10)  # the oracle misses 50 (7 * 8 != 50)
     assert accepted > 100
+
+
+@pytest.mark.parametrize("record,f", BOUNDED, ids=[f.name for _, f in BOUNDED])
+def test_every_field_bound_holds_at_its_ends(record, f, capsys):
+    # driven by the metadata: each closed end is accepted; the next value
+    # outside each end (an open end itself) and, for a float, nan and +-inf
+    # are rejected by name, and through the field's flag with one short line
+    meta, is_int = f.metadata, f.type == "int"
+    ends = [meta[key] for key in ("ge", "le") if key in meta]
+    outside = [meta["gt"]] if "gt" in meta else []
+    for key, way in (("ge", -1), ("le", 1)):
+        if key in meta:
+            outside.append(meta[key] + way if is_int else math.nextafter(meta[key], way * math.inf))
+    if not is_int:
+        outside += [math.nan, math.inf, -math.inf]
+    for value in ends:
+        assert getattr(record(**{f.name: value}), f.name) == value
+    for value in outside:
+        with pytest.raises(InvalidParameterError, match=f.name):
+            record(**{f.name: value})
+        code = cli.main(["gain", "--n-runs", "1", "--n-rays", "0", f"{cli._flag(f.name)}={value!r}"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), value
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {f.name} ") and len(err) <= 120, err

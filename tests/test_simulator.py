@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import cli, simulator
-from irslink.errors import InvalidParameterError
+from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
 from irslink.propagation import NLOS_BREAKPOINT_HEIGHT_M, pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
@@ -590,6 +590,56 @@ class TestBsSideAngle:
         assert set(uavs) == set(itertools.product((False, True), repeat=2))
         floor = CFG.p_t_dbm - CFG.sla_db  # both regimes are among the points
         assert any(r > floor for r in refs) and floor in refs
+
+
+def leg_lengths(cfg):
+    """The kernel's d1 and d2 of every element and of the scatter points at
+    the patch's corners, edge midpoints and centre (uniforms 0, 1/2 and the
+    largest below 1)."""
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    points = simulator._scatter_matrix(cfg, np.stack(np.meshgrid(u, u)).reshape(2, 1, 9))[:, 0]
+    y, z = (np.concatenate(pair) for pair in zip(lattice_slice(cfg, cfg.k), points))
+    d1, gain, b, c = np.empty((4,) + y.shape)
+    simulator._bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (b, c))
+    uav, dx2 = cfg.uav, cfg.uav.x - cfg.irs_center.x
+    return d1, np.sqrt((np.square(uav.y - y) + dx2 * dx2) + np.square(uav.z - z))  # _uav_side's order
+
+
+class TestOnePathCheck:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), cols=st.integers(1, 3),
+           pitch=st.sampled_from([0.02, 1.0, 1e-170, 5e-324]), l_m=st.sampled_from([50.0, 1e-161, 1e-200]),
+           h_bs=st.sampled_from([25.0, 10.0]))
+    def test_a_passing_check_leaves_no_leg_of_length_0(self, data, rows, cols, pitch, l_m, h_bs):
+        # the UAV on or next to the wall plane, at, between or one ulp past
+        # the patch's coordinates, and the BS at the patch's height: the check
+        # may name a coincidence no point reaches, but never misses one
+        cfg = ScenarioConfig(irs_rows=rows, irs_cols=cols, element_pitch_m=pitch, l_m=l_m, h_bs_m=h_bs)
+        c, half_w, half_h = cfg.irs_center, cfg.patch_half_width_y, cfg.patch_half_height_z
+
+        def near(v):
+            return [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+
+        cfg = replace(cfg, uav_x_m=data.draw(st.sampled_from(near(l_m)[:2] + [l_m / 2.0])),
+                      uav_y_m=data.draw(st.sampled_from(near(c.y - half_w) + near(c.y + half_w) + [c.y])),
+                      h_uav_m=data.draw(st.sampled_from(near(c.z - half_h) + near(c.z + half_h) + [c.z, 50.0])))
+        try:
+            simulator._check_path_lengths(cfg)
+        except DegenerateGeometryError:
+            return
+        for legs in leg_lengths(cfg):
+            assert (legs > 0).all()
+
+    def test_the_bound_is_tight_at_the_patch_edge(self):
+        # a UAV on the last element of a 1x3 patch coincides with it; one ulp
+        # beyond the edge, every leg is positive and the budget finite
+        cfg = ScenarioConfig(irs_rows=1, irs_cols=3, uav_x_m=50.0, h_uav_m=10.0)
+        with pytest.raises(DegenerateGeometryError, match="the UAV coincides with the reflector patch"):
+            simulator._check_path_lengths(replace(cfg, uav_y_m=cfg.patch_half_width_y))
+        beside = replace(cfg, uav_y_m=math.nextafter(cfg.patch_half_width_y, math.inf))
+        simulator._check_path_lengths(beside)
+        assert min(leg_lengths(beside)[1]) == beside.uav.y - cfg.patch_half_width_y > 0
+        assert math.isfinite(simulator._irs_sum(beside))
 
 
 class TestBatches:
