@@ -26,7 +26,7 @@ from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .experiments import SWEEPABLE, SweepSpec, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
-from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
+from .scenario import MonteCarloConfig, ScenarioConfig, _quoted, lattice_shape
 from .simulator import GainResult
 from .svgplot import render_line_plot
 
@@ -57,35 +57,41 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {_quoted(raw)}")
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _KEY_TYPES:
-            raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_TYPES[key](val)
-        except ValueError:
-            raise InvalidParameterError(f"config line {lineno}: bad value for {key}: {val!r}") from None
+            raise InvalidParameterError(f"config line {lineno}: unknown key {_quoted(key)}")
+        values[key] = _value(key, val, f"config line {lineno}")
     return values
+
+
+def _value(key: str, text: str, source: str):
+    """A key's value from a config line's or a flag's text, by the key's type;
+    ``source`` names the text in the error line."""
+    try:
+        return _KEY_TYPES[key](text)
+    except ValueError:
+        raise InvalidParameterError(f"{source}: bad value for {key}: {_quoted(text)}") from None
 
 
 def _parse_range(text: str) -> list[float]:
     """START:STOP:STEP, inclusive of STOP when it lands on the grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise InvalidParameterError(f"expected START:STOP:STEP, got {text!r}")
+        raise InvalidParameterError(f"expected START:STOP:STEP, got {_quoted(text)}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise InvalidParameterError(f"non-numeric range {text!r}") from None
+        raise InvalidParameterError(f"non-numeric range {_quoted(text)}") from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise InvalidParameterError(f"range START, STOP and STEP must be finite, got {text!r}")
+        raise InvalidParameterError(f"range START, STOP and STEP must be finite, got {_quoted(text)}")
     if step <= 0:
         raise InvalidParameterError(f"range step must be positive, got {step}")
     if stop < start:
-        raise InvalidParameterError(f"range stop must be >= start in {text!r}")
+        raise InvalidParameterError(f"range stop must be >= start in {_quoted(text)}")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_RANGE_POINTS:  # also an overflowed (infinite) count
-        raise InvalidParameterError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+        raise InvalidParameterError(f"range {_quoted(text)} has more than {_MAX_RANGE_POINTS} points")
     n = int(span) + 1
     return [start + i * step for i in range(n)]
 
@@ -97,9 +103,7 @@ def _parse_overlay(text: str) -> tuple[str, list[float]]:
     try:
         values = [float(v) for v in vals.split(",") if v != ""]
     except ValueError:
-        raise InvalidParameterError(f"non-numeric overlay values in {text!r}") from None
-    if not values:
-        raise InvalidParameterError("overlay needs at least one value")
+        raise InvalidParameterError(f"non-numeric overlay values in {_quoted(text)}") from None
     return _SWEEP_NAMES[name], values
 
 
@@ -119,7 +123,7 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
                 raise InvalidParameterError(f"config file {args.config!r} is not UTF-8 text: {exc}") from None
     for key in _KEY_TYPES:
         if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
+            values[key] = _value(key, getattr(args, key), _flag(key))
 
     k = values.pop("k", None)
     if k is not None:
@@ -155,7 +159,7 @@ def _emit_sweep(args, result, extra: dict) -> None:
         "generator": GENERATOR_ID,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "command": list(getattr(args, "_argv", [])),
-        **asdict(spec.mc),  # n_runs, n_rays, master_seed, ray_phases
+        **asdict(spec.mc),  # n_runs, n_rays, master_seed, threads, ray_phases
         "config": asdict(spec.base),
         **extra,
     }
@@ -179,7 +183,7 @@ def _emit_sweep(args, result, extra: dict) -> None:
 def cmd_gain(args) -> int:
     """One gain point: a one-point sweep over the UAV height, so param is that height."""
     cfg, mc = build_configs(args)
-    result = run_sweep(SweepSpec("h_uav", (cfg.h_uav_m,), cfg, mc), threads=args.threads)
+    result = run_sweep(SweepSpec("h_uav", (cfg.h_uav_m,), cfg, mc))
     _emit_sweep(args, result, {})
     return 0
 
@@ -195,7 +199,7 @@ def cmd_sweep(args) -> int:
     if args.overlay:
         overlay_param, overlay_values = _parse_overlay(args.overlay)
     spec = SweepSpec(parameter, tuple(values), cfg, mc, overlay_param, tuple(overlay_values))
-    result = run_sweep(spec, threads=args.threads)
+    result = run_sweep(spec)
     _emit_sweep(args, result, {"sweep": result.metadata})
     return 0
 
@@ -203,7 +207,7 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     cfg, mc = build_configs(args)
     grid = _parse_range(args.l_grid) if args.l_grid else default_l_grid()
-    result, l_star, gain_star = optimal_distance(cfg, mc, grid, args.refine, args.threads)
+    result, l_star, gain_star = optimal_distance(cfg, mc, grid, args.refine)
     # refined: the optimum is a golden-section point, strictly between grid values
     _emit_sweep(args, result, {"l_grid": list(grid), "refined": l_star not in grid})
     summary = f"l_star = {_fmt(l_star)}, gain_db = {_fmt(gain_star)}\n"
@@ -216,13 +220,11 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
     p.add_argument("--out", help="write CSV here (manifest goes to OUT.manifest.json)")
     if svg:
         p.add_argument("--svg", help="also write an SVG line plot")
-    for key, typ in _KEY_TYPES.items():
+    for key in _KEY_TYPES:  # a flag's text is parsed by _value, as a config line's is
         flag, meta = _flag(key), _KEY_META[key]
-        if key == "ray_phases":  # --help lists --threads just before it
-            p.add_argument("--threads", type=int, default=1, help="threads for the run blocks of a sweep's one batch; never changes a bit")
         # --help lists a flag only with its metadata's help, and shows its choices in place of a metavar
-        p.add_argument(flag, dest=key, type=typ, choices=meta.get("choices"), help=meta.get("help", argparse.SUPPRESS),
-                       metavar=None if "choices" in meta else flag[2:].upper())
+        p.add_argument(flag, dest=key, help=meta.get("help", argparse.SUPPRESS),
+                       metavar="{%s}" % ",".join(meta["choices"]) if "choices" in meta else flag[2:].upper())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ Every grid point is evaluated with the same master seed, so sweeps are
 deterministic and differences between points are not blurred by independent
 Monte Carlo noise.  A sweep is one batch: one ``wall_power_estimates`` call
 over every point, overlays included, which shares each run block's draws and
-runs the blocks on ``threads`` threads, then one gain per point.
+runs the blocks on ``mc.threads`` threads, then one gain per point.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class SweepResult:
         return out
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1, kept: KeptPlanes | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, kept: KeptPlanes | None = None) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order; with
     ``kept`` (the placement search's), the batch reads and fills those scatter
     planes."""
@@ -132,15 +132,15 @@ def run_sweep(spec: SweepSpec, threads: int = 1, kept: KeptPlanes | None = None)
             grid.append((v, ov, apply_parameter(cfg, spec.parameter, v)))
 
     # one batch: the wall estimates share each run block, then one gain per point
-    walls = wall_power_estimates([cfg for _, _, cfg in grid], spec.mc, threads, kept)
+    walls = wall_power_estimates([cfg for _, _, cfg in grid], spec.mc, kept)
     rows = tuple(SweepRow(v, ov, irs_gain(cfg, spec.mc, wall)) for (v, ov, cfg), wall in zip(grid, walls))
     return SweepResult(rows, spec)
 
 
-def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values, refine: bool = False,
-                     threads: int = 1) -> tuple[SweepResult, float, float]:
+def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values,
+                     refine: bool = False) -> tuple[SweepResult, float, float]:
     """The placement search: the sweep of BS-wall distances ``l_values`` from
-    ``base`` on ``threads`` threads, its gain-maximising L and that gain.
+    ``base`` on ``mc.threads`` threads, its gain-maximising L and that gain.
 
     Ties break toward the smaller L.  With refine=True the in-tree
     golden-section search (a port of scipy.optimize.golden) runs between the
@@ -152,7 +152,7 @@ def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values, refin
     """
     spec = SweepSpec("l", tuple(l_values), base, mc)
     kept = KeptPlanes(base, mc) if refine else None
-    grid = run_sweep(spec, threads, kept)
+    grid = run_sweep(spec, kept)
     l_grid, gains = grid.series()[None]
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties
     l_star, g_star = float(l_grid[best]), gains[best]
@@ -160,7 +160,7 @@ def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values, refin
     # only a tie on the right leaves no valid bracket (flat neighbourhood).
     if refine and 0 < best < len(l_grid) - 1 and gains[best + 1] < g_star:
         def loss(l):
-            return -run_sweep(replace(spec, values=(l,)), threads, kept).rows[0].result.gain_db
+            return -run_sweep(replace(spec, values=(l,)), kept).rows[0].result.gain_db
 
         l_ref, f_ref = _golden_min(loss, l_grid[best - 1], l_star, l_grid[best + 1], -g_star)
         if -f_ref > g_star:

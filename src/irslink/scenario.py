@@ -133,6 +133,10 @@ class MonteCarloConfig:
     # metadata also holds what a flag cannot derive from its field: a "flag" alias, "choices" and --help's "help"
     master_seed: int = field(default=DEFAULT_MASTER_SEED, metadata={
         "ge": 0, "le": 2**64 - 1, "flag": "--seed", "help": "master seed for the Monte Carlo baseline"})
+    # a batch starts up to min(threads, blocks) pool threads, so a large threads
+    # on a large n_runs would ask the OS for that many; never compared, as it moves no bit
+    threads: int = field(default=1, compare=False, metadata={
+        "ge": 1, "le": 256, "help": "threads for the run blocks of a sweep's one batch; never changes a bit"})
     ray_phases: str = field(default=RAY_PHASES_GEOMETRIC,
                             metadata={"choices": RAY_PHASES, "help": "wall-ray phase model (default: geometric)"})
 
@@ -149,7 +153,7 @@ def _check_fields(record) -> None:
             (value >= meta["ge"] if "ge" in meta else value > meta.get("gt", -math.inf))
             and (value <= meta["le"] if "le" in meta else value < math.inf))
         if not inside:
-            got = repr(value) if "choices" in meta else _shown(value)
+            got = _quoted(value) if "choices" in meta else _shown(value)
             raise InvalidParameterError(f"{f.name} must be in {_domain(meta)}, got {got}")
 
 
@@ -204,6 +208,12 @@ def _shown(value) -> str:
         return repr(value)
     digits = str(abs(int(value)))
     return f"{'-' if value < 0 else ''}{int(digits[:6]) / 1e5:g}e+{len(digits) - 1}"
+
+
+def _quoted(value) -> str:
+    """Outside text as an error line quotes it: its repr, cut at 40 characters."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
 
 
 def element_positions(

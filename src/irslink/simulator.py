@@ -103,8 +103,8 @@ the plain expressions, so the bits are those of the allocating form.  Each
 block reduces a point's powers to (count, mean, sum of squared deviations)
 and its ``|sum of rays|`` to a sum; the blocks are merged into that point's
 accumulators in run order with Chan et al.'s pairwise update.  A block is a pure function of the batch, the controls and
-its first run (``_wall_block``), so at ``threads`` > 1 the blocks are the
-tasks of the kept pool of ``threads`` threads (its threads keep their
+its first run (``_wall_block``), so at ``mc.threads`` > 1 the blocks are
+the tasks of the kept pool of that many threads (its threads keep their
 workspaces); they are still merged on the calling thread, in run order.  The
 block size is a constant, so the merge order, and with it every bit of the
 result, depends only on the configs.
@@ -147,8 +147,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .propagation import pl_los, pl_nlos, vertical_gain
-from .scenario import (BLOCK_PATHS, RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, _shown, element_positions,
-                       wavelength_m)
+from .scenario import BLOCK_PATHS, RAY_PHASES_UNIFORM, MonteCarloConfig, ScenarioConfig, element_positions, wavelength_m
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,10 +267,6 @@ _local = threading.local()
 # Run blocks whose entries a KeptPlanes holds: 8 full blocks of two planes of
 # 2**15 float64 each (4 MiB), and in uniform mode two more (8 MiB)
 _KEPT_BLOCKS = 8
-
-# a call starts up to min(threads, blocks) pool threads, so a large threads on
-# a large n_runs would ask the OS for that many threads
-_MAX_THREADS = 256
 
 
 def _workspace(paths: int) -> np.ndarray:
@@ -402,17 +397,15 @@ class KeptPlanes:
         return entry
 
 
-def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threads: int = 1,
+def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig,
                          kept: KeptPlanes | None = None) -> list[WallEstimate]:
     """Mean and standard error of the baseline received power over ``n_runs``
     at each of ``cfgs`` with the same Monte Carlo controls, in one pass over
     the run blocks, each with the LoS amplitude its mean includes.  The blocks
-    run on this thread, or on up to ``threads`` threads of the kept pool; they
-    are merged here in run order either way, so ``threads`` moves no bit.
+    run on this thread, or on up to ``mc.threads`` threads of the kept pool;
+    they are merged here in run order either way, so ``threads`` moves no bit.
     With ``kept``, whose key every point must share, the blocks it holds read
     their scatter points from it."""
-    if not 1 <= threads <= _MAX_THREADS:
-        raise InvalidParameterError(f"threads must be in 1..{_MAX_THREADS}, got {_shown(threads)}")
     scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
     for cfg in cfgs:
         _check_path_lengths(cfg)
@@ -428,7 +421,7 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig, threa
     block = max(1, BLOCK_PATHS // mc.n_rays)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
     blocks = partial(_wall_block, scene, mc, block, kept)
-    for n, block_stats in _pool_map(blocks, range(0, mc.n_runs, block), threads):
+    for n, block_stats in _pool_map(blocks, range(0, mc.n_runs, block), mc.threads):
         count += n
         for acc, (block_mean, block_m2, refl) in zip(stats, block_stats):
             # Chan et al.: merge this block's (n, mean, M2) into the point's running one

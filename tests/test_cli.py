@@ -37,6 +37,8 @@ FLOAT_FLAGS = sorted(_flag(f.name) for f in fields(ScenarioConfig) if _KEY_TYPES
 EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", "1e155", "1e300", "-1e300", "nan",
                "inf"]
 BIG = str(10**400)  # an integer flag value of 401 digits
+LONG_DIGITS = "1" + "0" * 5000  # past int()'s 4,300-digit limit, and inf as a float
+LONG_TEXT = "x" * 5001
 
 
 def run_cli(argv, capsys):
@@ -304,11 +306,28 @@ class TestExitCodes:
         ["gain", "--threads", BIG],
         ["gain", "--k", "50", "--irs-rows", BIG],
         ["gain", "--k", "50", "--irs-rows", BIG, "--irs-cols", "1"],
+        # quoted input text is cut short, whatever its length
+        ["gain", "--n-runs", LONG_DIGITS],
+        ["gain", "--threads", LONG_DIGITS],
+        ["gain", "--ray-phases", LONG_TEXT],
+        ["sweep", "--sweep", "h-uav", "--values", "1:2:" + LONG_DIGITS],
+        ["sweep", "--sweep", "h-uav", "--values", "1:2:" + LONG_TEXT],
+        ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "h-irs=" + LONG_TEXT],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
         assert code == 2
         assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) <= 120
+
+    @pytest.mark.parametrize("line", [f"n_runs = {LONG_DIGITS}", f"{LONG_TEXT} = 1", f"h_uav_m = {LONG_TEXT}",
+                                      f"ray_phases = {LONG_TEXT}", LONG_TEXT],
+                             ids=["n_runs", "unknown-key", "h_uav_m", "ray_phases", "no-equals"])
+    def test_rejected_config_lines_are_exit_2(self, line, tmp_path, capsys):
+        cfg_file = tmp_path / "long.cfg"
+        cfg_file.write_text(line + "\n")
+        code, out, err = run_cli(["gain", "--config", str(cfg_file)], capsys)
+        assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) <= 120
 
     @pytest.mark.parametrize("command", [["gain"], ["sweep", "--sweep", "l"], ["optimize"]])
@@ -411,6 +430,15 @@ class TestGainCommand:
         assert run_cli(["gain", "--threads", "2", "--out", str(b)] + FAST, capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_from_a_config_file_do_not_change_bytes(self, tmp_path, capsys):
+        # threads is a config key like every field; 4,000 runs are 3 run blocks
+        cfg_file, a, b = tmp_path / "threads.cfg", tmp_path / "t1.csv", tmp_path / "t3.csv"
+        cfg_file.write_text("threads = 3\n")
+        assert run_cli(["gain", "--n-runs", "4000", "--threads", "1", "--out", str(a)], capsys)[0] == 0
+        assert run_cli(["gain", "--n-runs", "4000", "--config", str(cfg_file), "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads((tmp_path / "t3.csv.manifest.json").read_text())["threads"] == 3
+
     def test_no_rays_baseline_is_los_only(self, capsys):
         code, out, _ = run_cli(["gain", "--n-rays", "0"] + FAST, capsys)
         gain_db = float(out.splitlines()[1].split(",")[1])
@@ -463,13 +491,13 @@ class TestSweepCommand:
         first = tmp_path / "first.csv"
         code, _, _ = run_cli(["sweep", "--sweep", "h-uav", "--values", "20:40:10", "--h-irs", "5",
                               "--sla-db", "15", "--uav-y", "3", "--ray-phases", "uniform",
-                              "--seed", "11", "--out", str(first)] + FAST, capsys)
+                              "--seed", "11", "--threads", "2", "--out", str(first)] + FAST, capsys)
         assert code == 0
         manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
 
         # every recorded value goes back in; uav_x_m is null (tracks L/2)
         recorded = {key: value for key, value in manifest["config"].items() if value is not None}
-        recorded.update({key: manifest[key] for key in ("n_runs", "n_rays", "master_seed", "ray_phases")})
+        recorded.update({key: manifest[key] for key in ("n_runs", "n_rays", "master_seed", "threads", "ray_phases")})
         cfg_file = tmp_path / "replay.cfg"
         cfg_file.write_text("".join(f"{key} = {value}\n" for key, value in recorded.items()))
 
@@ -480,6 +508,7 @@ class TestSweepCommand:
         assert first.read_bytes() == second.read_bytes()
         replayed = json.loads((tmp_path / "second.csv.manifest.json").read_text())
         assert replayed["config"] == manifest["config"] and replayed["ray_phases"] == "uniform"
+        assert replayed["threads"] == 2
 
     def test_every_config_field_is_a_key_and_a_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "model.cfg"

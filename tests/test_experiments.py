@@ -35,6 +35,11 @@ CFG = ScenarioConfig()
 MC = MonteCarloConfig(n_runs=400, ray_phases="uniform")
 
 
+def _on_threads(spec: SweepSpec, threads: int) -> SweepSpec:
+    """``spec`` with its Monte Carlo config's thread count set to ``threads``."""
+    return replace(spec, mc=replace(spec.mc, threads=threads))
+
+
 class TestApplyParameter:
     def test_k_maps_to_near_square_lattice(self):
         cfg = apply_parameter(CFG, "k", 50)
@@ -77,7 +82,7 @@ class TestRunSweep:
 
     def test_threads_do_not_change_results(self):
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:6]), CFG, replace(MC, n_runs=5000))  # 4 blocks
-        assert run_sweep(spec, threads=4).rows == run_sweep(spec, threads=1).rows
+        assert run_sweep(_on_threads(spec, 4)).rows == run_sweep(spec).rows
 
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(
@@ -95,7 +100,7 @@ class TestRunSweep:
         mc = MonteCarloConfig(n_runs=runs, master_seed=seed, ray_phases=phases)
         spec = SweepSpec(parameter, tuple(sorted(values)), CFG, mc)
         with mock.patch.object(simulator, "BLOCK_PATHS", 16 * mc.n_rays):  # up to 19 blocks on the pool
-            assert run_sweep(spec, threads=2).rows == run_sweep(spec, threads=1).rows
+            assert run_sweep(_on_threads(spec, 2)).rows == run_sweep(spec).rows
 
     def test_metadata_records_k_factorisations(self):
         spec = SweepSpec("k", (25, 50), CFG, MC)
@@ -177,7 +182,7 @@ class TestSweepBatches:
         # whatever its neighbours in the batch, a point keeps the bits of a
         # one-point call; ragged blocks make the last block of every point short
         with mock.patch.object(simulator, "BLOCK_PATHS", chunk_paths):
-            rows = run_sweep(spec, threads=threads).rows
+            rows = run_sweep(_on_threads(spec, threads)).rows
             for row in rows:
                 cfg = spec.base
                 if row.overlay_value is not None:
@@ -205,9 +210,9 @@ class TestSweepBatches:
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
         simulator._kept_pool.cache_clear()
         request.addfinalizer(simulator._kept_pool.cache_clear)  # the patched pool is this test's alone
-        mc = MonteCarloConfig()
+        mc = MonteCarloConfig(threads=threads)
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, mc)
-        run_sweep(spec, threads=threads)
+        run_sweep(spec)
         assert sorted(draws) == sorted([1638] * 6 + [10_000 - 6 * 1638])  # blocks finish in any order
         assert patterns.count(2) == 7  # wall blocks; the lattices' are 1-D, the LoS scalar
         assert gains == [(apply_parameter(CFG, "h_uav", h), mc) for h in default_h_uav_grid()]
@@ -222,7 +227,7 @@ class TestSweepBatches:
         los = simulator._los_amp_phase
         monkeypatch.setattr(simulator, "_los_amp_phase", lambda cfg: built.append(cfg.h_uav_m) or los(cfg))
         grid = tuple(default_h_uav_grid())
-        run_sweep(SweepSpec("h_uav", grid, CFG, replace(MC, n_runs=50)), threads=threads)
+        run_sweep(SweepSpec("h_uav", grid, CFG, replace(MC, n_runs=50, threads=threads)))
         assert sorted(built) == list(grid)
 
 
@@ -242,10 +247,10 @@ class TestThreadPool:
         # to a new thread).  The pool starts its threads lazily, so the first
         # call may have run both blocks on one of them.
         threads = _record_block_threads(monkeypatch)
-        spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=2000))  # 2 blocks
-        run_sweep(spec, threads=2)
+        spec = SweepSpec("h_uav", (30.0, 40.0, 50.0, 60.0), CFG, replace(MC, n_runs=2000, threads=2))  # 2 blocks
+        run_sweep(spec)
         pool = simulator._kept_pool(2)
-        run_sweep(spec, threads=2)
+        run_sweep(spec)
         assert simulator._kept_pool(2) is pool
         assert len(threads) == 4 and set(threads) <= pool._threads  # 2 blocks per call
         assert threading.main_thread() not in pool._threads
@@ -259,7 +264,7 @@ class TestThreadPool:
         threads = _record_block_threads(monkeypatch)
         for _ in range(5):
             for mc, one in zip(mcs, expected):
-                assert simulator.wall_power_estimates([CFG], mc, threads=3) == one
+                assert simulator.wall_power_estimates([CFG], replace(mc, threads=3)) == one
         assert len(threads) == 5 * (2 + 7)
         assert len(set(threads)) <= 3 and threading.main_thread() not in threads
 
@@ -284,11 +289,11 @@ class TestThreadPool:
 
         monkeypatch.setattr(simulator, "_wall_block", failing)
         with pytest.raises(FloatingPointError, match="block 2"):
-            simulator.wall_power_estimates([CFG], mc, threads=2)
+            simulator.wall_power_estimates([CFG], replace(mc, threads=2))
         raised.set()
         pool = simulator._kept_pool(2)
         monkeypatch.setattr(simulator, "_wall_block", block)
-        assert simulator.wall_power_estimates([CFG], mc, threads=2) == expected
+        assert simulator.wall_power_estimates([CFG], replace(mc, threads=2)) == expected
         assert simulator._kept_pool(2) is pool
         # blocks 0 and 1 were taken before block 2 raised, so 2 to 5 were in
         # flight; the pool ran its tasks in order, so any left would have
@@ -303,11 +308,11 @@ class TestThreadPool:
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * MC.n_rays)  # 10 blocks per batch
         spec = SweepSpec("h_uav", tuple(default_h_uav_grid()[:7]), CFG, replace(MC, n_runs=50))
         rows = []
-        worker = threading.Thread(target=lambda: rows.extend(run_sweep(spec, threads=threads).rows), daemon=True)
+        worker = threading.Thread(target=lambda: rows.extend(run_sweep(_on_threads(spec, threads)).rows), daemon=True)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert rows == list(run_sweep(spec, threads=1).rows)
+        assert rows == list(run_sweep(spec).rows)
 
     def test_one_block_starts_no_thread(self, monkeypatch, capsys):
         # workers are min(threads, blocks): 100 runs are one block
@@ -344,12 +349,12 @@ class TestThreadPool:
         # callers that need 2 and 3 workers replace the pool under each other;
         # a replaced pool still finishes the blocks a caller gave it
         spec = SweepSpec("h_uav", (50.0,), CFG, replace(MC, n_runs=5000))  # 4 blocks
-        expected = run_sweep(spec, threads=1).rows
+        expected = run_sweep(spec).rows
         results, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             callers = [threading.Thread(target=lambda t=t: results.extend(
-                run_sweep(spec, threads=t).rows for _ in range(3)), daemon=True) for t in (2, 3) * 4]
+                run_sweep(_on_threads(spec, t)).rows for _ in range(3)), daemon=True) for t in (2, 3) * 4]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -362,9 +367,9 @@ class TestThreadPool:
     @pytest.mark.parametrize("refine", [False, True])
     def test_optimal_distance_is_thread_invariant(self, refine):
         mc = replace(MC, n_runs=2000)  # two run blocks per golden-section point
-        one = optimal_distance(CFG, mc, default_l_grid(), refine, threads=1)
-        assert optimal_distance(CFG, mc, default_l_grid(), refine, threads=2) == one
-        assert optimal_distance(CFG, mc, default_l_grid(), refine, threads=3) == one
+        one = optimal_distance(CFG, mc, default_l_grid(), refine)
+        assert optimal_distance(CFG, replace(mc, threads=2), default_l_grid(), refine) == one
+        assert optimal_distance(CFG, replace(mc, threads=3), default_l_grid(), refine) == one
         assert (one[1] in default_l_grid()) is not refine
 
 
@@ -452,18 +457,18 @@ class TestOptimalDistance:
     @pytest.mark.parametrize("threads", [0, 257])
     @pytest.mark.parametrize("refine", [False, True])
     def test_threads_are_checked_on_entry(self, monkeypatch, refine, threads):
-        # the grid's batch checks threads before any point is evaluated
+        # the Monte Carlo config checks threads when it is made, before any point is evaluated
         calls = _count_gain_calls(monkeypatch)
-        with pytest.raises(InvalidParameterError, match="threads must be in 1..256"):
-            optimal_distance(CFG, replace(MC, n_runs=200), [10.0, 20.0, 30.0], refine, threads)
+        with pytest.raises(InvalidParameterError, match=r"threads must be in \[1, 256\], got"):
+            optimal_distance(CFG, replace(MC, n_runs=200, threads=threads), [10.0, 20.0, 30.0], refine)
         assert calls == []
 
     def test_cli_optimize_runs_the_one_search(self, monkeypatch, tmp_path):
         searched, swept = [], []
 
-        def search(base, mc, l_values, refine=False, threads=1):
-            searched.append((base, mc, tuple(l_values), refine, threads))
-            return optimal_distance(base, mc, l_values, refine, threads)
+        def search(base, mc, l_values, refine=False):
+            searched.append((base, mc, tuple(l_values), refine, mc.threads))
+            return optimal_distance(base, mc, l_values, refine)
 
         monkeypatch.setattr(cli, "optimal_distance", search)
         monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: swept.append(args))

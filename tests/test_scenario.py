@@ -30,6 +30,15 @@ def test_defaults_match_standard_parameters():
     assert mc.n_runs == 10_000
     assert mc.n_rays == 20
     assert mc.ray_phases == "geometric"
+    assert mc.threads == 1
+
+
+def test_threads_take_no_part_in_equality():
+    # a thread count never changes a bit, so configs that differ only in it
+    # are equal and hash alike (a kept search's key, the thread-invariance tests)
+    assert MonteCarloConfig(threads=3) == MonteCarloConfig()
+    assert hash(MonteCarloConfig(threads=3)) == hash(MonteCarloConfig())
+    assert MonteCarloConfig(threads=3) != MonteCarloConfig(n_runs=9_999, threads=3)
 
 
 def test_validation_names_the_offending_key():

@@ -651,7 +651,7 @@ class TestBatches:
         wall_power_estimates([CFG], mc(runs=1, phases=phases))
         tracemalloc.start()
         try:
-            run_sweep(spec, threads=1)
+            run_sweep(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -687,7 +687,7 @@ class TestKeptPlanes:
             monkeypatch.setattr(simulator.rng, name, spy)
         big = MonteCarloConfig(n_runs=100_000, ray_phases="uniform")
         assert wall_power_estimates([], big) == []
-        assert wall_power_estimates([], big, threads=2, kept=simulator.KeptPlanes(CFG, big)) == []
+        assert wall_power_estimates([], replace(big, threads=2), kept=simulator.KeptPlanes(CFG, big)) == []
         assert calls == []
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
@@ -695,14 +695,16 @@ class TestKeptPlanes:
     def test_kept_blocks_are_drawn_once_and_give_the_same_bits(self, position_draws, phase_draws, phases, threads):
         # 3,000 runs are 2 blocks: the first batch draws and maps them (and in
         # uniform mode makes their ray phasors), the next (other points of the
-        # same patch) only reads them; a geometric search keeps no phasors
+        # same patch) only reads them; a geometric search keeps no phasors.
+        # Planes kept at one thread serve a batch on two: threads takes no
+        # part in the key's equality
         config = mc(runs=3000, phases=phases)
         batches = [[CFG, replace(CFG, l_m=40.0)], [replace(CFG, l_m=60.0)], [replace(CFG, h_uav_m=60.0)]]
         expected = [wall_power_estimates(cfgs, config) for cfgs in batches]
         position_draws.clear()
         phase_draws.clear()
         kept = simulator.KeptPlanes(CFG, config)
-        got = [wall_power_estimates(cfgs, config, threads, kept) for cfgs in batches]
+        got = [wall_power_estimates(cfgs, replace(config, threads=threads), kept) for cfgs in batches]
         assert [[[x.hex() for x in e] for e in batch] for batch in got] == \
             [[[x.hex() for x in e] for e in batch] for batch in expected]
         assert sorted(position_draws) == [3000 - 1638, 1638]
@@ -737,7 +739,7 @@ class TestKeptPlanes:
         expected = [wall_power_estimates([replace(CFG, l_m=l_m)], config) for l_m in (40.0, 50.0, 60.0)]
         for ws in workspaces:  # the calling thread's batches without kept blocks wrote them
             ws[untouched] = np.nan
-        assert [wall_power_estimates([replace(CFG, l_m=l_m)], config, threads, kept)
+        assert [wall_power_estimates([replace(CFG, l_m=l_m)], replace(config, threads=threads), kept)
                 for l_m in (40.0, 50.0, 60.0)] == expected
         for ws in workspaces:
             assert np.isnan(ws[untouched]).all()
@@ -801,7 +803,8 @@ class TestKeptPlanes:
         sys.setswitchinterval(1e-5)
         try:
             callers = [threading.Thread(target=lambda t=t: results.extend(
-                [wall_power_estimates(batch, config, t, kept) for batch in cfgs]), daemon=True) for t in (1, 2, 3) * 2]
+                [wall_power_estimates(batch, replace(config, threads=t), kept) for batch in cfgs]), daemon=True)
+                       for t in (1, 2, 3) * 2]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -884,7 +887,7 @@ class TestThreads:
         config = mc(runs=(blocks - 1) * runs_per_block + min(last, runs_per_block), rays=rays, seed=seed,
                     phases=phases)
         with mock.patch.object(simulator, "BLOCK_PATHS", runs_per_block * rays):
-            one, two, three = (wall_power_estimates(batch, config, threads=t) for t in (1, 2, 3))
+            one, two, three = (wall_power_estimates(batch, replace(config, threads=t)) for t in (1, 2, 3))
             assert one == wall_power_estimates(batch, config)
         for est in (two, three):
             assert [[x.hex() for x in e] for e in est] == [[x.hex() for x in e] for e in one]
