@@ -120,7 +120,7 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
             try:
                 values.update(parse_config_text(fh.read()))
             except UnicodeDecodeError as exc:
-                raise InvalidParameterError(f"config file {args.config!r} is not UTF-8 text: {exc}") from None
+                raise InvalidParameterError(f"--config {_quoted(args.config)}: not UTF-8 at byte {exc.start}") from None
     for key in _KEY_TYPES:
         if getattr(args, key) is not None:
             values[key] = _value(key, getattr(args, key), _flag(key))
@@ -227,9 +227,14 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
                        metavar="{%s}" % ",".join(meta["choices"]) if "choices" in meta else flag[2:].upper())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its rejections, and its subparsers', reach ``main`` as one error line, cut to 120 characters."""
+    def error(self, message):
+        raise InvalidParameterError(message if len(message) <= 112 else f"{message[:60]} ... {message[-47:]}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="irslink", allow_abbrev=False,
-                                     description="reflector-assisted UAV link gain simulator")
+    parser = _Parser(prog="irslink", allow_abbrev=False, description="reflector-assisted UAV link gain simulator")
     parser.add_argument("--version", action="version", version=f"irslink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -254,16 +259,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
     try:
+        args = _build_parser().parse_args(argv)
+        args._argv = argv
         # every result cell is checked before output (exit 3), so numpy's
         # overflow/invalid warnings would only repeat that report
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (InvalidParameterError, OSError) as exc:
+    except InvalidParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:  # the OS's reason, and the file's name quoted as input text is
+        name = "" if exc.filename is None else f": {_quoted(exc.filename)}"
+        sys.stderr.write(f"error: {exc.strerror or exc}{name}\n")
         return 2
     except MemoryError as exc:  # an allocation this host cannot serve, reported like a bad input
         sys.stderr.write(f"error: out of memory: {exc}\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
-from .simulator import GainResult, KeptPlanes, irs_gain, wall_power_estimates
+from .simulator import GainResult, KeptPlanes, irs_gain, kept_planes, wall_power_estimates
 
 
 def default_h_uav_grid() -> list[float]:
@@ -122,8 +122,7 @@ class SweepResult:
 
 def run_sweep(spec: SweepSpec, kept: KeptPlanes | None = None) -> SweepResult:
     """Evaluate the gain on the whole (overlay x values) grid, in order; with
-    ``kept`` (the placement search's), the batch reads and fills those scatter
-    planes."""
+    ``kept`` (the placement search's), the batch reads those scatter planes."""
     overlays: tuple = (None,) if spec.overlay_parameter is None else spec.overlay_values
     grid = []
     for ov in overlays:
@@ -146,12 +145,12 @@ def optimal_distance(base: ScenarioConfig, mc: MonteCarloConfig, l_values,
     golden-section search (a port of scipy.optimize.golden) runs between the
     grid neighbours of the argmax.  Each golden point is a one-point sweep of
     the grid's spec, a pure function of L because the Monte Carlo seed is
-    fixed.  L moves neither the patch nor the draws, so a refined search keeps
-    one set of scatter planes: the grid fills them and every golden point
-    reads them.
+    fixed.  L moves neither the patch nor the draws, so a refined search makes
+    one set of scatter planes before its grid, and the grid and every golden
+    point read them.
     """
     spec = SweepSpec("l", tuple(l_values), base, mc)
-    kept = KeptPlanes(base, mc) if refine else None
+    kept = kept_planes(base, mc) if refine else None
     grid = run_sweep(spec, kept)
     l_grid, gains = grid.series()[None]
     best = int(np.argmax(gains))  # first occurrence wins -> smaller L on ties

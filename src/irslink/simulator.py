@@ -31,16 +31,15 @@ turn: q = rint(2t) in {-1, 0, 1} and u = t - q/2 in [-1/4, 1/4], exact
 (Sterbenz).  Then cos 2 pi t = (1 - 2q^2) C(u^2) and sin 2 pi t =
 (1 - 2q^2) u S(u^2), where C and S are degree-8 polynomials (``_COS_TURNS``,
 ``_SIN_TURNS``) with 2 pi folded into their coefficients, within 3.3e-16 of
-the exact values.  In uniform mode a block's cos and sin are made once
-(``_phasors``), in place in the two phase rows or in the block's kept entry
-(below).  In geometric mode they are made per point in the link budget's
-rows: the path length row s turns into t and then u, row x holds q, then the
-sign 1 - 2q^2 (folded into the amplitudes, so the polynomials need no sign),
-then u^2, and row p holds u S and then C.  Each per-run phasor sum, the
-amplitudes times a sin or cos row summed over a run's rays, is one
-``einsum("ij,ij->i")`` contraction, with no product row written; einsum gives
-the same bits on every SIMD target.  Amplitudes 10^(p/20) are computed as
-exp(p ln(10)/20).
+the exact values.  In uniform mode a block's cos and sin are made once, as
+it is drawn (``_draw_block``).  In geometric mode they are made per point in
+the link budget's rows: the path length row s turns into t and then u, row x
+holds q, then the sign 1 - 2q^2 (folded into the amplitudes, so the
+polynomials need no sign), then u^2, and row p holds u S and then C.  Each
+per-run phasor sum, the amplitudes times a sin or cos row summed over a
+run's rays, is one ``einsum("ij,ij->i")`` contraction, with no product row
+written; einsum gives the same bits on every SIMD target.  Amplitudes
+10^(p/20) are computed as exp(p ln(10)/20).
 
 One link budget serves every path.  Its functions take the config alone and
 read each of its placement properties (``ScenarioConfig.bs``, ``uav``,
@@ -78,11 +77,13 @@ and evaluates the UAV half, PL_NLoS(d1 + d2), the phases and the phasor sums
 per point.  Every stage keeps the one-point operation order, so a point's
 bits do not depend on its neighbours in the batch.  Every array of a block's
 size lives in one workspace per thread (12 rows of 2**15 float64, 3 MiB:
-2 draw rows of position uniforms, a y and a z plane, 2 of phase uniforms and
-their sin, 6 of link budget and 2 point rows of scatter points, mapped from
-the draw rows per patch), made by the thread's first call and reused by
-every later block and call, so memory is flat in the batch size as well; a
-point keeps only scalars.  The six budget rows are, in order:
+4 input rows, into which ``_draw_block``, the one routine that draws a
+block, packs its position uniforms' y and z planes and in uniform mode its
+ray phasors' cos and sin planes; 6 of link budget and 2 point rows of
+scatter points, mapped from the input rows per patch), made by the thread's
+first call and reused by every later block and call, so memory is flat in
+the batch size as well; a point keeps only scalars.  The six budget rows
+are, in order:
   - d1 and gain, the BS half, kept while its key holds; before it they are
     the scratch of the generator and of the uniform phasor stage;
   - s: d2, then the path length d1 + d2 in place (``d2 += d1``, the same
@@ -111,24 +112,21 @@ result, depends only on the configs.
 
 A placement search evaluates many batches with the same controls and patch
 (L moves only the wall plane x), so every batch would draw and map the same
-scatter points and, in uniform mode, make the same ray phasors.  A
-``KeptPlanes``, keyed on the MonteCarloConfig and the patch and owned by one
-refined search (``experiments.optimal_distance``), holds an
-entry for each of the first ``_KEPT_BLOCKS`` = 8 run blocks: the mapped
-(y, z) planes and, in uniform mode, the block's (cos, sin) phasor planes,
-made by the ``_phasors`` an unkept block calls.  That is at most 4 MiB in
-geometric mode and 8 MiB in uniform mode (the default 10,000 runs are 7
-blocks: 3.2 MB of points, and 3.2 MB of phasors more).  The first batch to
-reach such a block draws its positions into a new entry, maps them there in
-place, makes its phasors there and publishes the entry, read-only, only
-once it is complete, so an error leaves no partial entry; every later batch
-reads it and writes neither the draw, the point nor the phase rows, so the
-grid and every golden-section point neither draw nor fold phases, and a
-kept search's threads never touch those 6 workspace rows (nor, in uniform
-mode above the breakpoint, budget rows x and p).  Blocks past the 8 are
-drawn per batch, so memory stays bounded for any n_runs.  A batch whose
-controls or patch differ from the key raises.  The entries are the values a
-batch without them would make, so they move no bit.
+scatter points and, in uniform mode, make the same ray phasors.  A refined
+search (``experiments.optimal_distance``) therefore makes one read-only
+``KeptPlanes`` before its grid (``kept_planes``, on the calling thread): its
+key, the MonteCarloConfig and the patch, and the planes of each of the first
+``_KEPT_BLOCKS`` = 8 run blocks, drawn by ``_draw_block`` with the (y, z)
+mapped in place.  That is at most 4 MiB in geometric mode and 8 MiB in
+uniform mode (the default 10,000 runs are 7 blocks: 3.2 MB of points, and
+3.2 MB of phasors more).  A block read from the table writes neither the
+input nor the point rows, so the grid and every golden-section point
+neither draw nor fold phases for it, and a kept search's threads never
+touch those 6 workspace rows (nor, in uniform mode above the breakpoint,
+budget rows x and p).  Blocks past the 8 are drawn per batch, so memory
+stays bounded for any n_runs.  A batch whose controls or patch differ from
+the key raises.  The entries are the values a batch without them would
+make, so they move no bit.
 """
 
 from __future__ import annotations
@@ -252,20 +250,16 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
 
 
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
-# the draw rows (the position uniforms, a y plane and a z plane), the phase
-# rows (uniform mode only: the phase uniforms, then their cos in place and
-# their sin beside them), the six link budget rows (d1, gain, s, x, the
-# amplitudes and p; see the module docstring) and the point rows (the
-# scatter points' y and z planes, mapped from the draw rows per patch).  A
-# block whose entry a KeptPlanes holds writes neither the draw, the point nor
-# the phase rows.  The workspace is per thread, not passed in, so that every
-# thread that runs blocks (the caller's, or a kept pool's) reuses it across
-# blocks, batches and calls; its contents never outlive one block.
-_DRAWS, _PHASES, _BUDGET, _POINTS = slice(0, 2), slice(2, 4), slice(4, 10), slice(10, 12)
+# the input rows (a block's planes, packed as in a kept entry), the six link
+# budget rows (d1, gain, s, x, the amplitudes and p) and the point rows (see
+# the module docstring).  A block read from a KeptPlanes writes neither the
+# input nor the point rows.  The workspace is per thread, not passed in, so
+# that every thread that runs blocks (the caller's, or a kept pool's) reuses
+# it across blocks, batches and calls; its contents never outlive one block.
+_INPUTS, _BUDGET, _POINTS = slice(0, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
 
-# Run blocks whose entries a KeptPlanes holds: 8 full blocks of two planes of
-# 2**15 float64 each (4 MiB), and in uniform mode two more (8 MiB)
+# Run blocks a KeptPlanes holds, at most 4 MiB of planes (8 MiB in uniform mode)
 _KEPT_BLOCKS = 8
 
 
@@ -353,48 +347,51 @@ def _scatter_matrix(cfg: ScenarioConfig, u: np.ndarray, out: np.ndarray | None =
     return planes
 
 
-def _phasors(seeds: np.ndarray, n_rays: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """cos 2 pi t and sin 2 pi t of the ray phase draws t (draws 2 n_rays ..
-    3 n_rays - 1 of each of ``seeds``' runs), written into the planes ``out``
-    = (cos, sin); ``work`` is two scratch planes of their shape."""
-    cos, sin = out
-    rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=work[0].view(np.uint64))
-    cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
-    sign = _quarter_turn(cos, work[0])
-    x = np.square(cos, out=work[1])
-    np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
-    np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
+def _block_firsts(mc: MonteCarloConfig) -> range:
+    """The first run of each run block; the step, max(1, BLOCK_PATHS // n_rays), is the block size."""
+    return range(0, mc.n_runs, max(1, BLOCK_PATHS // mc.n_rays))
+
+
+def _draw_block(mc: MonteCarloConfig, first: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Draw the block of runs from ``first`` into ``out``, planes of shape
+    (runs, n_rays): the y and the z plane of the position uniforms and, in
+    uniform mode, cos 2 pi t and sin 2 pi t of the ray phase draws t (draws
+    2 n_rays .. 3 n_rays - 1 of each run).  ``work`` is two scratch planes."""
+    n_rays = mc.n_rays
+    seeds = rng.run_seeds(mc.master_seed, out.shape[1], first)
+    rng.uniform_block(seeds, 2 * n_rays, out=out[:2], scratch=work.view(np.uint64), planes=2)
+    if mc.ray_phases == RAY_PHASES_UNIFORM:
+        cos, sin = out[2:]
+        rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=work[0].view(np.uint64))
+        cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
+        sign = _quarter_turn(cos, work[0])
+        x = np.square(cos, out=work[1])
+        np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
+        np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
     return out
 
 
-class KeptPlanes:
-    """The mapped scatter planes of the first ``_KEPT_BLOCKS`` run blocks and,
-    in uniform mode, their ray phasors, for every batch of one search whose
-    points share ``mc`` and ``cfg``'s patch (see the module docstring).  It
-    holds its entries as long as it lives."""
+class KeptPlanes(NamedTuple):
+    """One search's {first run: read-only planes} of its first ``_KEPT_BLOCKS``
+    run blocks, for batches that share ``mc`` and ``patch`` (module docstring)."""
 
-    def __init__(self, cfg: ScenarioConfig, mc: MonteCarloConfig):
-        self.mc, self.patch, self._cfg = mc, _patch(cfg), cfg
-        # first run -> planes (y, z), then (cos, sin) in uniform mode, each (runs, n_rays)
-        self._blocks: dict[int, np.ndarray] = {}
+    mc: MonteCarloConfig
+    patch: tuple[float, float, float, float]
+    blocks: dict[int, np.ndarray]
 
-    def entry(self, seeds: np.ndarray, first: int, block: int, work: np.ndarray) -> np.ndarray | None:
-        """The planes of the block of ``block`` runs from ``first`` (run seeds
-        ``seeds``), made now if this is the block's first use; None past the
-        budget.  ``work`` is two scratch planes of the block's shape."""
-        entry = self._blocks.get(first)
-        if entry is None and first < _KEPT_BLOCKS * block:
-            uniform = self.mc.ray_phases == RAY_PHASES_UNIFORM
-            entry = np.empty((4 if uniform else 2,) + work.shape[1:])
-            u = rng.uniform_block(seeds, 2 * self.mc.n_rays, out=entry[:2], scratch=work.view(np.uint64), planes=2)
-            _scatter_matrix(self._cfg, u, out=u)
-            if uniform:
-                _phasors(seeds, self.mc.n_rays, entry[2:], work)
-            entry.flags.writeable = False
-            # published only once complete; batches that reach the block at
-            # once each make it, and their entries are equal
-            self._blocks[first] = entry
-        return entry
+
+def kept_planes(cfg: ScenarioConfig, mc: MonteCarloConfig) -> KeptPlanes:
+    """The KeptPlanes of ``cfg``'s patch under ``mc``, drawn and mapped on this thread."""
+    firsts = _block_firsts(mc)[:_KEPT_BLOCKS] if mc.n_rays else range(0)  # no rays, nothing to draw
+    work, blocks = np.empty((2, firsts.step * mc.n_rays)), {}
+    for first in firsts:
+        shape = (min(firsts.step, mc.n_runs - first), mc.n_rays)
+        entry = np.empty((4 if mc.ray_phases == RAY_PHASES_UNIFORM else 2,) + shape)
+        _draw_block(mc, first, entry, _flat(work, (2,) + shape))
+        _scatter_matrix(cfg, entry[:2], out=entry[:2])
+        entry.flags.writeable = False
+        blocks[first] = entry
+    return KeptPlanes(mc, _patch(cfg), blocks)
 
 
 def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig,
@@ -418,10 +415,10 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig,
     if not scene or mc.n_rays == 0:
         return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, a0, *_ in scene]
 
-    block = max(1, BLOCK_PATHS // mc.n_rays)
+    firsts = _block_firsts(mc)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
-    blocks = partial(_wall_block, scene, mc, block, kept)
-    for n, block_stats in _pool_map(blocks, range(0, mc.n_runs, block), mc.threads):
+    blocks = partial(_wall_block, scene, mc, firsts.step, kept)
+    for n, block_stats in _pool_map(blocks, firsts, mc.threads):
         count += n
         for acc, (block_mean, block_m2, refl) in zip(stats, block_stats):
             # Chan et al.: merge this block's (n, mean, M2) into the point's running one
@@ -505,18 +502,12 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     uniform = mc.ray_phases == RAY_PHASES_UNIFORM
     shape = (n, mc.n_rays)
     ws = _workspace(max(BLOCK_PATHS, mc.n_rays))  # >= block * n_rays
-    seeds = rng.run_seeds(mc.master_seed, n, first)
     budget = ws[_BUDGET]
-    work = _flat(budget, (2,) + shape)  # in d1's and gain's rows
-    entry = None if kept is None else kept.entry(seeds, first, block, work)
-    if entry is None:  # drawn here, mapped into the point rows per patch
-        draws = rng.uniform_block(seeds, 2 * mc.n_rays, out=_flat(ws[_DRAWS], (2,) + shape),
-                                  scratch=work.view(np.uint64), planes=2)
-        mapped = None
-        if uniform:  # the ray phases do not depend on the point
-            phasors = _phasors(seeds, mc.n_rays, _flat(ws[_PHASES], (2,) + shape), work)
-    else:  # read from the kept entry, mapped for its patch
-        planes, phasors, mapped = entry[:2], entry[2:], kept.patch
+    inputs = None if kept is None else kept.blocks.get(first)
+    mapped = None if inputs is None else kept.patch  # a kept entry is mapped for its patch
+    if inputs is None:  # drawn here, mapped into the point rows per patch
+        inputs = _draw_block(mc, first, _flat(ws[_INPUTS], (4 if uniform else 2,) + shape), _flat(budget, (2,) + shape))
+    planes, phasors = inputs[:2], inputs[2:]
     d1, gain, s, x, amps, p = (_flat(row, shape) for row in budget)
     # each run sum is one einsum contraction into rows dead by then (see the module docstring)
     (im, re), (mag, im2) = _flat(budget[2:4], (2, n)), _flat(budget[4:6], (2, n))
@@ -525,7 +516,7 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     stats = []
     for cfg, _, los_re, los_im, patch, bs_side in scene:
         if patch != mapped:
-            planes = _scatter_matrix(cfg, draws, out=points)
+            planes = _scatter_matrix(cfg, inputs[:2], out=points)
             mapped = patch
         y, z = planes
         if bs_side != computed:  # the key holds the patch too; the scratch rows are the UAV half's

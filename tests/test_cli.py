@@ -16,7 +16,7 @@ from irslink import rng
 from irslink.cli import _KEY_TYPES, _build_parser, _flag, _parse_overlay, _parse_range, main, parse_config_text
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SWEEPABLE
-from irslink.scenario import ScenarioConfig
+from irslink.scenario import ScenarioConfig, _quoted
 
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
@@ -92,11 +92,11 @@ class TestExitCodes:
         assert "h_uav" in err
 
     def test_unknown_sweep_parameter(self, capsys):
-        code = None
-        with pytest.raises(SystemExit) as exc:  # argparse rejects bad choices itself
-            main(["sweep", "--sweep", "pitch", "--values", "1:2:1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # argparse rejects bad choices itself, in one error line with the choices
+        code, out, err = run_cli(["sweep", "--sweep", "pitch", "--values", "1:2:1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --sweep: invalid choice: 'pitch' (choose from ")
+        assert len(err.splitlines()) == 1 and all(name in err for name in ("f", "h-irs", "h-uav", "k", "l"))
 
     def test_degenerate_geometry_is_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -252,6 +252,13 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_out_write_names_the_file_in_one_line(self, tmp_path, capsys):
+        # the OS's reason, and the file's name quoted and cut as input text is
+        path = str(tmp_path / "missing" / ("a" * 200 + ".csv"))
+        code, out, err = run_cli(["gain", "--out", path] + FAST, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: No such file or directory: {_quoted(path)}\n" and len(err) <= 120
+
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
         # stands in for any allocation that fails inside the kernel
         def no_memory(master_seed, n_runs, first_run=0):
@@ -313,6 +320,13 @@ class TestExitCodes:
         ["sweep", "--sweep", "h-uav", "--values", "1:2:" + LONG_DIGITS],
         ["sweep", "--sweep", "h-uav", "--values", "1:2:" + LONG_TEXT],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "h-irs=" + LONG_TEXT],
+        ["gain", "--config", "/nonexistent/" + "a" * 200],  # the OS's reason and the quoted name
+        # argparse's own rejections, cut in the middle
+        ["gain", "--n-runs", "10", "x" * 300],
+        ["gain", "--n-runs", "10", LONG_TEXT],
+        ["sweep", "--sweep", LONG_TEXT],
+        ["optimize", "--l-grid"],
+        [],
     ])
     def test_rejected_inputs_are_exit_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)  # rejected before any point is evaluated
@@ -333,13 +347,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["gain"], ["sweep", "--sweep", "l"], ["optimize"]])
     def test_flag_prefixes_are_rejected(self, command, capsys):
         # "--h-u" would otherwise run as --h-uav, and turn ambiguous once a field shares the prefix
-        with pytest.raises(SystemExit) as exc:
-            main(command + ["--h-u", "30"])
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2
-        assert out == ""
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            "irslink: error: unrecognized arguments: --h-u 30"]
+        assert run_cli(command + ["--h-u", "30"], capsys) == (2, "", "error: unrecognized arguments: --h-u 30\n")
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--l-grid", "0:1e300:1e-300"],  # the point count overflows to inf
@@ -357,13 +365,14 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_non_utf8_config_file_is_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "latin1.cfg"
+        # the file is named as quoted input text is, cut short, with the offending byte's offset
+        cfg = tmp_path / ("latin1-" + "a" * 200 + ".cfg")
         cfg.write_bytes(b"f_ghz = 2\n# \xff\n")
         code, out, err = run_cli(["gain", "--config", str(cfg)] + FAST, capsys)
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert str(cfg) in err and "UTF-8" in err
+        assert len(err.splitlines()) == 1 and len(err) <= 120
+        assert err == f"error: --config {_quoted(str(cfg))}: not UTF-8 at byte 12\n"
 
     def test_range_point_bound_is_inclusive(self):
         assert len(_parse_range("1:1000000:1")) == 10**6

@@ -504,13 +504,15 @@ class TestPhasorTrig:
         assert calls == []
 
     def test_geometric_phases_leave_the_phase_rows_untouched(self):
-        # geometric mode makes its cos and sin in the link budget's rows, so the
-        # phase rows' pages are never written and cost no memory
+        # geometric mode makes its cos and sin in the link budget's rows, so
+        # the input rows past its two position planes (where a uniform block
+        # packs its phasors) are never written and cost no memory
         wall_power_estimates([CFG], mc(runs=1))
         ws = simulator._local.workspace
-        ws[simulator._PHASES] = -7.0
+        phase_rows = range(12)[simulator._INPUTS][2:]
+        ws[phase_rows] = -7.0
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=3000))
-        assert (ws[simulator._PHASES] == -7.0).all()
+        assert (ws[phase_rows] == -7.0).all()
 
 
 def scalar_bs_gain(cfg, bs, x, y, z):
@@ -659,10 +661,11 @@ class TestBatches:
 
     def test_workspace_has_the_rows_of_the_one_point_kernel(self):
         # 12 rows of 2**15 float64 (3 MiB) per thread, as before batches: the
-        # phase cos and sin rows are paid for by drawing positions and phases
+        # phase cos and sin planes are paid for by drawing positions and phases
         # apart and by mapping scatter points to their (y, z) planes alone.
-        # The draw rows hold the position uniforms as a y and a z plane, which
-        # the point rows map per patch
+        # The 4 input rows hold a block's planes as a kept entry packs them
+        # (the position uniforms' y and z planes, then in uniform mode the
+        # phasors' cos and sin), and the point rows map the first two per patch
         sizes = []
 
         def first_call_in_a_thread():
@@ -673,49 +676,53 @@ class TestBatches:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        rows = (simulator._DRAWS, simulator._PHASES, simulator._BUDGET, simulator._POINTS)
-        assert [(r.start, r.stop) for r in rows] == [(0, 2), (2, 4), (4, 10), (10, 12)]
+        rows = (simulator._INPUTS, simulator._BUDGET, simulator._POINTS)
+        assert [(r.start, r.stop) for r in rows] == [(0, 4), (4, 10), (10, 12)]
         assert sizes == [12 * 2**15 * 8]
 
 
 class TestKeptPlanes:
     def test_empty_batch_draws_nothing(self, monkeypatch):
         # it returns before any of the 62 blocks of 100,000 runs is seeded or drawn
+        big = MonteCarloConfig(n_runs=100_000, ray_phases="uniform")
+        kept = simulator.kept_planes(CFG, big)
         calls = []
         for name in ("run_seeds", "uniform_block"):
             spy = partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), getattr(simulator.rng, name))
             monkeypatch.setattr(simulator.rng, name, spy)
-        big = MonteCarloConfig(n_runs=100_000, ray_phases="uniform")
         assert wall_power_estimates([], big) == []
-        assert wall_power_estimates([], replace(big, threads=2), kept=simulator.KeptPlanes(CFG, big)) == []
+        assert wall_power_estimates([], replace(big, threads=2), kept=kept) == []
         assert calls == []
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kept_blocks_are_drawn_once_and_give_the_same_bits(self, position_draws, phase_draws, phases, threads):
-        # 3,000 runs are 2 blocks: the first batch draws and maps them (and in
-        # uniform mode makes their ray phasors), the next (other points of the
-        # same patch) only reads them; a geometric search keeps no phasors.
-        # Planes kept at one thread serve a batch on two: threads takes no
-        # part in the key's equality
+        # 3,000 runs are 2 blocks: the table draws and maps them (and in
+        # uniform mode makes their ray phasors), and every batch (other points
+        # of the same patch) only reads them; a geometric search keeps no
+        # phasors.  Planes kept at one thread serve a batch on two: threads
+        # takes no part in the key's equality
         config = mc(runs=3000, phases=phases)
         batches = [[CFG, replace(CFG, l_m=40.0)], [replace(CFG, l_m=60.0)], [replace(CFG, h_uav_m=60.0)]]
         expected = [wall_power_estimates(cfgs, config) for cfgs in batches]
         position_draws.clear()
         phase_draws.clear()
-        kept = simulator.KeptPlanes(CFG, config)
+        kept = simulator.kept_planes(CFG, config)
+        assert sorted(position_draws) == [3000 - 1638, 1638]
+        assert sorted(phase_draws) == ([3000 - 1638, 1638] if phases == "uniform" else [])
+        position_draws.clear()
+        phase_draws.clear()
         got = [wall_power_estimates(cfgs, replace(config, threads=threads), kept) for cfgs in batches]
         assert [[[x.hex() for x in e] for e in batch] for batch in got] == \
             [[[x.hex() for x in e] for e in batch] for batch in expected]
-        assert sorted(position_draws) == [3000 - 1638, 1638]
-        assert sorted(phase_draws) == ([3000 - 1638, 1638] if phases == "uniform" else [])
-        assert sorted(kept._blocks) == [0, 1638]
-        assert {entry.shape[0] for entry in kept._blocks.values()} == {4 if phases == "uniform" else 2}
-        assert not any(entry.flags.writeable for entry in kept._blocks.values())
+        assert position_draws == phase_draws == []
+        assert sorted(kept.blocks) == [0, 1638]
+        assert {entry.shape[0] for entry in kept.blocks.values()} == {4 if phases == "uniform" else 2}
+        assert not any(entry.flags.writeable for entry in kept.blocks.values())
 
     def test_a_uniform_search_makes_each_kept_blocks_phasors_once(self, phase_draws, tmp_path, capsys):
-        # the default search, 10,000 runs in 7 blocks: the grid's batch makes
-        # each block's phasors, and the grid's second pass and every
+        # the default search, 10,000 runs in 7 blocks: the search makes each
+        # block's phasors before its grid, and the grid and every
         # golden-section point read them (252 phase draws when each batch drew)
         argv = ["optimize", "--refine", "--ray-phases", "uniform", "--threads", "2", "--seed", "11"]
         assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
@@ -725,17 +732,16 @@ class TestKeptPlanes:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kept_uniform_blocks_leave_the_phase_and_freed_budget_rows_untouched(self, threads):
         # a kept uniform block above the breakpoint writes only d1, gain, s and
-        # the amplitudes of its thread's workspace: the draw, point and phase
-        # rows and the budget's x and p rows keep the NaN put there
+        # the amplitudes of its thread's workspace: the input and point rows
+        # and the budget's x and p rows keep the NaN put there
         budget = simulator._BUDGET.start
-        untouched = [*range(12)[simulator._DRAWS], *range(12)[simulator._PHASES], budget + 3, budget + 5,
-                     *range(12)[simulator._POINTS]]
+        untouched = [*range(12)[simulator._INPUTS], budget + 3, budget + 5, *range(12)[simulator._POINTS]]
         assert len(untouched) == 8 and CFG.h_uav_m >= NLOS_BREAKPOINT_HEIGHT_M
         workspaces = thread_workspaces(threads)
         for ws in workspaces:
             ws[untouched] = np.nan
         config = mc(runs=3000, phases="uniform")
-        kept = simulator.KeptPlanes(CFG, config)
+        kept = simulator.kept_planes(CFG, config)
         expected = [wall_power_estimates([replace(CFG, l_m=l_m)], config) for l_m in (40.0, 50.0, 60.0)]
         for ws in workspaces:  # the calling thread's batches without kept blocks wrote them
             ws[untouched] = np.nan
@@ -745,35 +751,38 @@ class TestKeptPlanes:
             assert np.isnan(ws[untouched]).all()
 
     def test_kept_blocks_leave_the_draw_and_point_rows_untouched(self):
-        # a block read from the kept planes neither draws into this thread's
-        # workspace nor maps into it, so those rows' pages are never written
+        # neither the table nor a block read from it draws into this thread's
+        # workspace or maps into it, so those rows' pages are never written
         config = mc(runs=3000)
         wall_power_estimates([CFG], mc(runs=1))
         ws = simulator._local.workspace
-        ws[simulator._DRAWS] = ws[simulator._POINTS] = -7.0
-        kept = simulator.KeptPlanes(CFG, config)
+        ws[simulator._INPUTS] = ws[simulator._POINTS] = -7.0
+        kept = simulator.kept_planes(CFG, config)
         for l_m in (40.0, 50.0, 60.0):
             wall_power_estimates([replace(CFG, l_m=l_m)], config, kept=kept)
-        assert (ws[simulator._DRAWS] == -7.0).all() and (ws[simulator._POINTS] == -7.0).all()
+        assert (ws[simulator._INPUTS] == -7.0).all() and (ws[simulator._POINTS] == -7.0).all()
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_blocks_past_the_budget_are_drawn_per_batch(self, monkeypatch, position_draws, phase_draws, phases):
-        # 10 blocks of 50 runs: the first 8 are kept, the last 2 drawn by every
-        # batch, and the kept planes stay within 8 full blocks of two planes,
+        # 10 blocks of 50 runs: the table draws the first 8, every batch the
+        # last 2, and the kept planes stay within 8 full blocks of two planes,
         # four in uniform mode (y, z, cos and sin)
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         config = mc(runs=475, phases=phases)
         expected = wall_power_estimates([CFG], config)
         position_draws.clear()
         phase_draws.clear()
-        kept = simulator.KeptPlanes(CFG, config)
+        kept = simulator.kept_planes(CFG, config)
+        assert len(position_draws) == 8 and len(phase_draws) == (8 if phases == "uniform" else 0)
+        position_draws.clear()
+        phase_draws.clear()
         for _ in range(3):
             assert wall_power_estimates([CFG], config, kept=kept) == expected
-        assert len(position_draws) == 8 + 3 * 2
-        assert len(phase_draws) == (8 + 3 * 2 if phases == "uniform" else 0)
-        assert sorted(kept._blocks) == list(range(0, 400, 50))
+        assert len(position_draws) == 3 * 2
+        assert len(phase_draws) == (3 * 2 if phases == "uniform" else 0)
+        assert sorted(kept.blocks) == list(range(0, 400, 50))
         planes = 4 if phases == "uniform" else 2
-        assert sum(entry.nbytes for entry in kept._blocks.values()) <= simulator._KEPT_BLOCKS * 50 * 20 * planes * 8
+        assert sum(entry.nbytes for entry in kept.blocks.values()) <= simulator._KEPT_BLOCKS * 50 * 20 * planes * 8
 
     @pytest.mark.parametrize("other", [
         dict(cfg=replace(CFG, h_irs_m=5.0)),  # another patch centre
@@ -783,22 +792,25 @@ class TestKeptPlanes:
         dict(config=mc(runs=2000)),
     ])
     def test_a_batch_off_the_key_raises(self, other):
+        # and leaves the table as it was
         config = mc(runs=3000)
-        kept = simulator.KeptPlanes(CFG, config)
+        kept = simulator.kept_planes(CFG, config)
+        before = {first: entry.tobytes() for first, entry in kept.blocks.items()}
         cfgs = [replace(CFG, l_m=40.0), other.get("cfg", CFG)]  # another L keeps the patch
         with pytest.raises(InvalidParameterError, match="kept scatter planes"):
             wall_power_estimates(cfgs, other.get("config", config), kept=kept)
-        assert kept._blocks == {}
+        assert {first: entry.tobytes() for first, entry in kept.blocks.items()} == before
+        assert sorted(before) == [0, 1638]
 
     def test_concurrent_batches_share_one_kept_set(self, monkeypatch):
         # batches on more threads than cores, each on a pool of its own size,
-        # reach the same blocks at once: whichever equal entry is published,
-        # every batch gets the bits of a batch without kept planes
+        # read the same table at once, and every batch gets the bits of a
+        # batch without kept planes
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
         config = mc(runs=400, phases="uniform")  # 8 blocks
         cfgs = [[replace(CFG, l_m=l_m)] for l_m in (40.0, 45.0, 50.0, 55.0)]
         expected = [wall_power_estimates(batch, config) for batch in cfgs]
-        kept = simulator.KeptPlanes(CFG, config)
+        kept = simulator.kept_planes(CFG, config)
         results, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -813,34 +825,7 @@ class TestKeptPlanes:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == expected * 6
-        assert sorted(kept._blocks) == list(range(0, 400, 50))
-
-    def test_an_error_mid_batch_publishes_no_entry(self, monkeypatch):
-        # the second block's mapping fails after writing its planes: the
-        # first block's entry is complete, the second is never published, and
-        # a later batch makes it afresh with the bits of a batch without them
-        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
-        config = mc(runs=150)  # 3 blocks
-        expected = wall_power_estimates([CFG], config)
-        mapping = simulator._scatter_matrix
-
-        def failing(cfg, u, out=None):
-            planes = mapping(cfg, u, out)
-            if len(mapped) == 1:
-                planes[...] = np.nan
-                raise FloatingPointError("mapping")
-            mapped.append(planes)
-            return planes
-
-        mapped = []
-        monkeypatch.setattr(simulator, "_scatter_matrix", failing)
-        kept = simulator.KeptPlanes(CFG, config)
-        with pytest.raises(FloatingPointError, match="mapping"):
-            wall_power_estimates([CFG], config, kept=kept)
-        assert list(kept._blocks) == [0]
-        monkeypatch.setattr(simulator, "_scatter_matrix", mapping)
-        assert wall_power_estimates([CFG], config, kept=kept) == expected
-        assert sorted(kept._blocks) == [0, 50, 100]
+        assert sorted(kept.blocks) == list(range(0, 400, 50))
 
 
 # a value of every ScenarioConfig field other than CFG's, each valid beside
