@@ -26,7 +26,7 @@ from . import __version__
 from .errors import DegenerateGeometryError, InvalidParameterError
 from .experiments import SWEEPABLE, SweepSpec, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
-from .scenario import MonteCarloConfig, ScenarioConfig, _quoted, lattice_shape
+from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
 from .simulator import GainResult
 from .svgplot import render_line_plot
 
@@ -57,10 +57,10 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {_quoted(raw)}")
+            raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _KEY_TYPES:
-            raise InvalidParameterError(f"config line {lineno}: unknown key {_quoted(key)}")
+            raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _value(key, val, f"config line {lineno}")
     return values
 
@@ -71,27 +71,27 @@ def _value(key: str, text: str, source: str):
     try:
         return _KEY_TYPES[key](text)
     except ValueError:
-        raise InvalidParameterError(f"{source}: bad value for {key}: {_quoted(text)}") from None
+        raise InvalidParameterError(f"{source}: bad value for {key}: {text!r}") from None
 
 
 def _parse_range(text: str) -> list[float]:
     """START:STOP:STEP, inclusive of STOP when it lands on the grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise InvalidParameterError(f"expected START:STOP:STEP, got {_quoted(text)}")
+        raise InvalidParameterError(f"expected START:STOP:STEP, got {text!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise InvalidParameterError(f"non-numeric range {_quoted(text)}") from None
+        raise InvalidParameterError(f"non-numeric range {text!r}") from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise InvalidParameterError(f"range START, STOP and STEP must be finite, got {_quoted(text)}")
+        raise InvalidParameterError(f"range START, STOP and STEP must be finite, got {text!r}")
     if step <= 0:
         raise InvalidParameterError(f"range step must be positive, got {step}")
     if stop < start:
-        raise InvalidParameterError(f"range stop must be >= start in {_quoted(text)}")
+        raise InvalidParameterError(f"range stop must be >= start in {text!r}")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_RANGE_POINTS:  # also an overflowed (infinite) count
-        raise InvalidParameterError(f"range {_quoted(text)} has more than {_MAX_RANGE_POINTS} points")
+        raise InvalidParameterError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
     n = int(span) + 1
     return [start + i * step for i in range(n)]
 
@@ -103,7 +103,7 @@ def _parse_overlay(text: str) -> tuple[str, list[float]]:
     try:
         values = [float(v) for v in vals.split(",") if v != ""]
     except ValueError:
-        raise InvalidParameterError(f"non-numeric overlay values in {_quoted(text)}") from None
+        raise InvalidParameterError(f"non-numeric overlay values in {text!r}") from None
     return _SWEEP_NAMES[name], values
 
 
@@ -120,7 +120,7 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
             try:
                 values.update(parse_config_text(fh.read()))
             except UnicodeDecodeError as exc:
-                raise InvalidParameterError(f"--config {_quoted(args.config)}: not UTF-8 at byte {exc.start}") from None
+                raise InvalidParameterError(f"--config {args.config!r}: not UTF-8 at byte {exc.start}") from None
     for key in _KEY_TYPES:
         if getattr(args, key) is not None:
             values[key] = _value(key, getattr(args, key), _flag(key))
@@ -228,9 +228,9 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Its rejections, and its subparsers', reach ``main`` as one error line, cut to 120 characters."""
+    """Its rejections, and its subparsers', reach ``main`` as one error line, not a usage text."""
     def error(self, message):
-        raise InvalidParameterError(message if len(message) <= 112 else f"{message[:60]} ... {message[-47:]}")
+        raise InvalidParameterError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,18 +267,19 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except InvalidParameterError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        message = str(exc)
     except OSError as exc:  # the OS's reason, and the file's name quoted as input text is
-        name = "" if exc.filename is None else f": {_quoted(exc.filename)}"
-        sys.stderr.write(f"error: {exc.strerror or exc}{name}\n")
-        return 2
+        message = f"{exc.strerror or exc}" + ("" if exc.filename is None else f": {exc.filename!r}")
     except MemoryError as exc:  # an allocation this host cannot serve, reported like a bad input
-        sys.stderr.write(f"error: out of memory: {exc}\n")
-        return 2
+        message = f"out of memory: {exc}"
     except (DegenerateGeometryError, ArithmeticError) as exc:  # overflow, division by zero, non-finite cells
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    # a rejection is one line of at most 120 characters, newline included: a
+    # longer one keeps its two ends, whatever input text it quotes
+    line = f"error: {message}"
+    sys.stderr.write((line if len(line) < 120 else f"{line[:67]} ... {line[-47:]}") + "\n")
+    return 2
 
 
 if __name__ == "__main__":

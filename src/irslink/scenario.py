@@ -153,7 +153,7 @@ def _check_fields(record) -> None:
             (value >= meta["ge"] if "ge" in meta else value > meta.get("gt", -math.inf))
             and (value <= meta["le"] if "le" in meta else value < math.inf))
         if not inside:
-            got = _quoted(value) if "choices" in meta else _shown(value)
+            got = repr(value) if "choices" in meta else _shown(value)
             raise InvalidParameterError(f"{f.name} must be in {_domain(meta)}, got {got}")
 
 
@@ -206,14 +206,10 @@ def _shown(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return repr(value)
-    digits = str(abs(int(value)))
-    return f"{'-' if value < 0 else ''}{int(digits[:6]) / 1e5:g}e+{len(digits) - 1}"
-
-
-def _quoted(value) -> str:
-    """Outside text as an error line quotes it: its repr, cut at 40 characters."""
-    shown = repr(value)
-    return shown if len(shown) <= 40 else shown[:37] + "..."
+    n = abs(int(value))  # not str(n): that refuses ints past 4,300 digits
+    e = int(math.log10(n))  # the exponent, or one off it where log10 rounds
+    e += (n >= 10 ** (e + 1)) - (n < 10**e)
+    return f"{'-' if value < 0 else ''}{n // 10 ** (e - 5) / 1e5:g}e+{e}"
 
 
 def element_positions(

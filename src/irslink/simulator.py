@@ -22,24 +22,24 @@ only where the values sit differs from the draw order.
 Every run is a pure function of (master_seed, run index), so results are
 bit-reproducible regardless of execution order or parallelism.
 
-A ray's phase t is taken in turns, -d/lambda or its phase uniform, and
-reduced to [-1/2, 1/2] by subtracting its nearest integer (exact in floating
-point).  Its cos and sin are made from numpy's multiply, add and rint alone,
-which round correctly on every SIMD target, so unlike libm's cos and sin they
-give the same bits everywhere.  ``_quarter_turn`` folds t to the nearest half
-turn: q = rint(2t) in {-1, 0, 1} and u = t - q/2 in [-1/4, 1/4], exact
-(Sterbenz).  Then cos 2 pi t = (1 - 2q^2) C(u^2) and sin 2 pi t =
-(1 - 2q^2) u S(u^2), where C and S are degree-8 polynomials (``_COS_TURNS``,
-``_SIN_TURNS``) with 2 pi folded into their coefficients, within 3.3e-16 of
-the exact values.  In uniform mode a block's cos and sin are made once, as
-it is drawn (``_draw_block``).  In geometric mode they are made per point in
-the link budget's rows: the path length row s turns into t and then u, row x
-holds q, then the sign 1 - 2q^2 (folded into the amplitudes, so the
-polynomials need no sign), then u^2, and row p holds u S and then C.  Each
-per-run phasor sum, the amplitudes times a sin or cos row summed over a
-run's rays, is one ``einsum("ij,ij->i")`` contraction, with no product row
-written; einsum gives the same bits on every SIMD target.  Amplitudes
-10^(p/20) are computed as exp(p ln(10)/20).
+A ray's phase t is taken in turns, -d/lambda or its phase uniform.  Its cos
+and sin are made from numpy's multiply, add and rint alone, which round
+correctly on every SIMD target, so unlike libm's cos and sin they give the
+same bits everywhere.  ``_fold``, the one reduction of both modes, reduces t
+to [-1/2, 1/2] by subtracting its nearest integer (exact in floating point)
+and then folds it to the nearest half turn: q = rint(2t) in {-1, 0, 1} and
+u = t - q/2 in [-1/4, 1/4], exact (Sterbenz).  Then cos 2 pi t =
+(1 - 2q^2) C(u^2) and sin 2 pi t = (1 - 2q^2) u S(u^2), where C and S are
+degree-8 polynomials (``_COS_TURNS``, ``_SIN_TURNS``) with 2 pi folded into
+their coefficients, within 3.3e-16 of the exact values.  In uniform mode a
+block's cos and sin are made once, as it is drawn (``_draw_block``).  In
+geometric mode they are made per point in the link budget's rows: the path
+length row s turns into t and u, row x holds u^2, and row p t's nearest
+integer, q, the sign 1 - 2q^2 (folded into the amplitudes, so the polynomials
+need no sign), then u S and C.  Each per-run phasor sum, the amplitudes times
+a sin or cos row summed over a run's rays, is one ``einsum("ij,ij->i")``
+contraction, with no product row written; einsum gives the same bits on every
+SIMD target.  Amplitudes 10^(p/20) are computed as exp(p ln(10)/20).
 
 One link budget serves every path.  Its functions take the config alone and
 read each of its placement properties (``ScenarioConfig.bs``, ``uav``,
@@ -89,9 +89,9 @@ are, in order:
   - s: d2, then the path length d1 + d2 in place (``d2 += d1``, the same
     bits), then in geometric mode its turns;
   - x: PL_NLoS's scratch below the 22.5 m breakpoint, then in geometric mode
-    q, the sign and u^2;
+    u^2;
   - the amplitudes, before them the scratch of the BS half and of d2;
-  - p, the geometric phasor polynomials.
+  - p, the geometric fold's integers and sign, then its phasor polynomials.
 Each per-run sum lands in rows dead by then: im and re in the leading
 elements of rows s and x, |ray sum| and its scratch in those of the
 amplitude and p rows.  With n_rays >= 2 a block's runs fill at most half a
@@ -156,12 +156,12 @@ _DB_TO_LN_AMPLITUDE = math.log(10.0) / 20.0
 _RAD_TO_DEG = 180.0 / math.pi  # the factor np.degrees multiplies by
 
 
-def dbm_to_amplitude(p_dbm):
+def dbm_to_amplitude(p_dbm, out=None):
     """sqrt of the linear power: sqrt(10^(p/10)) = exp(p ln(10)/20) mW^0.5, a
-    float for a scalar, else an array."""
+    float for a scalar, else an array (written into ``out`` when it is given)."""
     if np.ndim(p_dbm) == 0:
         return math.exp(p_dbm * _DB_TO_LN_AMPLITUDE)
-    return np.exp(np.multiply(p_dbm, _DB_TO_LN_AMPLITUDE))
+    return np.exp(np.multiply(p_dbm, _DB_TO_LN_AMPLITUDE, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
     # the point's one check bounded d1, d2 > 0 and d1 + d2 < inf: pl_nlos skips its own
     np.subtract(gain, pl_nlos(s, uav.z, cfg, out=amps, scratch=scratch, check=False), out=amps)
     amps -= reflection_loss_db
-    np.exp(np.multiply(amps, _DB_TO_LN_AMPLITUDE, out=amps), out=amps)  # dbm_to_amplitude
+    dbm_to_amplitude(amps, out=amps)
     return amps, s
 
 
@@ -288,17 +288,20 @@ _SIN_TURNS = (6.283185307179586, -41.341702240399755, 81.60524927607362, -76.705
               -15.0946416761179, 3.8199280942271643, -0.7177337921413454, 0.10089695501646812)
 
 
-def _quarter_turn(t: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Fold phases ``t`` in turns, in [-1/2, 1/2], to the nearest half turn:
-    with q = rint(2t) in {-1, 0, 1}, ``t`` becomes u = t - q/2 in [-1/4, 1/4]
-    in place (exact by Sterbenz's lemma) and ``sign`` gets 1 - 2q^2, so that
-    cos 2 pi t = sign C(u^2) and sin 2 pi t = sign u S(u^2).  Returns ``sign``."""
+def _fold(t: np.ndarray, sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fold phases ``t`` in turns in place: to [-1/2, 1/2] by subtracting the
+    nearest integer, then to the nearest half turn: with q = rint(2t) in
+    {-1, 0, 1}, ``t`` becomes u = t - q/2 in [-1/4, 1/4] (each step exact, the
+    second by Sterbenz's lemma), ``sign`` gets 1 - 2q^2 and ``x`` gets u^2, so
+    that cos 2 pi t = sign C(x) and sin 2 pi t = sign u S(x).  Returns ``sign``."""
+    t -= np.rint(t, out=sign)
     half = np.rint(np.multiply(t, 2.0, out=sign), out=sign)
     half *= 0.5
     t -= half
     np.square(half, out=sign)  # q^2 / 4
     sign *= -8.0
     sign += 1.0
+    np.square(t, out=x)
     return sign
 
 
@@ -363,9 +366,7 @@ def _draw_block(mc: MonteCarloConfig, first: int, out: np.ndarray, work: np.ndar
     if mc.ray_phases == RAY_PHASES_UNIFORM:
         cos, sin = out[2:]
         rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=work[0].view(np.uint64))
-        cos -= np.rint(cos, out=sin)  # turns, to [-1/2, 1/2] (exact)
-        sign = _quarter_turn(cos, work[0])
-        x = np.square(cos, out=work[1])
+        sign, x = _fold(cos, work[0], work[1]), work[1]
         np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
         np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
     return out
@@ -527,11 +528,9 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
             cos, sin = phasors
             np.einsum("ij,ij->i", amps, sin, out=im)
             np.einsum("ij,ij->i", amps, cos, out=re)
-        else:  # -d / lambda turns, to [-1/2, 1/2] (exact), in place
+        else:  # -d / lambda turns, folded in place; the sign in row p, until the polynomials
             s /= -wavelength_m(cfg.f_ghz)
-            s -= np.rint(s, out=x)
-            amps *= _quarter_turn(s, x)
-            np.square(s, out=x)
+            amps *= _fold(s, p, x)
             np.einsum("ij,ij->i", np.multiply(_poly(x, _SIN_TURNS, out=p), s, out=p), amps, out=im)
             np.einsum("ij,ij->i", _poly(x, _COS_TURNS, out=p), amps, out=re)
         np.square(re, out=mag)  # sqrt(re^2 + im^2): numpy's SIMD sqrt, not libm's hypot

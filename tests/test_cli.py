@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irslink import rng
+from irslink import cli, rng
 from irslink.cli import _KEY_TYPES, _build_parser, _flag, _parse_overlay, _parse_range, main, parse_config_text
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SWEEPABLE
-from irslink.scenario import ScenarioConfig, _quoted
+from irslink.scenario import ScenarioConfig
 
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
@@ -38,6 +38,7 @@ EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", 
                "inf"]
 BIG = str(10**400)  # an integer flag value of 401 digits
 LONG_DIGITS = "1" + "0" * 5000  # past int()'s 4,300-digit limit, and inf as a float
+HUGE_SIDE = "1" + "0" * 3000  # a lattice side whose product with itself is past str()'s 4,300 digits
 LONG_TEXT = "x" * 5001
 
 
@@ -45,6 +46,12 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_line(line):
+    """An exit-2 error line as main writes it: past 119 characters, its first
+    67 and last 47 with " ... " between them, so 120 with the newline."""
+    return (line if len(line) < 120 else f"{line[:67]} ... {line[-47:]}") + "\n"
 
 
 class TestConfigParsing:
@@ -253,11 +260,39 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_out_write_names_the_file_in_one_line(self, tmp_path, capsys):
-        # the OS's reason, and the file's name quoted and cut as input text is
+        # the OS's reason, and the file's name quoted, the line cut in its middle
         path = str(tmp_path / "missing" / ("a" * 200 + ".csv"))
         code, out, err = run_cli(["gain", "--out", path] + FAST, capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: No such file or directory: {_quoted(path)}\n" and len(err) <= 120
+        assert err == one_line(f"error: No such file or directory: {path!r}") and len(err) == 120
+        assert err.startswith("error: No such file or directory: '/") and err.endswith("a.csv'\n")
+
+    @pytest.mark.parametrize("exc, head, tail", [
+        (InvalidParameterError("x" * 5000), "error: " + "x" * 60, "x" * 47),
+        (MemoryError("y" * 5000), "error: out of memory: " + "y" * 45, "y" * 47),
+        (FileNotFoundError(2, "No such file or directory", "z" * 5000),
+         "error: No such file or directory: '" + "z" * 32, "z" * 46 + "'"),
+    ], ids=["invalid-parameter", "out-of-memory", "os-error"])
+    def test_every_rejection_is_one_line_that_keeps_both_ends(self, exc, head, tail, monkeypatch, capsys):
+        # the one rule of main's exit-2 branches, whatever a message quotes
+        def reject(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_configs", reject)
+        assert run_cli(["gain"], capsys) == (2, "", f"{head} ... {tail}\n")
+
+    def test_argparse_rejections_keep_their_lines(self, capsys):
+        # argparse's own messages are cut by the same rule, to the lines they had when it cut them itself
+        expected = "error: unrecognized arguments: " + "x" * 36 + " ... " + "x" * 47 + "\n"
+        assert run_cli(["gain", "--n-runs", "10", "x" * 300], capsys) == (2, "", expected)
+        expected = ("error: argument --sweep: invalid choice: '" + "x" * 25
+                    + " ... ' (choose from 'f', 'h-irs', 'h-uav', 'k', 'l')\n")
+        assert run_cli(["sweep", "--sweep", "x" * 300], capsys) == (2, "", expected)
+
+    def test_huge_lattice_product_is_shown_by_its_exponent(self, capsys):
+        # not str() of a 6,001-digit product, which raises past 4,300 digits
+        expected = (2, "", "error: irs_rows*irs_cols must be <= 100000000, got 1e+6000\n")
+        assert run_cli(["gain", "--irs-rows", HUGE_SIDE, "--irs-cols", HUGE_SIDE], capsys) == expected
 
     def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
         # stands in for any allocation that fails inside the kernel
@@ -313,7 +348,9 @@ class TestExitCodes:
         ["gain", "--threads", BIG],
         ["gain", "--k", "50", "--irs-rows", BIG],
         ["gain", "--k", "50", "--irs-rows", BIG, "--irs-cols", "1"],
-        # quoted input text is cut short, whatever its length
+        ["gain", "--irs-rows", HUGE_SIDE, "--irs-cols", HUGE_SIDE],  # shown as 1e+6000
+        ["gain", "--k", "50", "--irs-rows", HUGE_SIDE, "--irs-cols", HUGE_SIDE],
+        # a line that quotes long input text is cut in its middle
         ["gain", "--n-runs", LONG_DIGITS],
         ["gain", "--threads", LONG_DIGITS],
         ["gain", "--ray-phases", LONG_TEXT],
@@ -321,7 +358,7 @@ class TestExitCodes:
         ["sweep", "--sweep", "h-uav", "--values", "1:2:" + LONG_TEXT],
         ["sweep", "--sweep", "h-uav", "--values", "30:31:1", "--overlay", "h-irs=" + LONG_TEXT],
         ["gain", "--config", "/nonexistent/" + "a" * 200],  # the OS's reason and the quoted name
-        # argparse's own rejections, cut in the middle
+        # argparse's own rejections, cut by the same rule
         ["gain", "--n-runs", "10", "x" * 300],
         ["gain", "--n-runs", "10", LONG_TEXT],
         ["sweep", "--sweep", LONG_TEXT],
@@ -335,8 +372,9 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) <= 120
 
     @pytest.mark.parametrize("line", [f"n_runs = {LONG_DIGITS}", f"{LONG_TEXT} = 1", f"h_uav_m = {LONG_TEXT}",
-                                      f"ray_phases = {LONG_TEXT}", LONG_TEXT],
-                             ids=["n_runs", "unknown-key", "h_uav_m", "ray_phases", "no-equals"])
+                                      f"ray_phases = {LONG_TEXT}", LONG_TEXT,
+                                      f"irs_rows = {HUGE_SIDE}\nirs_cols = {HUGE_SIDE}"],
+                             ids=["n_runs", "unknown-key", "h_uav_m", "ray_phases", "no-equals", "irs-product"])
     def test_rejected_config_lines_are_exit_2(self, line, tmp_path, capsys):
         cfg_file = tmp_path / "long.cfg"
         cfg_file.write_text(line + "\n")
@@ -365,14 +403,15 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_non_utf8_config_file_is_exit_2(self, tmp_path, capsys):
-        # the file is named as quoted input text is, cut short, with the offending byte's offset
+        # the file's name quoted, the line cut in its middle, and the offending byte's offset
         cfg = tmp_path / ("latin1-" + "a" * 200 + ".cfg")
         cfg.write_bytes(b"f_ghz = 2\n# \xff\n")
         code, out, err = run_cli(["gain", "--config", str(cfg)] + FAST, capsys)
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and len(err) <= 120
-        assert err == f"error: --config {_quoted(str(cfg))}: not UTF-8 at byte 12\n"
+        assert len(err.splitlines()) == 1 and len(err) == 120
+        assert err == one_line(f"error: --config {str(cfg)!r}: not UTF-8 at byte 12")
+        assert err.startswith("error: --config '/") and err.endswith("a.cfg': not UTF-8 at byte 12\n")
 
     def test_range_point_bound_is_inclusive(self):
         assert len(_parse_range("1:1000000:1")) == 10**6

@@ -116,6 +116,9 @@ def test_element_count_is_bounded_before_factoring():
     with pytest.raises(InvalidParameterError, match="irs_rows"):
         ScenarioConfig(irs_rows=10**4, irs_cols=10**4 + 1)
     assert ScenarioConfig(irs_rows=10**4, irs_cols=10**4).k == 10**8
+    # a product past str()'s 4,300 digits is shown by its exponent
+    with pytest.raises(InvalidParameterError, match=r"^irs_rows\*irs_cols must be <= 100000000, got 1e\+6000$"):
+        ScenarioConfig(irs_rows=10**3000, irs_cols=10**3000)
 
 
 def test_floor_sqrt_rule():

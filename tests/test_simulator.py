@@ -449,8 +449,7 @@ def kernel_sincos(t):
     """cos 2 pi t and sin 2 pi t for turns t in [-1/2, 1/2] as the wall kernel
     makes them: (u, sign, cos, sin), u and sign from the half-turn fold."""
     u, sign, x = t.copy(), np.empty_like(t), np.empty_like(t)
-    simulator._quarter_turn(u, sign)
-    np.square(u, out=x)
+    simulator._fold(u, sign, x)
     cos = simulator._poly(x, simulator._COS_TURNS, out=np.empty_like(t)) * sign
     sin = simulator._poly(x, simulator._SIN_TURNS, out=np.empty_like(t)) * u * sign
     return u, sign, cos, sin
