@@ -36,10 +36,11 @@ block's cos and sin are made once, as it is drawn (``_draw_block``).  In
 geometric mode they are made per point in the link budget's rows: the path
 length row s turns into t and u, row x holds u^2, and row p t's nearest
 integer, q, the sign 1 - 2q^2 (folded into the amplitudes, so the polynomials
-need no sign), then u S and C.  Each per-run phasor sum, the amplitudes times
-a sin or cos row summed over a run's rays, is one ``einsum("ij,ij->i")``
-contraction, with no product row written; einsum gives the same bits on every
-SIMD target.  Amplitudes 10^(p/20) are computed as exp(p ln(10)/20).
+need no sign), then the sin u S, and row s, its u dead, the cos C.  In both
+modes a per-run phasor sum, the amplitudes times the sin or cos row summed
+over a run's rays, is one ``einsum("ij,ij->i")`` contraction, with no product
+row written; einsum gives the same bits on every SIMD target.  Amplitudes
+10^(p/20) are computed as exp(p ln(10)/20).
 
 One link budget serves every path.  Its functions take the config alone and
 read each of its placement properties (``ScenarioConfig.bs``, ``uav``,
@@ -75,29 +76,26 @@ the whole batch.  Within a block the batch shares
     when the patch, the BS, the wall plane x or the pattern and p_t differ;
 and evaluates the UAV half, PL_NLoS(d1 + d2), the phases and the phasor sums
 per point.  Every stage keeps the one-point operation order, so a point's
-bits do not depend on its neighbours in the batch.  Every array of a block's
-size lives in one workspace per thread (12 rows of 2**15 float64, 3 MiB:
-4 input rows, into which ``_draw_block``, the one routine that draws a
+bits do not depend on its neighbours in the batch.  One memory rule holds:
+every block-sized array lives in one workspace per thread, and the run-sized
+ones (the per-run sums) are allocated per block.  The workspace, 12 rows of
+2**15 float64 (3 MiB, under the 4 MiB from which numpy asks for huge pages),
+holds 4 input rows, into which ``_draw_block``, the one routine that draws a
 block, packs its position uniforms' y and z planes and in uniform mode its
 ray phasors' cos and sin planes; 6 of link budget and 2 point rows of
-scatter points, mapped from the input rows per patch), made by the thread's
-first call and reused by every later block and call, so memory is flat in
-the batch size as well; a point keeps only scalars.  The six budget rows
-are, in order:
+scatter points, mapped from the input rows per patch.  The thread's first
+call makes it and every later block and call reuses it, so memory is flat in
+the batch size as well; a point keeps only scalars.  The budget rows are:
   - d1 and gain, the BS half, kept while its key holds; before it they are
     the scratch of the generator and of the uniform phasor stage;
   - s: d2, then the path length d1 + d2 in place (``d2 += d1``, the same
-    bits), then in geometric mode its turns;
+    bits), then in geometric mode its turns and then the cos;
   - x: PL_NLoS's scratch below the 22.5 m breakpoint, then in geometric mode
     u^2;
   - the amplitudes, before them the scratch of the BS half and of d2;
-  - p, the geometric fold's integers and sign, then its phasor polynomials.
-Each per-run sum lands in rows dead by then: im and re in the leading
-elements of rows s and x, |ray sum| and its scratch in those of the
-amplitude and p rows.  With n_rays >= 2 a block's runs fill at most half a
-row, so each pair fits in the first of its two rows; with n_rays = 1 they
-fill a row each.  A uniform block above the breakpoint thus writes 4 of the
-6 budget rows (d1, gain, s and the amplitudes), a geometric block all 6.
+  - p, the geometric fold's integers and sign, then the sin.
+A uniform block above the breakpoint thus writes 4 of the 6 budget rows (d1,
+gain, s and the amplitudes), a geometric block all 6.
 
 The arrays are written with numpy's ``out=``, in the same operation order as
 the plain expressions, so the bits are those of the allocating form.  Each
@@ -214,12 +212,12 @@ def _bs_side(cfg: ScenarioConfig, x: float, y, z, d1, gain, work) -> None:
     np.square(np.subtract(y, bs.y, out=d1), out=d1)
     d1 += dx1 * dx1
     np.sqrt(d1, out=c)
-    np.square(np.subtract(z, bs.z, out=b), out=b)
-    d1 += b
+    # dz = bs.z - z once, squared into gain, free until the pattern: (z - h)^2 is (h - z)^2
+    d1 += np.square(np.subtract(bs.z, z, out=b), out=gain)
     np.sqrt(d1, out=d1)
     # the angle in degrees by one multiply, the same bits as np.degrees at a
     # fifth of its time
-    theta = np.multiply(np.arctan2(np.subtract(bs.z, z, out=b), c, out=b), _RAD_TO_DEG, out=b)
+    theta = np.multiply(np.arctan2(b, c, out=b), _RAD_TO_DEG, out=b)
     vertical_gain(theta, cfg, out=gain, scratch=theta)
     gain += cfg.p_t_dbm
 
@@ -252,10 +250,11 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
 # Rows of a thread's wall-kernel workspace, each one block of paths long:
 # the input rows (a block's planes, packed as in a kept entry), the six link
 # budget rows (d1, gain, s, x, the amplitudes and p) and the point rows (see
-# the module docstring).  A block read from a KeptPlanes writes neither the
-# input nor the point rows.  The workspace is per thread, not passed in, so
-# that every thread that runs blocks (the caller's, or a kept pool's) reuses
-# it across blocks, batches and calls; its contents never outlive one block.
+# the module docstring); run-sized sums are allocated per block, not here.  A
+# block read from a KeptPlanes writes neither the input nor the point rows.
+# The workspace is per thread, not passed in, so that every thread that runs
+# blocks (the caller's, or a kept pool's) reuses it across blocks, batches and
+# calls; its contents never outlive one block.
 _INPUTS, _BUDGET, _POINTS = slice(0, 4), slice(4, 10), slice(10, 12)
 _local = threading.local()
 
@@ -508,10 +507,9 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     mapped = None if inputs is None else kept.patch  # a kept entry is mapped for its patch
     if inputs is None:  # drawn here, mapped into the point rows per patch
         inputs = _draw_block(mc, first, _flat(ws[_INPUTS], (4 if uniform else 2,) + shape), _flat(budget, (2,) + shape))
-    planes, phasors = inputs[:2], inputs[2:]
+    planes = inputs[:2]
     d1, gain, s, x, amps, p = (_flat(row, shape) for row in budget)
-    # each run sum is one einsum contraction into rows dead by then (see the module docstring)
-    (im, re), (mag, im2) = _flat(budget[2:4], (2, n)), _flat(budget[4:6], (2, n))
+    im, re, mag, im2 = np.empty((4, n))  # run-sized, so not in the workspace
     points = _flat(ws[_POINTS], (2,) + shape)
     computed = None  # the key d1 and gain were made for
     stats = []
@@ -525,14 +523,14 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
             computed = bs_side
         _uav_side(cfg, y, z, d1, gain, cfg.pl_wall_db, (s, amps, x))
         if uniform:
-            cos, sin = phasors
-            np.einsum("ij,ij->i", amps, sin, out=im)
-            np.einsum("ij,ij->i", amps, cos, out=re)
-        else:  # -d / lambda turns, folded in place; the sign in row p, until the polynomials
+            cos, sin = inputs[2:]
+        else:  # -d / lambda turns, folded in place; the sign in row p, then sin there and cos in row s
             s /= -wavelength_m(cfg.f_ghz)
             amps *= _fold(s, p, x)
-            np.einsum("ij,ij->i", np.multiply(_poly(x, _SIN_TURNS, out=p), s, out=p), amps, out=im)
-            np.einsum("ij,ij->i", _poly(x, _COS_TURNS, out=p), amps, out=re)
+            sin = np.multiply(_poly(x, _SIN_TURNS, out=p), s, out=p)
+            cos = _poly(x, _COS_TURNS, out=s)
+        np.einsum("ij,ij->i", amps, sin, out=im)
+        np.einsum("ij,ij->i", amps, cos, out=re)
         np.square(re, out=mag)  # sqrt(re^2 + im^2): numpy's SIMD sqrt, not libm's hypot
         mag += np.square(im, out=im2)
         refl = float(np.sum(np.sqrt(mag, out=mag)))

@@ -678,6 +678,26 @@ class TestBatches:
         rows = (simulator._INPUTS, simulator._BUDGET, simulator._POINTS)
         assert [(r.start, r.stop) for r in rows] == [(0, 4), (4, 10), (10, 12)]
         assert sizes == [12 * 2**15 * 8]
+        # and under 4 MiB, from which numpy asks for transparent huge pages:
+        # with the kernel's THP mode at madvise, a 16-row (4 MiB) workspace
+        # raised optimize-refine's peak RSS from 38.0-38.2 MB to 40.2-40.7 MB,
+        # as a kept search's pool thread faults in whole huge pages of rows it
+        # barely writes.  A per-run vector goes in a run-sized array instead
+        assert sizes[0] < 1 << 22
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("rays", [20, 1])
+    def test_run_sized_sums_are_not_workspace_views(self, monkeypatch, phases, rays):
+        # block-sized arrays live in the workspace and run-sized ones are made
+        # per block, so the per-run sums need no rows the budget is done with;
+        # at one ray a block of runs is a full row
+        outs, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: outs.append(k["out"]) or einsum(*a, **k))
+        config = mc(runs=40_000 // rays, rays=rays, phases=phases)
+        wall_power_estimates([CFG, replace(CFG, h_uav_m=20.0)], config)
+        ws = simulator._local.workspace
+        assert len(outs) == 2 * 2 * len(simulator._block_firsts(config))
+        assert not any(np.shares_memory(out, ws) for out in outs)
 
 
 class TestKeptPlanes:
