@@ -53,7 +53,8 @@ UAV's own plane for the LoS, evaluated as a one-point array, to which
 angle live only in the tests' scalar reference.  Before any budget of a
 point runs, one scalar check (``_check_path_lengths``) bounds each of its
 path lengths from above and below, so a path that overflows or has length 0
-is named, not computed, and the blocks run no checks.
+is named, not computed, and neither the blocks nor the reflector sum
+(``_irs_sum``) check again.
 
 The BS-to-point angle needs the horizontal distance sqrt(dx^2 + dy^2): it is
 the root of the partial sum from which d1 = sqrt((dy^2 + dx^2) + dz^2) is
@@ -176,11 +177,12 @@ class GainResult:
     mean_wall_power_mw: float             # Monte Carlo mean baseline power
 
 
-class WallEstimate(NamedTuple):
+class PointEstimate(NamedTuple):  # a point as a batch resolves it, for irs_gain to finish
     mean_power_mw: float
     std_error_mw: float
     mean_reflection_amplitude: float
     los_amplitude: float  # the LoS term the mean power includes
+    irs_sum_amplitude: float  # the element amplitudes summed
 
 
 def _los_amp_phase(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -316,9 +318,8 @@ def _poly(x: np.ndarray, coeffs: tuple[float, ...], out: np.ndarray) -> np.ndarr
 
 def _irs_sum(cfg: ScenarioConfig) -> float:
     """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
-    slices of ``BLOCK_PATHS`` elements whose coordinates are made one slice at
-    a time, so that memory is flat in k."""
-    _check_path_lengths(cfg)  # _bs_side and _uav_side check nothing
+    slices of ``BLOCK_PATHS`` elements made a slice at a time, so memory is
+    flat in k.  It checks nothing: a batch has checked the point's paths."""
     total, center = 0.0, cfg.irs_center
     for first in range(0, cfg.k, BLOCK_PATHS):
         y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, BLOCK_PATHS)
@@ -395,25 +396,25 @@ def kept_planes(cfg: ScenarioConfig, mc: MonteCarloConfig) -> KeptPlanes:
 
 
 def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig,
-                         kept: KeptPlanes | None = None) -> list[WallEstimate]:
-    """Mean and standard error of the baseline received power over ``n_runs``
-    at each of ``cfgs`` with the same Monte Carlo controls, in one pass over
-    the run blocks, each with the LoS amplitude its mean includes.  The blocks
+                         kept: KeptPlanes | None = None) -> list[PointEstimate]:
+    """Each of ``cfgs`` resolved once under the same Monte Carlo controls: its
+    path check, LoS and reflector sum, and its baseline power's mean and
+    standard error over ``n_runs`` from one pass over the run blocks.  The blocks
     run on this thread, or on up to ``mc.threads`` threads of the kept pool;
     they are merged here in run order either way, so ``threads`` moves no bit.
     With ``kept``, whose key every point must share, the blocks it holds read
     their scatter points from it."""
-    scene = []  # per point: cfg, LoS amplitude and phasor, sharing keys
+    scene = []  # per point: cfg, its LoS amplitude and reflector sum, LoS phasor, sharing keys
     for cfg in cfgs:
-        _check_path_lengths(cfg)
+        _check_path_lengths(cfg)  # the point's one check: the budgets below check nothing
         a0, phi0 = _los_amp_phase(cfg)
         c, patch = cfg.irs_center, _patch(cfg)
         bs_side = (patch, cfg.bs, c.x, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db, cfg.p_t_dbm)
-        scene.append((cfg, a0, a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
+        scene.append((cfg, (a0, _irs_sum(cfg)), a0 * math.cos(phi0), a0 * math.sin(phi0), patch, bs_side))
     if kept is not None and (mc != kept.mc or any(point[4] != kept.patch for point in scene)):
         raise InvalidParameterError("a batch that reads kept scatter planes needs their Monte Carlo controls and patch")
     if not scene or mc.n_rays == 0:
-        return [WallEstimate(a0 * a0, 0.0, 0.0, a0) for _, a0, *_ in scene]
+        return [PointEstimate(a0 * a0, 0.0, 0.0, a0, irs) for _, (a0, irs), *_ in scene]
 
     firsts = _block_firsts(mc)
     count, stats = 0, [[0.0, 0.0, 0.0] for _ in scene]  # per point: mean, M2, sum of |ray sum|
@@ -427,8 +428,8 @@ def wall_power_estimates(cfgs: list[ScenarioConfig], mc: MonteCarloConfig,
             acc[0] += delta * (n / count)
             acc[1] += block_m2 + delta * delta * ((count - n) * n / count)
 
-    return [WallEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0, refl / count, a0)
-            for (mean, m2, refl), (_, a0, *_) in zip(stats, scene)]
+    return [PointEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0,
+                          refl / count, *sums) for (mean, m2, refl), (_, sums, *_) in zip(stats, scene)]
 
 
 def _check_path_lengths(cfg: ScenarioConfig) -> None:
@@ -543,14 +544,12 @@ def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes 
     return n, stats
 
 
-def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | None = None) -> GainResult:
-    """Full gain evaluation at one scenario point; ``wall`` is its baseline
-    estimate when a batch (``wall_power_estimates``) has already made it."""
+def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: PointEstimate | None = None) -> GainResult:
+    """The gain at one point, only arithmetic on ``wall``: the point's record
+    from a batch (``wall_power_estimates``), or ``[cfg]``'s as a one-point batch."""
     if wall is None:
         wall = wall_power_estimates([cfg], mc)[0]
-    a0 = wall.los_amplitude
-    irs_sum = _irs_sum(cfg)
-    gamma = a0 + irs_sum
+    gamma = wall.los_amplitude + wall.irs_sum_amplitude
     if wall.mean_power_mw == 0.0:
         raise FloatingPointError("zero received power: the mean wall power is 0 mW")
     ratio = gamma * gamma / wall.mean_power_mw
@@ -563,8 +562,8 @@ def irs_gain(cfg: ScenarioConfig, mc: MonteCarloConfig, wall: WallEstimate | Non
         gain_db=gain_db,
         std_error_db=se_db,
         gamma_irs=gamma,
-        los_amplitude=a0,
-        irs_sum_amplitude=irs_sum,
+        los_amplitude=wall.los_amplitude,
+        irs_sum_amplitude=wall.irs_sum_amplitude,
         mean_wall_reflection_amplitude=wall.mean_reflection_amplitude,
         mean_wall_power_mw=wall.mean_power_mw,
     )

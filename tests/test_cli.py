@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -16,7 +17,7 @@ from irslink import cli, rng
 from irslink.cli import _KEY_TYPES, _build_parser, _flag, _parse_overlay, _parse_range, main, parse_config_text
 from irslink.errors import InvalidParameterError
 from irslink.experiments import SWEEPABLE
-from irslink.scenario import ScenarioConfig
+from irslink.scenario import MonteCarloConfig, ScenarioConfig
 
 HEADER = "gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw"
 
@@ -36,6 +37,11 @@ ZERO_POWER = [
 FLOAT_FLAGS = sorted(_flag(f.name) for f in fields(ScenarioConfig) if _KEY_TYPES[f.name] is float)
 EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", "1e155", "1e300", "-1e300", "nan",
                "inf"]
+# the flag of every int field, at each metadata bound and one past it; n_runs
+# only past its top, as a valid 10**9-run point takes hours
+INT_EDGES = [(_flag(f.name), str(value)) for f in fields(ScenarioConfig) + fields(MonteCarloConfig)
+             if _KEY_TYPES[f.name] is int for key, step in (("ge", -1), ("le", 1)) if key in f.metadata
+             for value in (f.metadata[key], f.metadata[key] + step) if (f.name, value) != ("n_runs", 10**9)]
 BIG = str(10**400)  # an integer flag value of 401 digits
 LONG_DIGITS = "1" + "0" * 5000  # past int()'s 4,300-digit limit, and inf as a float
 HUGE_SIDE = "1" + "0" * 3000  # a lattice side whose product with itself is past str()'s 4,300 digits
@@ -127,23 +133,33 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: zero received power")
         assert list(tmp_path.iterdir()) == []
 
-    # any 1-4 float flags at edge values: an exit code of the contract, and on
-    # an error one "error:" line and no output file
+    # gain or a 3-point sweep with any 1-4 float flags at edge values or int
+    # flags at their bounds: an exit code of the contract; on success no nan
+    # or inf cell, and on an error one "error:" line under 120 characters and
+    # no output file
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EDGE_VALUES)), min_size=1, max_size=4))
-    @example([tuple(ZERO_POWER[0][i:i + 2]) for i in range(1, 9, 2)])
-    @example([("--p-t-dbm", "-1e4")])
-    def test_edge_values_keep_the_exit_code_contract(self, pairs):
+    @given(st.sampled_from([["gain"], ["sweep", "--sweep", "h-uav", "--values", "20:40:10"]]),
+           st.lists(st.one_of(st.tuples(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EDGE_VALUES)),
+                              st.sampled_from(INT_EDGES)), min_size=1, max_size=4))
+    @example(["gain"], [tuple(ZERO_POWER[0][i:i + 2]) for i in range(1, 9, 2)])
+    @example(["gain"], [("--p-t-dbm", "-1e4")])
+    def test_edge_values_keep_the_exit_code_contract(self, command, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             out_csv = Path(tmp) / "out.csv"
-            argv = ["gain"] + [f"{flag}={value}" for flag, value in pairs]
+            # the drawn flags after the run controls, so that a drawn n_runs or n_rays holds
+            argv = command + ["--n-runs", "5", "--n-rays", "3"] + [f"{flag}={value}" for flag, value in pairs]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + ["--n-runs", "5", "--n-rays", "3", "--out", str(out_csv)])
+                code = main(argv + ["--out", str(out_csv)])
             assert code in (0, 2, 3), argv
             if code:
-                assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:"), argv
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:") and len(lines[0]) < 120, argv
                 assert not out_csv.exists()
+            else:
+                cells = [cell for line in out_csv.read_text().splitlines()[1:] for cell in line.split(",")]
+                assert len(cells) == 8 * (3 if command[0] == "sweep" else 1), argv  # the value, then the 7 results
+                assert all(math.isfinite(float(cell)) for cell in cells), argv
 
     def test_uav_within_underflow_of_the_bs_is_exit_3(self, capsys):
         # 1e-200 m from the BS the LoS length's square underflows to 0: the

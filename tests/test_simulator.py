@@ -444,6 +444,36 @@ class TestClosedFormMean:
             z = (est.mean_power_mw - exact) / est.std_error_mw
             assert abs(z) <= 4.0, f"{name}: MC mean {est.mean_power_mw} mW, closed form {exact} mW at nq {nq}, z {z:.2f}"
 
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_the_standard_error_is_calibrated(self, phases):
+        # one batch of 1,000 runs per seed, the 200 seeds 10,000 + s fixed
+        # before any z was seen: with a right SE, z = (MC mean - closed form) /
+        # SE is near a standard normal at each point.  E[z^2] must be within 4
+        # of its standard errors of 1, the standard error taken from the z's
+        # own fourth moment, and each tail past 1.96 (2.5% of a normal) within
+        # its exact binomial bounds at 1e-4, 0 to 15 of the 200
+        cfgs = {"defaults": CFG, "h_uav 20": replace(CFG, h_uav_m=20.0)}
+        exact = [closed_form_mean_power(cfg, 20, phases == "uniform")[0] for cfg in cfgs.values()]
+        seeds = range(10_000, 10_200)
+        # (seed, point, field): the fields start with the mean power and its SE
+        est = np.array([wall_power_estimates(list(cfgs.values()), mc(runs=1000, seed=seed, phases=phases))
+                        for seed in seeds])
+        z = ((est[:, :, 0] - exact) / est[:, :, 1]).T
+        lo, hi = binomial_bounds(len(seeds), 0.025, 1e-4)
+        for name, zs in zip(cfgs, z):
+            z2 = zs * zs
+            assert abs(z2.mean() - 1.0) <= 4.0 * math.sqrt(z2.var() / len(zs)), f"{name}: E[z^2] {z2.mean():.3f}"
+            for side, tail in (("above", zs > 1.96), ("below", zs < -1.96)):
+                assert lo <= tail.sum() <= hi, f"{name}: {tail.sum()} of {len(zs)} z {side} 1.96, bounds {lo}-{hi}"
+
+
+def binomial_bounds(n, p, alpha):
+    """The counts (lo, hi) of n Bernoulli(p) trials with P(X < lo) <= alpha
+    and P(X > hi) <= alpha, from the exact binomial distribution."""
+    cdf = list(itertools.accumulate(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)))
+    return (next(k for k in range(n + 1) if cdf[k] > alpha),
+            next(k for k in range(n + 1) if 1.0 - cdf[k] <= alpha))
+
 
 def kernel_sincos(t):
     """cos 2 pi t and sin 2 pi t for turns t in [-1/2, 1/2] as the wall kernel
@@ -553,13 +583,13 @@ def assert_bs_side_within_roundings(cfg, x, y, z):
 class TestBsSideAngle:
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_kernel_calls_no_hypot_or_degrees(self, monkeypatch, phases):
-        # neither numpy's nor libm's: no part of a point, the LoS included
+        # neither numpy's nor libm's: no part of a point, the LoS and the
+        # reflector sum the batch resolves with it included
         calls = []
         for module, name in itertools.product((np, math), ("hypot", "degrees")):
             spy = partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), getattr(module, name))
             monkeypatch.setattr(module, name, spy)
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0, uav_y_m=7.0)], mc(runs=100, phases=phases))
-        simulator._irs_sum(CFG)
         assert calls == []
 
     # a 20 m patch 30 m from the BS spans the down-tilted main lobe and the
@@ -848,8 +878,8 @@ class TestKeptPlanes:
 
 
 # a value of every ScenarioConfig field other than CFG's, each valid beside
-# CFG's other fields and each but pl_irs_db moving a wall estimate (sla_db 0.2
-# puts the pattern floor under the patch)
+# CFG's other fields and each moving a point's estimate (pl_irs_db its
+# reflector sum alone; sla_db 0.2 puts the pattern floor under the patch)
 _OTHER_VALUES = {
     "f_ghz": 3.5, "p_t_dbm": 40.0, "theta_etilt_deg": 5.0, "theta3db_deg": 4.0, "sla_db": 0.2,
     "pl_irs_db": 3.0, "pl_wall_db": 6.0, "h_bs_m": 30.0, "h_uav_m": 60.0, "h_irs_m": 5.0,
@@ -867,7 +897,7 @@ class TestSharingKeys:
         config = mc(runs=23, rays=7, phases=phases)
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * 7)  # blocks of 5 runs, the last one short
         alone = {cfg: wall_power_estimates([cfg], config)[0] for cfg in (CFG, other)}
-        assert (alone[CFG] == alone[other]) is (name == "pl_irs_db")  # the reflector's loss alone
+        assert alone[CFG] != alone[other]
         for batch in ([CFG, other], [other, CFG]):
             for cfg, est in zip(batch, wall_power_estimates(batch, config)):
                 assert [x.hex() for x in est] == [x.hex() for x in alone[cfg]]
@@ -911,6 +941,24 @@ class TestIrsGain:
         irs_gain(CFG, config)
         assert built == [CFG]
         assert walls == [([CFG], config)]
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_a_sweep_resolves_each_point_once(self, monkeypatch, phases):
+        # the batch checks each point's paths once and makes its reflector sum
+        # there; irs_gain, given the point's record, checks, sums and budgets nothing
+        calls = {name: [] for name in ("_check_path_lengths", "_irs_sum", "_bs_side")}
+        for name, seen in calls.items():
+            spy = partial(lambda f, seen, *a, **k: seen.append(a[0]) or f(*a, **k), getattr(simulator, name), seen)
+            monkeypatch.setattr(simulator, name, spy)
+        spec = SweepSpec("h_uav", (20.0, 30.0, 50.0), CFG, mc(runs=100, phases=phases))
+        rows = run_sweep(spec).rows
+        cfgs = [replace(CFG, h_uav_m=h) for h in spec.values]
+        assert calls["_check_path_lengths"] == calls["_irs_sum"] == cfgs
+        records = wall_power_estimates(cfgs, spec.mc)
+        for seen in calls.values():
+            seen.clear()
+        assert [irs_gain(cfg, spec.mc, rec) for cfg, rec in zip(cfgs, records)] == [row.result for row in rows]
+        assert all(seen == [] for seen in calls.values())
 
     def test_gain_result_invariants(self):
         res = irs_gain(CFG, mc(runs=500))
