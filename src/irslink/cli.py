@@ -130,29 +130,17 @@ def build_configs(args) -> tuple[ScenarioConfig, MonteCarloConfig]:
         values["irs_rows"], values["irs_cols"] = lattice_shape(k, values.get("irs_rows"), values.get("irs_cols"))
 
     mc_values = {key: values.pop(key) for key in _MC_KEYS & values.keys()}
-    cfg = ScenarioConfig(**values)
-    mc = MonteCarloConfig(**mc_values)
-    if cfg.k < 1:
-        raise InvalidParameterError("irs_rows*irs_cols must be >= 1 (element count k must be positive)")
-    return cfg, mc
-
-
-def _result_cells(res: GainResult) -> str:
-    cells = astuple(res)
-    text = ",".join(_fmt(v) for v in cells)
-    if not all(math.isfinite(v) for v in cells):  # exit 3 before anything is written
-        raise FloatingPointError(f"non-finite result: {_HEADER_BASE} = {text}")
-    return text
+    return ScenarioConfig(**values), MonteCarloConfig(**mc_values)
 
 
 def _emit_sweep(args, result, extra: dict) -> None:
-    """Write a command's plot (with --svg), then its CSV and manifest, once every cell is checked."""
+    """Write a command's plot (with --svg), then its CSV and manifest; every result is finite."""
     spec = result.spec
     parameter, overlay = spec.parameter, spec.overlay_parameter
     lines = [("param,overlay," if overlay else "param,") + _HEADER_BASE]
     for row in result.rows:
         prefix = _fmt(row.value) + ("," + _fmt(row.overlay_value) if overlay else "")
-        lines.append(f"{prefix},{_result_cells(row.result)}")
+        lines.append(",".join([prefix, *map(_fmt, astuple(row.result))]))
     csv_text = "\n".join(lines) + "\n"
     manifest = {
         "artifact_version": __version__,
@@ -259,11 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    code = 2
     try:
         args = _build_parser().parse_args(argv)
         args._argv = argv
-        # every result cell is checked before output (exit 3), so numpy's
-        # overflow/invalid warnings would only repeat that report
+        # a non-finite result raises when its record is made (exit 3), so
+        # numpy's overflow/invalid warnings would only repeat that report
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except InvalidParameterError as exc:
@@ -272,14 +261,13 @@ def main(argv=None) -> int:
         message = f"{exc.strerror or exc}" + ("" if exc.filename is None else f": {exc.filename!r}")
     except MemoryError as exc:  # an allocation this host cannot serve, reported like a bad input
         message = f"out of memory: {exc}"
-    except (DegenerateGeometryError, ArithmeticError) as exc:  # overflow, division by zero, non-finite cells
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    # a rejection is one line of at most 120 characters, newline included: a
-    # longer one keeps its two ends, whatever input text it quotes
+    except (DegenerateGeometryError, ArithmeticError) as exc:  # overflow, division by zero, a non-finite result
+        message, code = str(exc), 3
+    # an error, exit 2 or 3, is one line of at most 120 characters, newline
+    # included: a longer one keeps its two ends, whatever input text it quotes
     line = f"error: {message}"
     sys.stderr.write((line if len(line) < 120 else f"{line[:67]} ... {line[-47:]}") + "\n")
-    return 2
+    return code
 
 
 if __name__ == "__main__":

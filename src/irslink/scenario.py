@@ -69,8 +69,8 @@ class ScenarioConfig:
     # where the UMa-AV path loss holds: PL0's (h - 1.5) term, TR 36.777 above
     h_uav_m: float = field(default=50.0, metadata={"ge": 1.5, "le": 300.0})
     h_irs_m: float = field(default=10.0, metadata=_POSITIVE)
-    irs_rows: int = field(default=10, metadata=_NON_NEGATIVE)
-    irs_cols: int = field(default=10, metadata=_NON_NEGATIVE)
+    irs_rows: int = field(default=10, metadata={"ge": 1})
+    irs_cols: int = field(default=10, metadata={"ge": 1})
     l_m: float = field(default=50.0, metadata=_POSITIVE)
     element_pitch_m: float = field(default=0.02, metadata=_POSITIVE)
     uav_x_m: float | None = None  # None tracks l_m / 2
@@ -94,8 +94,7 @@ class ScenarioConfig:
     def k(self) -> int:
         return self.irs_rows * self.irs_cols
 
-    # the scene: BS at the origin, wall at x = L, UAV midway unless pinned;
-    # k = 0 (no reflector) gives a zero-extent patch
+    # the scene: BS at the origin, wall at x = L, UAV midway unless pinned
     @property
     def bs(self) -> Position3D:
         return Position3D(0.0, 0.0, self.h_bs_m)
@@ -110,11 +109,11 @@ class ScenarioConfig:
 
     @property
     def patch_half_width_y(self) -> float:
-        return (self.irs_cols - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
+        return (self.irs_cols - 1) * self.element_pitch_m / 2.0
 
     @property
     def patch_half_height_z(self) -> float:
-        return (self.irs_rows - 1) * self.element_pitch_m / 2.0 if self.k else 0.0
+        return (self.irs_rows - 1) * self.element_pitch_m / 2.0
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -175,6 +175,11 @@ class GainResult:
     irs_sum_amplitude: float = field(metadata={"column": "irs_sum_amp"})  # element amplitudes alone
     mean_wall_reflection_amplitude: float = field(metadata={"column": "wall_mean_amp"})  # mean |sum of rays|, no LoS
     mean_wall_power_mw: float             # Monte Carlo mean baseline power
+
+    def __post_init__(self):  # a result that exists is finite
+        bad = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise FloatingPointError("non-finite result: " + ", ".join(bad))
 
 
 class PointEstimate(NamedTuple):  # a point as a batch resolves it, for irs_gain to finish
@@ -317,9 +322,9 @@ def _poly(x: np.ndarray, coeffs: tuple[float, ...], out: np.ndarray) -> np.ndarr
 
 
 def _irs_sum(cfg: ScenarioConfig) -> float:
-    """Sum of the element amplitudes in sqrt-mW (0.0 with no reflector), over
-    slices of ``BLOCK_PATHS`` elements made a slice at a time, so memory is
-    flat in k.  It checks nothing: a batch has checked the point's paths."""
+    """Sum of the element amplitudes in sqrt-mW, over slices of ``BLOCK_PATHS``
+    elements made a slice at a time, so memory is flat in k.  It checks
+    nothing: a batch has checked the point's paths."""
     total, center = 0.0, cfg.irs_center
     for first in range(0, cfg.k, BLOCK_PATHS):
         y, z = element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, center, first, BLOCK_PATHS)

@@ -145,13 +145,10 @@ class Scene:
 def scene(cfg: ScenarioConfig) -> Scene:
     """The BS at (0, 0, h_bs), the UAV at x = L/2 unless pinned, the patch
     centre at (L, 0, h_irs), and the half extents of the element lattice's
-    bounding box, (n - 1) pitches over 2 for n columns or rows, zero when there
-    is no reflector (k = 0)."""
+    bounding box, (n - 1) pitches over 2 for n columns or rows."""
     uav_x = cfg.l_m / 2.0 if cfg.uav_x_m is None else cfg.uav_x_m
-    half_w = half_h = 0.0
-    if cfg.irs_rows > 0 and cfg.irs_cols > 0:
-        half_w = (cfg.irs_cols - 1) * cfg.element_pitch_m / 2.0
-        half_h = (cfg.irs_rows - 1) * cfg.element_pitch_m / 2.0
+    half_w = (cfg.irs_cols - 1) * cfg.element_pitch_m / 2.0
+    half_h = (cfg.irs_rows - 1) * cfg.element_pitch_m / 2.0
     return Scene(Position3D(0.0, 0.0, cfg.h_bs_m), Position3D(uav_x, cfg.uav_y_m, cfg.h_uav_m),
                  Position3D(cfg.l_m, 0.0, cfg.h_irs_m), half_w, half_h)
 

@@ -42,6 +42,11 @@ EDGE_VALUES = ["0", "-0", "1e-320", "-1e-320", "1e-9", "1", "90", "180", "300", 
 INT_EDGES = [(_flag(f.name), str(value)) for f in fields(ScenarioConfig) + fields(MonteCarloConfig)
              if _KEY_TYPES[f.name] is int for key, step in (("ge", -1), ("le", 1)) if key in f.metadata
              for value in (f.metadata[key], f.metadata[key] + step) if (f.name, value) != ("n_runs", 10**9)]
+# element counts up to 10**6, primes (1 x k strips) among them
+K_VALUES = ["1", "2", "7", "100", "4096", "65521", "999983", "1000000"]
+# a small valid 3-point grid of each sweepable parameter
+SWEEP_VALUES = {"k": "50:150:50", "h_uav": "20:40:10", "l": "40:60:10", "h_irs": "5:15:5", "f": "2:4:1"}
+SWEEPS = [["sweep", "--sweep", name.replace("_", "-"), "--values", SWEEP_VALUES[name]] for name in SWEEPABLE]
 BIG = str(10**400)  # an integer flag value of 401 digits
 LONG_DIGITS = "1" + "0" * 5000  # past int()'s 4,300-digit limit, and inf as a float
 HUGE_SIDE = "1" + "0" * 3000  # a lattice side whose product with itself is past str()'s 4,300 digits
@@ -133,16 +138,19 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: zero received power")
         assert list(tmp_path.iterdir()) == []
 
-    # gain or a 3-point sweep with any 1-4 float flags at edge values or int
-    # flags at their bounds: an exit code of the contract; on success no nan
-    # or inf cell, and on an error one "error:" line under 120 characters and
-    # no output file
+    # gain or a 3-point sweep of any sweepable parameter with any 1-4 float
+    # flags at edge values, int flags at their bounds or lattice sizes: an
+    # exit code of the contract; on success no nan or inf cell, and on an
+    # error, exit 2 or 3, one "error:" line under 120 characters and no output file
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(st.sampled_from([["gain"], ["sweep", "--sweep", "h-uav", "--values", "20:40:10"]]),
+    @given(st.sampled_from([["gain"]] + SWEEPS),
            st.lists(st.one_of(st.tuples(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EDGE_VALUES)),
-                              st.sampled_from(INT_EDGES)), min_size=1, max_size=4))
+                              st.sampled_from(INT_EDGES), st.tuples(st.just("--k"), st.sampled_from(K_VALUES))),
+                    min_size=1, max_size=4))
     @example(["gain"], [tuple(ZERO_POWER[0][i:i + 2]) for i in range(1, 9, 2)])
     @example(["gain"], [("--p-t-dbm", "-1e4")])
+    @example(["gain"], [("--p-t-dbm", "3000")])  # a non-finite result
+    @example(["gain"], [("--p-t-dbm", "3200")])  # several, named in a line past 120 characters
     def test_edge_values_keep_the_exit_code_contract(self, command, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             out_csv = Path(tmp) / "out.csv"
@@ -214,6 +222,17 @@ class TestExitCodes:
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:")
             assert "non-finite" in err
+
+    def test_non_finite_result_names_its_fields(self, capsys):
+        # the squared deviations of 10**300 mW powers overflow: only the standard error is nan
+        assert run_cli(["gain", "--p-t-dbm", "3000", "--n-runs", "10"], capsys) == (
+            3, "", "error: non-finite result: std_error_db = nan\n")
+
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_empty_lattice_is_exit_2(self, side, capsys):
+        # the config's own bound, the same line as the library's error
+        assert run_cli(["gain", f"--irs-{side}", "0"], capsys) == (
+            2, "", f"error: irs_{side} must be in [1, inf), got 0\n")
 
     def test_non_finite_point_split_over_threads_is_exit_3(self, capsys):
         # three run blocks on the pool, each in a copy of main()'s numpy error state
@@ -348,7 +367,7 @@ class TestExitCodes:
         ["gain", "--h-uav", "1000"],
         ["sweep", "--sweep", "h-uav", "--values", "200:400:100"],  # 400 m, before 200 m is evaluated
         ["gain", "--irs-rows=-1"],
-        ["gain", "--irs-rows", "0"],  # k = 0: no reflector to evaluate
+        ["gain", "--irs-rows", "0"],  # a reflector has at least one element
         ["gain", "--seed", str(2**64)],
         ["gain", "--k", "50", "--irs-rows", "7"],  # not a multiple
         ["gain", "--k", "50", "--irs-cols", "7"],

@@ -397,14 +397,20 @@ class TestOptimalDistance:
         assert l_star == 42.0
         assert gain == pytest.approx(irs_gain(apply_parameter(CFG, "l", 42.0), MC).gain_db)
 
-    def test_tie_breaks_toward_smaller_l(self):
-        # no reflector elements, no rays, UAV pinned: the gain is flat in L
-        base = replace(CFG, irs_rows=0, irs_cols=0, uav_x_m=25.0)
-        flat_mc = MonteCarloConfig(n_runs=1, n_rays=0)
+    def test_tie_breaks_toward_smaller_l(self, monkeypatch):
+        # the gain is flat in L: the first grid point wins, with no golden step
+        calls = []
+
+        def flat(cfg, mc, wall=None):
+            calls.append(cfg.l_m)
+            return SimpleNamespace(gain_db=0.0)
+
+        monkeypatch.setattr(experiments, "irs_gain", flat)
         for refine in (False, True):
-            _, l_star, gain = optimal_distance(base, flat_mc, [40.0, 50.0, 60.0], refine=refine)
-            assert l_star == 40.0
-            assert gain == 0.0
+            calls.clear()
+            _, l_star, gain = optimal_distance(CFG, MC, [40.0, 50.0, 60.0], refine=refine)
+            assert (l_star, gain) == (40.0, 0.0)
+            assert calls == [40.0, 50.0, 60.0]
 
     def test_default_grid_argmax_near_55_boresight(self):
         # boresight from the BS (25 m) meets a 10 m wall centre near L = 56;

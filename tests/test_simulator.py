@@ -19,7 +19,7 @@ from irslink.errors import DegenerateGeometryError, InvalidParameterError
 from irslink.experiments import SweepSpec, default_h_uav_grid, run_sweep
 from irslink.propagation import NLOS_BREAKPOINT_HEIGHT_M, pl_nlos, vertical_gain
 from irslink.rng import run_seeds, uniform_block
-from irslink.scenario import MonteCarloConfig, Position3D, ScenarioConfig, element_positions
+from irslink.scenario import SPEED_OF_LIGHT, MonteCarloConfig, Position3D, ScenarioConfig, element_positions
 from irslink.simulator import irs_gain, wall_power_estimates
 from scalar_reference import (
     PHASE_GEOMETRIC,
@@ -203,10 +203,11 @@ class TestLinkBudgetOracle:
 
 
 class TestIrsAmplitude:
-    def test_empty_lattice_equals_los_alone(self):
-        cfg = replace(CFG, irs_rows=0, irs_cols=0)
-        los = los_coefficient(scene(cfg), cfg, cfg, cfg.p_t_dbm)
-        assert gamma_irs(cfg) == pytest.approx(los.amplitude, rel=1e-12, abs=0.0)
+    def test_empty_lattice_rejected(self):
+        # no config has zero elements, so no point is the LoS alone
+        for side in ("irs_rows", "irs_cols"):
+            with pytest.raises(InvalidParameterError, match=f"{side} must be in"):
+                replace(CFG, **{side: 0})
 
     def test_matches_per_element_summation(self):
         # vectorised path against the scalar coefficient chain
@@ -388,6 +389,120 @@ class TestPhaseAccuracy:
         config = mc(runs=200, rays=20, phases=phases)
         est = wall_power_estimates([cfg], config)[0]
         assert est.mean_power_mw == pytest.approx(exact_phase_mean_power(cfg, config), rel=1e-10, abs=0.0)
+
+
+U = np.finfo(float).eps / 2  # one rounding, relative
+
+
+def exact_run_power(cfg, config):
+    """Run 0's baseline power under ``config``, written out in mpmath at 40
+    digits from the config's fields and the run's uniforms (each an exact
+    dyadic rational), and a bound on the kernel's error counted from its
+    roundings, u each, at first order: (P, bound).  Float constants of the
+    model (13.54, 39.08, ...) enter as the doubles the kernel uses."""
+    n = config.n_rays
+    draws = uniform_block(run_seeds(config.master_seed, 1), 3 * n)[0].tolist()
+    with mpmath.workdps(40):
+        mpf, log10, ln10_20 = mpmath.mpf, mpmath.log10, mpmath.ln(10) / 20
+        f, p_t, tilt, th3, sla = map(mpf, (cfg.f_ghz, cfg.p_t_dbm, cfg.theta_etilt_deg, cfg.theta3db_deg, cfg.sla_db))
+        h_bs, h_uav, h_irs, l_m = map(mpf, (cfg.h_bs_m, cfg.h_uav_m, cfg.h_irs_m, cfg.l_m))
+        uav_x, uav_y = l_m / 2 if cfg.uav_x_m is None else mpf(cfg.uav_x_m), mpf(cfg.uav_y_m)
+        lam, f_db = mpf(SPEED_OF_LIGHT) / (f * 10**9), 20 * log10(f)
+
+        def bs_side(x, y, z, e_z):
+            """d1, p_t + G at (x, y, z) and the bound on G's error, with z off
+            by up to e_z.  The horizontal distance's roundings are 4 u, and
+            atan2(dz, h) moves by at most half of its relative change, plus
+            e_z / d1 from z and u from dz; numpy's arctan2 is within 4 ulp
+            (8 u), and 180/pi and the product by it round 3 u more.  dev
+            rounds twice and 12 dev dev twice more; past the SLA floor by
+            more than that error, min() returns the floor exactly."""
+            d1 = mpmath.sqrt(y * y + x * x + (h_bs - z) ** 2)
+            theta = mpmath.degrees(mpmath.atan2(h_bs - z, mpmath.hypot(x, y)))
+            dev = (theta - tilt) / th3
+            d_theta = mpmath.degrees(e_z / d1 + 2.5 * U) + 11 * U * abs(theta)
+            d_dev = (d_theta + U * abs(theta - tilt)) / th3 + U * abs(dev)
+            err = 24 * abs(dev) * d_dev + 12 * d_dev**2 + 24 * U * dev * dev
+            return d1, p_t - min(12 * dev * dev, sla), 0 if 12 * dev * dev - err > sla else err
+
+        def amplitude(gain, d_gain, pl_forms, coef, rho, loss):
+            """10^(p/20) for p = gain - PL - loss, PL the largest sum of
+            ``pl_forms`` (each a tuple of dB terms, coef log10(d) among them,
+            d off by rho relative), and the bound on its relative error.  Each
+            term rounds within 14 u of itself (a product of numpy's log10,
+            4 ulp, and a coefficient made with 5 u), the sums round 6 times,
+            each within u of the terms' magnitudes D, and constants such as
+            40 pi f / 3 round 4 u more: 24 u D.  exp is within 4 ulp, and the
+            product by ln(10)/20 and that constant round 2 u of p ln(10)/20."""
+            p = gain - max(map(sum, pl_forms)) - loss
+            big = abs(gain) + max(sum(map(abs, form)) for form in pl_forms) + loss
+            d_p = 24 * U * big + coef * rho / mpmath.ln(10) + d_gain
+            return mpmath.power(10, p / 20), (d_p + 2 * U * abs(p)) * ln10_20 + 8 * U
+
+        # the LoS: d rounds within 5.5 u; its phase, in radians, rounds 6 u of
+        # itself more (2 pi, the product, the quotient, lambda's 2 u, the
+        # modulus by a float 2 pi)
+        d, gain, d_gain = bs_side(uav_x, uav_y, h_uav, 0)
+        a0, r0 = amplitude(gain, d_gain, [(mpf(28.0), 22 * log10(d), f_db)], 22, 5.5 * U, 0)
+        t0 = -d / lam
+        paths = [(a0, t0, r0, abs(t0) * 11.5 * U)]  # amplitude, turns, relative error, turns error
+        high = cfg.h_uav_m >= NLOS_BREAKPOINT_HEIGHT_M
+        coef = 46 - 7 * log10(h_uav) if high else mpf(39.08)
+
+        def nlos_forms(s):  # PL_NLoS's sums of dB terms: one above the breakpoint, PL_LoS's and PL_0's below it
+            if high:
+                return [(coef * log10(s), mpf(-17.5), 20 * log10(40 * mpmath.pi * f / 3))]
+            return [(mpf(28.0), 22 * log10(s), f_db),
+                    (mpf(13.54), coef * log10(s), f_db, -mpf(0.6) * (h_uav - mpf(1.5)))]
+
+        half_w = (cfg.irs_cols - 1) * mpf(cfg.element_pitch_m) / 2
+        half_h = (cfg.irs_rows - 1) * mpf(cfg.element_pitch_m) / 2
+        for i in range(n):
+            # the scatter point, y = (2u - 1) half and z = h_irs + (2u - 1) half:
+            # the half size and the product round 2 u, adding h_irs u more
+            y, dz = (2 * mpf(draws[2 * i]) - 1) * half_w, (2 * mpf(draws[2 * i + 1]) - 1) * half_h
+            z, e_y = h_irs + dz, 2 * U * abs(y)
+            e_z = 2 * U * abs(dz) + U * abs(z)
+            d1, gain, d_gain = bs_side(l_m, y, z, e_z)
+            s = d1 + mpmath.sqrt((uav_y - y) ** 2 + (uav_x - l_m) ** 2 + (h_uav - z) ** 2)
+            # d1 rounds within 4.5 u + e_z / d1, d2 within 3.5 u + (e_y + e_z) / d2, their sum u
+            rho = 5.5 * U + (e_y + 2 * e_z) / s
+            a, r = amplitude(gain, d_gain, nlos_forms(s), coef, rho, mpf(cfg.pl_wall_db))
+            if config.ray_phases == "uniform":
+                paths.append((a, mpf(draws[2 * n + i]), r, 0))  # an exact draw
+            else:  # -s / lambda: lambda's 2 u and the quotient's u
+                paths.append((a, -s / lam, r, abs(s / lam) * (rho + 3 * U)))
+        z_sum = sum(a * mpmath.expjpi(2 * t) for a, t, _, _ in paths)
+        total = sum(a for a, *_ in paths)
+        # each phasor is within 12 u of its value (the half-turn polynomials'
+        # 4.5e-16 per part, libm's cos and sin), the amplitude products round u
+        # each and the n + 1 terms' sum n u per part; the squares and their sum 3 u
+        err = sum(a * (r + 2 * mpmath.pi * dt + 12 * U) for a, _, r, dt in paths) + 2 * (n + 1) * U * total
+        return abs(z_sum) ** 2, (2 * total + err) * err + 3 * U * total * total
+
+
+class TestRunPowerOracle:
+    # Each run's power against its 40-digit value, within the kernel's
+    # rounding count.  The grid was fixed before any error was seen: the
+    # defaults (above the NLoS breakpoint), h_uav 20 m (below it), a 400x400
+    # lattice (an 8 m patch) and 38 GHz at L 400 m (paths of 10^5
+    # wavelengths), 12 seeds each, in both phase modes: 96 runs
+    GRID = {
+        "defaults": CFG,
+        "h_uav 20": replace(CFG, h_uav_m=20.0),
+        "400x400": replace(CFG, irs_rows=400, irs_cols=400),
+        "38 GHz, L 400": replace(CFG, f_ghz=38.0, l_m=400.0),
+    }
+
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    def test_run_power_within_its_rounding_count_of_40_digit_values(self, phases):
+        cfgs = list(self.GRID.values())
+        for seed in range(12):
+            config = mc(runs=1, seed=seed, phases=phases)
+            for name, cfg, est in zip(self.GRID, cfgs, wall_power_estimates(cfgs, config)):
+                exact, bound = exact_run_power(cfg, config)
+                err = abs(mpmath.mpf(est.mean_power_mw) - exact)
+                assert err <= bound, f"{name}, seed {seed}: |P - P_exact| = {float(err):.3g}, bound {float(bound):.3g}"
 
 
 def closed_form_mean_power(cfg, n_rays, uniform):
@@ -959,6 +1074,18 @@ class TestIrsGain:
             seen.clear()
         assert [irs_gain(cfg, spec.mc, rec) for cfg, rec in zip(cfgs, records)] == [row.result for row in rows]
         assert all(seen == [] for seen in calls.values())
+
+    def test_non_finite_result_raises(self):
+        # a 3000 dBm transmit power overflows the powers' squared deviations:
+        # the record names its one non-finite field instead of holding a nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^non-finite result: std_error_db = nan$"):
+                irs_gain(replace(CFG, p_t_dbm=3000.0), mc(runs=10))
+
+    def test_result_record_names_each_non_finite_field(self):
+        res = irs_gain(CFG, mc(runs=10))
+        with pytest.raises(FloatingPointError, match=r"^non-finite result: gain_db = nan, mean_wall_power_mw = inf$"):
+            replace(res, gain_db=math.nan, mean_wall_power_mw=math.inf)
 
     def test_gain_result_invariants(self):
         res = irs_gain(CFG, mc(runs=500))
