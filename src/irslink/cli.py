@@ -2,8 +2,8 @@
 
 Its surface is read from the records: every field of the two configs is a
 config key and a flag (an alias, choices and help in the field's metadata),
-the CSV columns are GainResult's fields, and a sweep's default grid is its
-SWEEPABLE entry's.  Outputs CSV with the fixed header
+the CSV columns are GainResult's fields (``simulator.COLUMNS``), and a
+sweep's default grid is its SWEEPABLE entry's.  Outputs CSV with the fixed header
     param[,overlay],gain_db,std_error_db,gamma_irs,los_amp,irs_sum_amp,wall_mean_amp,mean_wall_power_mw
 (numbers rendered with 6 significant digits) plus a JSON run manifest that is
 sufficient to reproduce the CSV byte-for-byte.
@@ -27,7 +27,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .experiments import SWEEPABLE, SweepSpec, default_l_grid, optimal_distance, run_sweep
 from .rng import GENERATOR_ID
 from .scenario import MonteCarloConfig, ScenarioConfig, lattice_shape
-from .simulator import GainResult
+from .simulator import COLUMNS
 from .svgplot import render_line_plot
 
 # a config key is parsed by its field's annotated type; "k" is the one key
@@ -38,7 +38,7 @@ _KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in _FIELDS} | {"k": int}
 _KEY_META = {f.name: f.metadata for f in _FIELDS} | {"k": {}}
 _MC_KEYS = {f.name for f in fields(MonteCarloConfig)}
 
-_HEADER_BASE = ",".join(f.metadata.get("column", f.name) for f in fields(GainResult))
+_HEADER_BASE = ",".join(COLUMNS.values())
 
 _SWEEP_NAMES = {name.replace("_", "-"): name for name in SWEEPABLE}
 

@@ -102,12 +102,13 @@ The arrays are written with numpy's ``out=``, in the same operation order as
 the plain expressions, so the bits are those of the allocating form.  Each
 block reduces a point's powers to (count, mean, sum of squared deviations)
 and its ``|sum of rays|`` to a sum; the blocks are merged into that point's
-accumulators in run order with Chan et al.'s pairwise update.  A block is a pure function of the batch, the controls and
-its first run (``_wall_block``), so at ``mc.threads`` > 1 the blocks are
-the tasks of the kept pool of that many threads (its threads keep their
-workspaces); they are still merged on the calling thread, in run order.  The
-block size is a constant, so the merge order, and with it every bit of the
-result, depends only on the configs.
+accumulators in run order with Chan et al.'s pairwise update.  A block is a
+pure function of the batch, the controls and its first run (``_wall_block``),
+so at ``mc.threads`` > 1 the blocks go to the kept pool of that many threads
+(its threads keep their workspaces) through ``Executor.map``, a window of
+two per thread at a time, and are merged on the calling thread in run order.
+The block size is a constant, so the merge order, and with it every bit of
+the result, depends only on the configs.
 
 A placement search evaluates many batches with the same controls and patch
 (L moves only the wall plane x), so every batch would draw and map the same
@@ -130,13 +131,13 @@ make, so they move no bit.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +167,7 @@ def dbm_to_amplitude(p_dbm, out=None):
 @dataclass(frozen=True)
 class GainResult:
     """Gain of the reflector scenario over the wall baseline, with components: the
-    CSV's columns in order, each named after its field or its metadata's "column"."""
+    CSV's columns in order (``COLUMNS``), each its field's name or its metadata's "column"."""
 
     gain_db: float                        # 10 log10(gamma_irs^2 / mean_wall_power_mw)
     std_error_db: float                   # standard error of the mean, in dB
@@ -177,9 +178,12 @@ class GainResult:
     mean_wall_power_mw: float             # Monte Carlo mean baseline power
 
     def __post_init__(self):  # a result that exists is finite
-        bad = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        bad = [f"{c} = {getattr(self, n)}" for n, c in COLUMNS.items() if not math.isfinite(getattr(self, n))]
         if bad:
             raise FloatingPointError("non-finite result: " + ", ".join(bad))
+
+
+COLUMNS = {f.name: f.metadata.get("column", f.name) for f in fields(GainResult)}
 
 
 class PointEstimate(NamedTuple):  # a point as a batch resolves it, for irs_gain to finish
@@ -476,26 +480,20 @@ def _kept_pool(threads: int) -> ThreadPoolExecutor:
 
 def _pool_map(fn, firsts: range, threads: int):
     """Yield fn(first) for each first in order: on this thread when workers =
-    min(threads, len(firsts)) is 1, else as tasks of the kept pool of
-    ``threads`` threads (which starts no more threads than tasks), at most
-    2 * workers of them submitted and not yet yielded, so memory is flat in n_runs."""
+    min(threads, len(firsts)) is 1, else through ``Executor.map`` on the kept
+    pool of ``threads`` threads (which starts no more threads than tasks), one
+    window of 2 * workers tasks at a time, so memory is flat in n_runs; the
+    map cancels its window's unstarted tasks on an error or an early close."""
     workers = min(threads, len(firsts))
     if workers <= 1:
         yield from map(fn, firsts)
         return
     pool = _kept_pool(threads)
-    pending: collections.deque = collections.deque()
-    try:
-        for first in firsts:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            # each task runs in a copy of the caller's context (numpy error state)
-            pending.append(pool.submit(contextvars.copy_context().run, fn, first))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:  # after an error, drop what has not started
-            future.cancel()
+    for start in range(0, len(firsts), 2 * workers):
+        window = firsts[start:start + 2 * workers]
+        # each task runs in a copy of this thread's context, where numpy's error state lives
+        contexts = [contextvars.copy_context() for _ in window]
+        yield from pool.map(contextvars.Context.run, contexts, repeat(fn), window)
 
 
 def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes | None,

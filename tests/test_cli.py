@@ -228,6 +228,13 @@ class TestExitCodes:
         assert run_cli(["gain", "--p-t-dbm", "3000", "--n-runs", "10"], capsys) == (
             3, "", "error: non-finite result: std_error_db = nan\n")
 
+    def test_non_finite_fields_are_named_by_their_columns(self, capsys):
+        # at 3200 dBm four fields are non-finite; named by their CSV columns
+        # (wall_mean_amp, not mean_wall_reflection_amplitude) the line is whole
+        assert run_cli(["gain", "--p-t-dbm", "3200", "--n-runs", "10"], capsys) == (3, "", (
+            "error: non-finite result: gain_db = nan, std_error_db = nan, wall_mean_amp = inf, "
+            "mean_wall_power_mw = inf\n"))
+
     @pytest.mark.parametrize("side", ["rows", "cols"])
     def test_empty_lattice_is_exit_2(self, side, capsys):
         # the config's own bound, the same line as the library's error

@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -203,8 +204,8 @@ class TestSweepBatches:
         monkeypatch.setattr(experiments, "irs_gain", lambda *a: gains.append(a[:2]) or gain(*a))
 
         class Recording(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):  # fn is a context's run, args[0] the task
-                tasks.append(args[0])
+            def submit(self, fn, /, *args, **kwargs):  # fn is a context's run; the task is among args
+                tasks.extend(arg for arg in args if isinstance(arg, partial))
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
@@ -344,6 +345,43 @@ class TestThreadPool:
             taken += 1
             assert len(submitted) - taken <= 6
         assert len(submitted) == taken == 100
+
+    def test_an_early_close_starts_no_later_window(self, monkeypatch, request):
+        # a consumer takes one result and closes the generator: no task past
+        # the first window (2 * workers = 6) was submitted, and the kept pool
+        # then gives the next call the bits of one thread.  Tasks 1 on wait
+        # until the close, so the 3 threads are busy while the window's last
+        # tasks are still queued: only the cancel on close keeps them from starting
+        submitted, started, closed = [], [], threading.Event()
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(None)
+                return super().submit(fn, *args, **kwargs)
+
+        def task(x):
+            started.append(x)
+            if x:
+                closed.wait(timeout=60)
+            return x * x
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
+        simulator._kept_pool.cache_clear()
+        request.addfinalizer(simulator._kept_pool.cache_clear)  # the patched pool is this test's alone
+        results = simulator._pool_map(task, range(100), 3)
+        assert next(results) == 0
+        results.close()
+        closed.set()
+        assert len(submitted) <= 6
+        mc = replace(MC, n_runs=10_000)  # 7 blocks: a window of 6 and one of 1
+        expected = simulator.wall_power_estimates([CFG], mc)
+        pool = simulator._kept_pool(3)
+        assert simulator.wall_power_estimates([CFG], replace(mc, threads=3)) == expected
+        assert simulator._kept_pool(3) is pool
+        # the pool runs its tasks in order, so a task left queued would have
+        # started before the call above finished; the thread that ran task 0
+        # may have started task 3 before the close
+        assert set(started) <= {0, 1, 2, 3}
 
     def test_concurrent_callers_share_and_replace_the_pool(self):
         # callers that need 2 and 3 workers replace the pool under each other;
