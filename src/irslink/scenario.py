@@ -37,8 +37,8 @@ RAY_PHASES = (RAY_PHASES_GEOMETRIC, RAY_PHASES_UNIFORM)
 SPEED_OF_LIGHT = 3.0e8  # m/s; matches the 40*pi*f/3 constant of the path-loss model
 
 # paths in one run block of the wall kernel (and one slice of the reflector
-# sum): a run's rays share a block, so n_rays is bounded by it, lest a block,
-# and with it the kernel's retained per-thread workspace, grow with the input
+# sum): a run's rays share a block, so n_rays is bounded by it, lest the
+# arrays a block makes (at most 12 planes of it, 3 MiB) grow with the input
 BLOCK_PATHS = 2**15
 # the reflector sum's time is linear in k and 10**8 elements already take about
 # 6 s per point (2-vCPU Xeon), so larger counts are rejected before factoring

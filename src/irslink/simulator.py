@@ -33,13 +33,13 @@ u = t - q/2 in [-1/4, 1/4], exact (Sterbenz).  Then cos 2 pi t =
 degree-8 polynomials (``_COS_TURNS``, ``_SIN_TURNS``) with 2 pi folded into
 their coefficients, within 3.3e-16 of the exact values.  In uniform mode a
 block's cos and sin are made once, as it is drawn (``_draw_block``).  In
-geometric mode they are made per point in the link budget's rows: the path
-length row s turns into t and u, row x holds u^2, and row p t's nearest
+geometric mode they are made per point in the link budget's planes: the path
+length plane s turns into t and u, plane x holds u^2, and plane p t's nearest
 integer, q, the sign 1 - 2q^2 (folded into the amplitudes, so the polynomials
-need no sign), then the sin u S, and row s, its u dead, the cos C.  In both
-modes a per-run phasor sum, the amplitudes times the sin or cos row summed
+need no sign), then the sin u S, and plane s, its u dead, the cos C.  In both
+modes a per-run phasor sum, the amplitudes times the sin or cos plane summed
 over a run's rays, is one ``einsum("ij,ij->i")`` contraction, with no product
-row written; einsum gives the same bits on every SIMD target.  Amplitudes
+plane written; einsum gives the same bits on every SIMD target.  Amplitudes
 10^(p/20) are computed as exp(p ln(10)/20).
 
 One link budget serves every path.  Its functions take the config alone and
@@ -77,26 +77,22 @@ the whole batch.  Within a block the batch shares
     when the patch, the BS, the wall plane x or the pattern and p_t differ;
 and evaluates the UAV half, PL_NLoS(d1 + d2), the phases and the phasor sums
 per point.  Every stage keeps the one-point operation order, so a point's
-bits do not depend on its neighbours in the batch.  One memory rule holds:
-every block-sized array lives in one workspace per thread, and the run-sized
-ones (the per-run sums) are allocated per block.  The workspace, 12 rows of
-2**15 float64 (3 MiB, under the 4 MiB from which numpy asks for huge pages),
-holds 4 input rows, into which ``_draw_block``, the one routine that draws a
-block, packs its position uniforms' y and z planes and in uniform mode its
-ray phasors' cos and sin planes; 6 of link budget and 2 point rows of
-scatter points, mapped from the input rows per patch.  The thread's first
-call makes it and every later block and call reuses it, so memory is flat in
-the batch size as well; a point keeps only scalars.  The budget rows are:
-  - d1 and gain, the BS half, kept while its key holds; before it they are
-    the scratch of the generator and of the uniform phasor stage;
+bits do not depend on its neighbours in the batch.  One memory rule holds: a
+block's arrays are made per block and die with it, so memory is flat in the
+batch size as well, and a point keeps only scalars.  They are at most 12
+planes of the block's (runs, n_rays) shape, 3 MiB at 2**15 paths, each array
+under the 4 MiB from which numpy asks for huge pages: 4 input planes, which
+``_draw_block``, the one routine that draws a block, makes (its position
+uniforms' y and z and in uniform mode its ray phasors' cos and sin), 2 point
+planes, the (y, z) of the scatter points, made at the block's first remap
+and mapped from the input planes per patch, and 6 of link budget:
+  - d1 and gain, the BS half, kept while its key holds;
   - s: d2, then the path length d1 + d2 in place (``d2 += d1``, the same
     bits), then in geometric mode its turns and then the cos;
   - x: PL_NLoS's scratch below the 22.5 m breakpoint, then in geometric mode
     u^2;
   - the amplitudes, before them the scratch of the BS half and of d2;
   - p, the geometric fold's integers and sign, then the sin.
-A uniform block above the breakpoint thus writes 4 of the 6 budget rows (d1,
-gain, s and the amplitudes), a geometric block all 6.
 
 The arrays are written with numpy's ``out=``, in the same operation order as
 the plain expressions, so the bits are those of the allocating form.  Each
@@ -105,10 +101,10 @@ and its ``|sum of rays|`` to a sum; the blocks are merged into that point's
 accumulators in run order with Chan et al.'s pairwise update.  A block is a
 pure function of the batch, the controls and its first run (``_wall_block``),
 so at ``mc.threads`` > 1 the blocks go to the kept pool of that many threads
-(its threads keep their workspaces) through ``Executor.map``, a window of
-two per thread at a time, and are merged on the calling thread in run order.
-The block size is a constant, so the merge order, and with it every bit of
-the result, depends only on the configs.
+through ``Executor.map``, a window of two per thread at a time, and are
+merged on the calling thread in run order.  The block size is a constant,
+so the merge order, and with it every bit of the result, depends only on the
+configs.
 
 A placement search evaluates many batches with the same controls and patch
 (L moves only the wall plane x), so every batch would draw and map the same
@@ -119,21 +115,18 @@ key, the MonteCarloConfig and the patch, and the planes of each of the first
 ``_KEPT_BLOCKS`` = 8 run blocks, drawn by ``_draw_block`` with the (y, z)
 mapped in place.  That is at most 4 MiB in geometric mode and 8 MiB in
 uniform mode (the default 10,000 runs are 7 blocks: 3.2 MB of points, and
-3.2 MB of phasors more).  A block read from the table writes neither the
-input nor the point rows, so the grid and every golden-section point
-neither draw nor fold phases for it, and a kept search's threads never
-touch those 6 workspace rows (nor, in uniform mode above the breakpoint,
-budget rows x and p).  Blocks past the 8 are drawn per batch, so memory
-stays bounded for any n_runs.  A batch whose controls or patch differ from
-the key raises.  The entries are the values a batch without them would
-make, so they move no bit.
+3.2 MB of phasors more), the only arrays that outlive a block.  A block
+read from the table makes neither input nor point planes, so the grid and
+every golden-section point neither draw, map nor fold phases for it.  Blocks
+past the 8 are drawn per batch, so memory stays bounded for any n_runs.  A
+batch whose controls or patch differ from the key raises.  The entries are
+the values a batch without them would make, so they move no bit.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -258,33 +251,8 @@ def _uav_side(cfg: ScenarioConfig, y, z, d1, gain, reflection_loss_db: float, wo
     return amps, s
 
 
-# Rows of a thread's wall-kernel workspace, each one block of paths long:
-# the input rows (a block's planes, packed as in a kept entry), the six link
-# budget rows (d1, gain, s, x, the amplitudes and p) and the point rows (see
-# the module docstring); run-sized sums are allocated per block, not here.  A
-# block read from a KeptPlanes writes neither the input nor the point rows.
-# The workspace is per thread, not passed in, so that every thread that runs
-# blocks (the caller's, or a kept pool's) reuses it across blocks, batches and
-# calls; its contents never outlive one block.
-_INPUTS, _BUDGET, _POINTS = slice(0, 4), slice(4, 10), slice(10, 12)
-_local = threading.local()
-
 # Run blocks a KeptPlanes holds, at most 4 MiB of planes (8 MiB in uniform mode)
 _KEPT_BLOCKS = 8
-
-
-def _workspace(paths: int) -> np.ndarray:
-    """This thread's workspace with room for ``paths`` paths per row: made on
-    first use and kept, so the blocks of every later call reuse its pages."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or ws.shape[1] < paths:
-        ws = _local.workspace = np.empty((_POINTS.stop, paths))
-    return ws
-
-
-def _flat(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading elements of consecutive workspace rows, viewed as ``shape``."""
-    return rows.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 # cos(2 pi u) = C(u^2) and sin(2 pi u) = u S(u^2) for |u| <= 1/4, lowest
@@ -364,18 +332,20 @@ def _block_firsts(mc: MonteCarloConfig) -> range:
     return range(0, mc.n_runs, max(1, BLOCK_PATHS // mc.n_rays))
 
 
-def _draw_block(mc: MonteCarloConfig, first: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Draw the block of runs from ``first`` into ``out``, planes of shape
-    (runs, n_rays): the y and the z plane of the position uniforms and, in
-    uniform mode, cos 2 pi t and sin 2 pi t of the ray phase draws t (draws
-    2 n_rays .. 3 n_rays - 1 of each run).  ``work`` is two scratch planes."""
-    n_rays = mc.n_rays
-    seeds = rng.run_seeds(mc.master_seed, out.shape[1], first)
-    rng.uniform_block(seeds, 2 * n_rays, out=out[:2], scratch=work.view(np.uint64), planes=2)
-    if mc.ray_phases == RAY_PHASES_UNIFORM:
+def _draw_block(mc: MonteCarloConfig, first: int, runs: int) -> np.ndarray:
+    """The block of ``runs`` runs from ``first``, planes of shape (runs,
+    n_rays): the y and the z plane of the position uniforms and, in uniform
+    mode, cos 2 pi t and sin 2 pi t of the ray phase draws t (draws
+    2 n_rays .. 3 n_rays - 1 of each run)."""
+    n_rays, uniform = mc.n_rays, mc.ray_phases == RAY_PHASES_UNIFORM
+    out = np.empty((4 if uniform else 2, runs, n_rays))
+    seeds = rng.run_seeds(mc.master_seed, runs, first)
+    rng.uniform_block(seeds, 2 * n_rays, out=out[:2], planes=2)
+    if uniform:
         cos, sin = out[2:]
-        rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=work[0].view(np.uint64))
-        sign, x = _fold(cos, work[0], work[1]), work[1]
+        sign, x = np.empty((2, runs, n_rays))
+        rng.uniform_block(seeds, n_rays, 2 * n_rays, out=cos, scratch=sign.view(np.uint64))
+        _fold(cos, sign, x)
         np.multiply(np.multiply(_poly(x, _SIN_TURNS, out=sin), cos, out=sin), sign, out=sin)
         np.multiply(_poly(x, _COS_TURNS, out=cos), sign, out=cos)
     return out
@@ -393,11 +363,9 @@ class KeptPlanes(NamedTuple):
 def kept_planes(cfg: ScenarioConfig, mc: MonteCarloConfig) -> KeptPlanes:
     """The KeptPlanes of ``cfg``'s patch under ``mc``, drawn and mapped on this thread."""
     firsts = _block_firsts(mc)[:_KEPT_BLOCKS] if mc.n_rays else range(0)  # no rays, nothing to draw
-    work, blocks = np.empty((2, firsts.step * mc.n_rays)), {}
+    blocks = {}
     for first in firsts:
-        shape = (min(firsts.step, mc.n_runs - first), mc.n_rays)
-        entry = np.empty((4 if mc.ray_phases == RAY_PHASES_UNIFORM else 2,) + shape)
-        _draw_block(mc, first, entry, _flat(work, (2,) + shape))
+        entry = _draw_block(mc, first, min(firsts.step, mc.n_runs - first))
         _scatter_matrix(cfg, entry[:2], out=entry[:2])
         entry.flags.writeable = False
         blocks[first] = entry
@@ -499,36 +467,32 @@ def _pool_map(fn, firsts: range, threads: int):
 def _wall_block(scene: list, mc: MonteCarloConfig, block: int, kept: KeptPlanes | None,
                 first: int) -> tuple[int, list]:
     """Runs first .. first+n-1 (n = min(block, n_runs - first)) at every point
-    of ``scene``, in this thread's workspace: (n, per point (block mean, block
-    M2, block sum of |ray sum|)).  The result depends only on the arguments
-    (a kept entry holds what the block would draw and map)."""
+    of ``scene``: (n, per point (block mean, block M2, block sum of |ray
+    sum|)).  Its arrays are its own, made here and dead when it returns.  The
+    result depends only on the arguments (a kept entry holds what the block
+    would draw and map)."""
     n = min(block, mc.n_runs - first)
-    uniform = mc.ray_phases == RAY_PHASES_UNIFORM
-    shape = (n, mc.n_rays)
-    ws = _workspace(max(BLOCK_PATHS, mc.n_rays))  # >= block * n_rays
-    budget = ws[_BUDGET]
     inputs = None if kept is None else kept.blocks.get(first)
     mapped = None if inputs is None else kept.patch  # a kept entry is mapped for its patch
-    if inputs is None:  # drawn here, mapped into the point rows per patch
-        inputs = _draw_block(mc, first, _flat(ws[_INPUTS], (4 if uniform else 2,) + shape), _flat(budget, (2,) + shape))
-    planes = inputs[:2]
-    d1, gain, s, x, amps, p = (_flat(row, shape) for row in budget)
-    im, re, mag, im2 = np.empty((4, n))  # run-sized, so not in the workspace
-    points = _flat(ws[_POINTS], (2,) + shape)
+    if inputs is None:  # drawn here, mapped into the point planes per patch
+        inputs = _draw_block(mc, first, n)
+    planes, points = inputs[:2], None  # the point planes are made at the first remap
+    d1, gain, s, x, amps, p = np.empty((6, n, mc.n_rays))
+    im, re, mag, im2 = np.empty((4, n))
     computed = None  # the key d1 and gain were made for
     stats = []
     for cfg, _, los_re, los_im, patch, bs_side in scene:
         if patch != mapped:
-            planes = _scatter_matrix(cfg, inputs[:2], out=points)
+            planes = points = _scatter_matrix(cfg, inputs[:2], out=points)
             mapped = patch
         y, z = planes
-        if bs_side != computed:  # the key holds the patch too; the scratch rows are the UAV half's
+        if bs_side != computed:  # the key holds the patch too; the scratch planes are the UAV half's
             _bs_side(cfg, cfg.irs_center.x, y, z, d1, gain, (s, amps))
             computed = bs_side
         _uav_side(cfg, y, z, d1, gain, cfg.pl_wall_db, (s, amps, x))
-        if uniform:
+        if mc.ray_phases == RAY_PHASES_UNIFORM:
             cos, sin = inputs[2:]
-        else:  # -d / lambda turns, folded in place; the sign in row p, then sin there and cos in row s
+        else:  # -d / lambda turns, folded in place; the sign in plane p, then sin there and cos in plane s
             s /= -wavelength_m(cfg.f_ghz)
             amps *= _fold(s, p, x)
             sin = np.multiply(_poly(x, _SIN_TURNS, out=p), s, out=p)

@@ -259,7 +259,7 @@ class TestThreadPool:
     def test_threads_are_bounded_across_calls(self, monkeypatch):
         # calls of 2 and 7 blocks at threads=3 share the one pool of 3 threads,
         # whatever their block counts, so their blocks run on at most 3
-        # threads (3 workspaces), and each call gives the bits of one thread
+        # threads, and each call gives the bits of one thread
         mcs = [replace(MC, n_runs=n) for n in (2000, 10_000)]  # 2 and 7 blocks
         expected = [simulator.wall_power_estimates([CFG], mc) for mc in mcs]
         threads = _record_block_threads(monkeypatch)
@@ -270,36 +270,36 @@ class TestThreadPool:
         assert len(set(threads)) <= 3 and threading.main_thread() not in threads
 
     def test_a_failing_block_ends_the_call(self, monkeypatch):
-        # the error reaches the caller, no block past the in-flight window
-        # starts, and the same pool then gives the next call the bits of one
-        # thread.  Blocks 3 on wait until the error is out, so both threads
-        # are busy while block 5, the window's last, is still queued: only
-        # the cancel on error keeps it from starting
+        # the error reaches the caller, no block of a later window starts, and
+        # the same pool then gives the next call the bits of one thread.  At
+        # two threads a window is one Executor.map over 4 blocks.  Block 0
+        # raises and every later block waits until the error is out, so both
+        # threads are held in blocks 1 and 2 while block 3, the window's last,
+        # is still queued: only the map's cancel on error keeps it from starting
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 5 * MC.n_rays)  # blocks of 5 runs
-        mc = replace(MC, n_runs=50)  # 10 blocks
+        mc = replace(MC, n_runs=50)  # 10 blocks: windows of 4, 4 and 2
         expected = simulator.wall_power_estimates([CFG], mc)
         started, raised, block = [], threading.Event(), simulator._wall_block
 
         def failing(scene, mc, size, kept, first):
             started.append(first // size)
-            if first == 2 * size:
-                raise FloatingPointError("block 2")
-            if first > 2 * size:
-                raised.wait(timeout=60)
+            if first == 0:
+                raise FloatingPointError("block 0")
+            raised.wait(timeout=60)
             return block(scene, mc, size, kept, first)
 
         monkeypatch.setattr(simulator, "_wall_block", failing)
-        with pytest.raises(FloatingPointError, match="block 2"):
+        with pytest.raises(FloatingPointError, match="block 0"):
             simulator.wall_power_estimates([CFG], replace(mc, threads=2))
         raised.set()
         pool = simulator._kept_pool(2)
         monkeypatch.setattr(simulator, "_wall_block", block)
         assert simulator.wall_power_estimates([CFG], replace(mc, threads=2)) == expected
         assert simulator._kept_pool(2) is pool
-        # blocks 0 and 1 were taken before block 2 raised, so 2 to 5 were in
-        # flight; the pool ran its tasks in order, so any left would have
-        # started before the call above finished
-        assert 2 in started and set(started) <= {0, 1, 2, 3, 4} and len(started) == len(set(started))
+        # the pool runs its tasks in order, so a block 3 left queued would
+        # have started before the call above finished (the cancel may also
+        # reach blocks 1 and 2 before a thread takes them)
+        assert 0 in started and set(started) <= {0, 1, 2} and len(started) == len(set(started))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_sweep_started_off_the_main_thread_finishes(self, monkeypatch, threads):

@@ -50,21 +50,6 @@ def gamma_irs(cfg):
     return irs_gain(cfg, mc(runs=1)).gamma_irs
 
 
-def thread_workspaces(threads):
-    """The wall-kernel workspace of each thread that runs blocks at ``threads``:
-    the calling thread's, or each of the kept pool's, made now if missing."""
-    if threads == 1:
-        return [simulator._workspace(simulator.BLOCK_PATHS)]
-    barrier = threading.Barrier(threads)  # one task per pool thread
-
-    def own():
-        barrier.wait(timeout=60)
-        return simulator._workspace(simulator.BLOCK_PATHS)
-
-    pool = simulator._kept_pool(threads)
-    return [task.result() for task in [pool.submit(own) for _ in range(threads)]]
-
-
 def lattice_slice(cfg, n):
     """The (y, z) of cfg's first n reflector elements."""
     return element_positions(cfg.irs_rows, cfg.irs_cols, cfg.element_pitch_m, cfg.irs_center, 0, n)
@@ -364,17 +349,24 @@ class TestWallPowerEstimate:
         assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
-    def test_warm_call_allocates_no_block_arrays(self, phases):
-        # every block-sized float array lives in this thread's workspace, made by
-        # the first call; a later call allocates only run-sized and scalar values
+    @pytest.mark.parametrize("n_runs,sweep", [(2000, False), (200_000, False), (10_000, True)])
+    def test_warm_peak_is_one_blocks_arrays(self, phases, n_runs, sweep):
+        # a block's arrays are made per block and die with it, and a point
+        # keeps only scalars: at most 12 planes of one block (3 MiB, under the
+        # 4 MiB from which numpy asks for huge pages) and 1 MiB more, at any
+        # n_runs and for the 23 points of the default sweep
+        config = MonteCarloConfig(n_runs=n_runs, ray_phases=phases)
         wall_power_estimates([CFG], mc(runs=1, phases=phases))
         tracemalloc.start()
         try:
-            wall_power_estimates([CFG], MonteCarloConfig(n_runs=200_000, ray_phases=phases))
+            if sweep:
+                run_sweep(SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, config))
+            else:
+                wall_power_estimates([CFG], config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 12 * simulator.BLOCK_PATHS * 8 + 2**20
 
 
 class TestPhaseAccuracy:
@@ -647,18 +639,6 @@ class TestPhasorTrig:
         wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=100, phases=phases))
         assert calls == []
 
-    def test_geometric_phases_leave_the_phase_rows_untouched(self):
-        # geometric mode makes its cos and sin in the link budget's rows, so
-        # the input rows past its two position planes (where a uniform block
-        # packs its phasors) are never written and cost no memory
-        wall_power_estimates([CFG], mc(runs=1))
-        ws = simulator._local.workspace
-        phase_rows = range(12)[simulator._INPUTS][2:]
-        ws[phase_rows] = -7.0
-        wall_power_estimates([CFG, replace(CFG, h_uav_m=60.0)], mc(runs=3000))
-        assert (ws[phase_rows] == -7.0).all()
-
-
 def scalar_bs_gain(cfg, bs, x, y, z):
     """p_t + G(angle) at one point (x, y, z), its angle from libm's hypot, atan2
     and degrees, one value at a time: (gain, angle in degrees)."""
@@ -788,63 +768,6 @@ class TestOnePathCheck:
         assert math.isfinite(simulator._irs_sum(beside))
 
 
-class TestBatches:
-    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
-    def test_warm_sweep_allocates_no_block_arrays(self, phases):
-        # the 23 points of the default sweep share one workspace and keep only
-        # scalars per point, so the grid adds no block-sized array either
-        spec = SweepSpec("h_uav", tuple(default_h_uav_grid()), CFG, MonteCarloConfig(ray_phases=phases))
-        wall_power_estimates([CFG], mc(runs=1, phases=phases))
-        tracemalloc.start()
-        try:
-            run_sweep(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_workspace_has_the_rows_of_the_one_point_kernel(self):
-        # 12 rows of 2**15 float64 (3 MiB) per thread, as before batches: the
-        # phase cos and sin planes are paid for by drawing positions and phases
-        # apart and by mapping scatter points to their (y, z) planes alone.
-        # The 4 input rows hold a block's planes as a kept entry packs them
-        # (the position uniforms' y and z planes, then in uniform mode the
-        # phasors' cos and sin), and the point rows map the first two per patch
-        sizes = []
-
-        def first_call_in_a_thread():
-            wall_power_estimates([CFG, replace(CFG, h_irs_m=5.0)], mc(runs=10, phases="uniform"))
-            sizes.append(simulator._local.workspace.nbytes)
-
-        thread = threading.Thread(target=first_call_in_a_thread)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        rows = (simulator._INPUTS, simulator._BUDGET, simulator._POINTS)
-        assert [(r.start, r.stop) for r in rows] == [(0, 4), (4, 10), (10, 12)]
-        assert sizes == [12 * 2**15 * 8]
-        # and under 4 MiB, from which numpy asks for transparent huge pages:
-        # with the kernel's THP mode at madvise, a 16-row (4 MiB) workspace
-        # raised optimize-refine's peak RSS from 38.0-38.2 MB to 40.2-40.7 MB,
-        # as a kept search's pool thread faults in whole huge pages of rows it
-        # barely writes.  A per-run vector goes in a run-sized array instead
-        assert sizes[0] < 1 << 22
-
-    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
-    @pytest.mark.parametrize("rays", [20, 1])
-    def test_run_sized_sums_are_not_workspace_views(self, monkeypatch, phases, rays):
-        # block-sized arrays live in the workspace and run-sized ones are made
-        # per block, so the per-run sums need no rows the budget is done with;
-        # at one ray a block of runs is a full row
-        outs, einsum = [], np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *a, **k: outs.append(k["out"]) or einsum(*a, **k))
-        config = mc(runs=40_000 // rays, rays=rays, phases=phases)
-        wall_power_estimates([CFG, replace(CFG, h_uav_m=20.0)], config)
-        ws = simulator._local.workspace
-        assert len(outs) == 2 * 2 * len(simulator._block_firsts(config))
-        assert not any(np.shares_memory(out, ws) for out in outs)
-
-
 class TestKeptPlanes:
     def test_empty_batch_draws_nothing(self, monkeypatch):
         # it returns before any of the 62 blocks of 100,000 runs is seeded or drawn
@@ -893,38 +816,22 @@ class TestKeptPlanes:
         capsys.readouterr()
         assert sorted(phase_draws) == [10_000 - 6 * 1638] + [1638] * 6
 
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_kept_uniform_blocks_leave_the_phase_and_freed_budget_rows_untouched(self, threads):
-        # a kept uniform block above the breakpoint writes only d1, gain, s and
-        # the amplitudes of its thread's workspace: the input and point rows
-        # and the budget's x and p rows keep the NaN put there
-        budget = simulator._BUDGET.start
-        untouched = [*range(12)[simulator._INPUTS], budget + 3, budget + 5, *range(12)[simulator._POINTS]]
-        assert len(untouched) == 8 and CFG.h_uav_m >= NLOS_BREAKPOINT_HEIGHT_M
-        workspaces = thread_workspaces(threads)
-        for ws in workspaces:
-            ws[untouched] = np.nan
-        config = mc(runs=3000, phases="uniform")
+    def test_a_kept_block_is_neither_drawn_nor_mapped(self, monkeypatch, phases, threads):
+        # 10 blocks of 50 runs, 8 of them kept: a batch of points on the kept
+        # patch draws and maps only the last 2 blocks (50 and 25 runs), once each
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 50 * 20)
+        config = mc(runs=475, phases=phases)
         kept = simulator.kept_planes(CFG, config)
-        expected = [wall_power_estimates([replace(CFG, l_m=l_m)], config) for l_m in (40.0, 50.0, 60.0)]
-        for ws in workspaces:  # the calling thread's batches without kept blocks wrote them
-            ws[untouched] = np.nan
-        assert [wall_power_estimates([replace(CFG, l_m=l_m)], replace(config, threads=threads), kept)
-                for l_m in (40.0, 50.0, 60.0)] == expected
-        for ws in workspaces:
-            assert np.isnan(ws[untouched]).all()
-
-    def test_kept_blocks_leave_the_draw_and_point_rows_untouched(self):
-        # neither the table nor a block read from it draws into this thread's
-        # workspace or maps into it, so those rows' pages are never written
-        config = mc(runs=3000)
-        wall_power_estimates([CFG], mc(runs=1))
-        ws = simulator._local.workspace
-        ws[simulator._INPUTS] = ws[simulator._POINTS] = -7.0
-        kept = simulator.kept_planes(CFG, config)
-        for l_m in (40.0, 50.0, 60.0):
-            wall_power_estimates([replace(CFG, l_m=l_m)], config, kept=kept)
-        assert (ws[simulator._INPUTS] == -7.0).all() and (ws[simulator._POINTS] == -7.0).all()
+        drawn, mapped = [], []
+        for name, calls in (("_draw_block", drawn), ("_scatter_matrix", mapped)):
+            spy = partial(lambda f, calls, *a, **k: calls.append(a) or f(*a, **k), getattr(simulator, name), calls)
+            monkeypatch.setattr(simulator, name, spy)
+        batch = [CFG, replace(CFG, l_m=40.0), replace(CFG, h_uav_m=60.0)]
+        wall_power_estimates(batch, replace(config, threads=threads), kept)
+        assert sorted(first for _, first, _ in drawn) == [400, 450]
+        assert sorted(u.shape[1] for _, u in mapped) == [25, 50]
 
     @pytest.mark.parametrize("phases", ["geometric", "uniform"])
     def test_blocks_past_the_budget_are_drawn_per_batch(self, monkeypatch, position_draws, phase_draws, phases):
