@@ -368,6 +368,23 @@ class TestWallPowerEstimate:
             tracemalloc.stop()
         assert peak < 12 * simulator.BLOCK_PATHS * 8 + 2**20
 
+    @pytest.mark.parametrize("phases", ["geometric", "uniform"])
+    @pytest.mark.parametrize("rays", [20, 1])
+    def test_run_sized_sums_are_not_block_plane_views(self, monkeypatch, phases, rays):
+        # the per-run sums are run-sized arrays of their own, apart from the
+        # planes they contract, so no plane a later point reads is written by
+        # them; at one ray a block of runs is a full plane
+        calls, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append((a[1:], k["out"])) or einsum(*a, **k))
+        config = mc(runs=40_000 // rays, rays=rays, phases=phases)
+        wall_power_estimates([CFG, replace(CFG, h_uav_m=20.0)], config)
+        assert len(calls) == 2 * 2 * len(simulator._block_firsts(config))
+        for (amps, phasor), out in calls:
+            assert out.shape == amps.shape[:1]
+            assert not np.shares_memory(out, amps) and not np.shares_memory(out, phasor)
+        for (_, im), (_, re) in zip(calls[::2], calls[1::2]):
+            assert not np.shares_memory(im, re)
+
 
 class TestPhaseAccuracy:
     # carriers 2 to 40 GHz, near and far walls, both NLoS branches; at 40 GHz
